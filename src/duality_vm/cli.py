@@ -140,7 +140,8 @@ def _cmd_run(args, rep: _Reporter) -> int:
         if rep.as_json:
             print(json.dumps(res.stats.to_json()))
         return rep.error(reason, EXIT_RUNTIME)
-    value = force_numeral(res.final.producer, s, args.fuel)
+    # The forcing phase spends the same budget and is counted in the same stats.
+    value = force_numeral(res.final.producer, s, args.fuel - res.stats.fuel_used, res.stats)
     if rep.as_json:
         rep.emit({"value": value, "final": pretty(res.final)})
         print(json.dumps(res.stats.to_json()))

@@ -138,7 +138,7 @@ def step(c: Command, s: Strategy) -> StepOutcome:
             out = Command(subst(e.zero_body, {e.payload_var: arg}, None), ret)
             return Stepped(out, RuleTag.BETA_NUM_ZERO)
         case (NumSucc(arg), RecNum(ret=ret)) if is_value(arg, s) and is_covalue(ret, s):
-            return Stepped(_beta_num_succ(arg, e), RuleTag.BETA_NUM_SUCC)
+            return Stepped(_beta_succ(arg, e), RuleTag.BETA_NUM_SUCC)
         case (CoRec(), Head(rest)) if is_value(v.seed, s) and is_covalue(rest, s):
             out = Command(v.seed, subst(v.head_body, None, {v.head_covar: rest}))
             return Stepped(out, RuleTag.BETA_HEAD)
@@ -162,24 +162,11 @@ def step(c: Command, s: Strategy) -> StepOutcome:
     return Stuck(_stuck_reason(c, s), c)
 
 
-def _beta_succ(pred: Term, r: RecNat) -> Command:
-    """Successor case: restart the recursor on the predecessor, binding the
-    recursive result with a comu so the strategy decides what runs first."""
+def _beta_succ(pred: Term, r: RecNat | RecNum) -> Command:
+    """Successor case of both recursors: restart the recursor on the
+    predecessor, binding the recursive result with a comu so the strategy
+    decides what runs first."""
 
-    a = fresh_name(r.free_covars | pred.free_covars, "a")
-    restarted = replace(r, ret=CoVar(a))
-    left = Mu(a, Command(pred, restarted), r.annot)
-    y = r.result_var
-    vmap: dict[str, Term] = {r.pred_var: pred}
-    if y in pred.free_vars or y in r.ret.free_vars:
-        y = fresh_name(pred.free_vars | r.ret.free_vars | r.succ_body.free_vars, y)
-        vmap[r.result_var] = Var(y)
-    w = subst(r.succ_body, vmap, None)
-    right = MuTilde(y, Command(w, r.ret), r.annot)
-    return Command(left, right)
-
-
-def _beta_num_succ(pred: Term, r: RecNum) -> Command:
     a = fresh_name(r.free_covars | pred.free_covars, "a")
     restarted = replace(r, ret=CoVar(a))
     left = Mu(a, Command(pred, restarted), r.annot)
@@ -290,7 +277,7 @@ def run(
     entries: list[TraceEntry] | None = [] if trace else None
     truncated = False
     cur = c
-    for i in range(fuel):
+    for i in range(fuel + 1):
         out = step(cur, s)
         if isinstance(out, Final):
             stats.outcome = "Final"
@@ -300,6 +287,8 @@ def run(
             stats.outcome = "Stuck"
             stats.stuck_reason = out.reason
             return RunResult(stats, cur, entries, truncated)
+        if i == fuel:  # fuel spent: this step() only looked for a final or stuck state
+            break
         cur = out.next
         stats.per_rule[out.rule] = stats.per_rule.get(out.rule, 0) + 1
         stats.total += 1
@@ -309,15 +298,6 @@ def run(
                 entries.append(TraceEntry(stats.total, out.rule, pretty(cur)))
             else:
                 truncated = True
-    out = step(cur, s)
-    if isinstance(out, Final):
-        stats.outcome = "Final"
-        stats.final_shape = out.shape
-        return RunResult(stats, cur, entries, truncated)
-    if isinstance(out, Stuck):
-        stats.outcome = "Stuck"
-        stats.stuck_reason = out.reason
-        return RunResult(stats, cur, entries, truncated)
     stats.outcome = "OutOfFuel"
     return RunResult(stats, None, entries, truncated)
 
@@ -378,10 +358,7 @@ def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     a = fresh_name(v.free_covars, "a0")
-    e: CoTerm = Head(CoVar(a))
-    for _ in range(depth):
-        e = Tail(e)
-    res = run(Command(v, e), s, fuel)
+    res = run(Command(v, tails(depth, Head(CoVar(a)))), s, fuel)
     if res.outcome == "OutOfFuel":
         raise OutOfFuelError(f"stream observation at depth {depth} ran out of fuel")
     if res.outcome == "Stuck":

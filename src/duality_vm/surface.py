@@ -1,10 +1,11 @@
 """Front end: typed translation to the machine, plus the reference oracle.
 
-The translator is type-directed: it checks the mixed front-end/machine
-tree (lambda-calculus typing rules for the front-end constructs, the
-sequent rules for embedded machine constructs) while compiling surface
-applications, recursor expressions and numerals down to machine syntax.
-Wherever the chosen strategy's grammar demands a value or covalue in some
+The translator is ``Compiler``, a ``typechecker.Elaborator``: it runs the
+typechecker's sequent rules unchanged and adds two things.  It types and
+compiles the four front-end forms (surface applications, recursor
+expressions, numerals and definition references) down to machine syntax,
+with the lambda-calculus typing rules.  And it overrides the staging hooks:
+wherever the chosen strategy's grammar demands a value or covalue in some
 position and the translated subterm is not one, the translator names the
 offender with a mu/comu binding, the same trick the source-to-machine
 translation uses for successor arguments and call-stack arguments.  The
@@ -42,13 +43,9 @@ from .kernel import (
     Mu,
     MuTilde,
     Nat,
-    Numbered,
-    NumSucc,
-    NumZero,
     Pair,
     Prod,
     RecNat,
-    RecNum,
     Snd,
     Strategy,
     Stream,
@@ -67,7 +64,7 @@ from .kernel import (
     type_str,
 )
 from .parser import App, NumLit, Program, RecTerm, Ref, parse
-from .typechecker import EMPTY_ENV, TypeCheckError, TypeEnv
+from .typechecker import EMPTY_ENV, Elaborator, TypeCheckError, TypeEnv
 
 __all__ = [
     "App",
@@ -98,7 +95,7 @@ __all__ = [
 _PROBE = "\x00probe"  # impossible name, used to discover a build context's free names
 
 
-class Compiler:
+class Compiler(Elaborator):
     """Checks and compiles one program's definitions for one strategy."""
 
     def __init__(self, program: Program | None, strategy: Strategy):
@@ -159,6 +156,60 @@ class Compiler:
         ty, t = self.term_infer(EMPTY_ENV, m, "main")
         return ty, t
 
+    # -- the front-end forms
+
+    def _other_term(self, env: TypeEnv, t: Term, expected: TypeExpr | None,
+                    path: str) -> tuple[TypeExpr, Term]:
+        match t:
+            case NumLit(n):
+                ty, out = Nat(), numeral(n)
+            case Ref(name):
+                ty, out = self.lookup_def(name, path)
+            case App():
+                # The spine is walked in a loop, so a long application adds
+                # no stack depth; the innermost function is typed first.
+                spine, head, hpath = [], t, path
+                while isinstance(head, App):
+                    spine.append((head.arg, hpath))
+                    head, hpath = head.fn, f"{hpath}.fn"
+                ty, out = self.term_infer(env, head, hpath)
+                for arg, p in reversed(spine):
+                    if not isinstance(ty, Fn):
+                        raise TypeCheckError("Mismatch", f"{p}.fn", "applied a non-function", found=ty)
+                    aout = self.term_check(env, arg, ty.arg, f"{p}.arg")
+                    ty, out = ty.ret, self._app(out, ty, aout)
+            case RecTerm():
+                if expected is None:
+                    ty, zout = self.term_infer(env, t.zero_body, f"{path}.zero")
+                else:
+                    ty, zout = expected, self.term_check(env, t.zero_body, expected, f"{path}.zero")
+                senv = env.bind_var(t.pred_var, Nat()).bind_var(t.result_var, ty)
+                sout = self.term_check(senv, t.succ_body, ty, f"{path}.succ")
+                mout = self.term_check(env, t.scrut, Nat(), f"{path}.scrut")
+                k = fresh_name(self._fcv(zout, sout, mout), "a")
+                rec = RecNat(zout, t.pred_var, t.result_var, sout, CoVar(k), annot=ty)
+                out = Mu(k, Command(mout, rec), ty)
+            case _:
+                return super()._other_term(env, t, expected, path)
+        return ty, out if expected is None else self._expect(expected, ty, out, path)
+
+    def _app(self, fout: Term, fty: Fn, aout: Term) -> Term:
+        """Compile an application: bind the function value, then the
+        argument value, then cut the function against a call stack."""
+
+        k = fresh_name(self._fcv(fout, aout), "a")
+        f = fresh_name(self._fv(fout, aout), "f")
+        x = fresh_name(self._fv(fout, aout) | {f}, "x")
+        body = Command(
+            fout,
+            MuTilde(
+                f,
+                Command(aout, MuTilde(x, Command(Var(f), Call(Var(x), CoVar(k))), fty.arg)),
+                fty,
+            ),
+        )
+        return Mu(k, body, fty.ret)
+
     # -- fresh-name helpers
 
     def _fv(self, *nodes) -> frozenset[str]:
@@ -191,19 +242,6 @@ class Compiler:
         inner = MuTilde(x, Command(build(Var(x)), CoVar(a)), ty)
         return Mu(a, Command(t, inner), out_ty)
 
-    def _values(self, items: list[tuple[Term, TypeExpr]], build, out_ty: TypeExpr) -> Term:
-        """n-ary _as_value, naming non-value items left to right."""
-
-        def go(i: int, acc: list[Term]) -> Term:
-            if i == len(items):
-                return build(acc)
-            t, ty = items[i]
-            if is_value(t, self.s):
-                return go(i + 1, acc + [t])
-            return self._as_value(t, ty, lambda v: go(i + 1, acc + [v]), out_ty)
-
-        return go(0, [])
-
     def _as_covalue(self, e: CoTerm, consumed: TypeExpr, build, built_consumes: TypeExpr) -> CoTerm:
         """build(covalue) with e named first when e is not a covalue.
 
@@ -219,287 +257,6 @@ class Compiler:
         inner = Mu(b, Command(Var(x), build(CoVar(b))), consumed)
         return MuTilde(x, Command(inner, e), built_consumes)
 
-    # -- terms
-
-    def term_infer(self, env: TypeEnv, t: Term, path: str) -> tuple[TypeExpr, Term]:
-        match t:
-            case NumLit(n):
-                return Nat(), numeral(n)
-            case Ref(name):
-                return self.lookup_def(name, path)
-            case Var(name):
-                return env.lookup_var(name, path), t
-            case Zero():
-                return Nat(), t
-            case Succ(arg):
-                out = self.term_check(env, arg, Nat(), f"{path}.arg")
-                return Nat(), self._as_value(out, Nat(), lambda v: Succ(v), Nat())
-            case NumZero(arg):
-                a, out = self.term_infer(env, arg, f"{path}.arg")
-                return Numbered(a), self._as_value(out, a, lambda v: NumZero(v), Numbered(a))
-            case NumSucc(arg):
-                a, out = self.term_infer(env, arg, f"{path}.arg")
-                if not isinstance(a, Numbered):
-                    raise TypeCheckError(
-                        "Mismatch", f"{path}.arg", "numbered successor of a non-Numbered value",
-                        expected=Numbered(a), found=a,
-                    )
-                return a, self._as_value(out, a, lambda v: NumSucc(v), a)
-            case Pair(l, r):
-                lt, lo = self.term_infer(env, l, f"{path}.left")
-                rt, ro = self.term_infer(env, r, f"{path}.right")
-                ty = Prod(lt, rt)
-                return ty, self._values([(lo, lt), (ro, rt)], lambda vs: Pair(vs[0], vs[1]), ty)
-            case InL(arg, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "left injection needs the right component type"
-                    )
-                a, out = self.term_infer(env, arg, f"{path}.arg")
-                ty = Sum(a, other)
-                return ty, self._as_value(out, a, lambda v: InL(v, other), ty)
-            case InR(arg, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "right injection needs the left component type"
-                    )
-                a, out = self.term_infer(env, arg, f"{path}.arg")
-                ty = Sum(other, a)
-                return ty, self._as_value(out, a, lambda v: InR(v, other), ty)
-            case Lam(x, body, annot):
-                if annot is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "function binder needs a type annotation"
-                    )
-                bty, bout = self.term_infer(env.bind_var(x, annot), body, f"{path}.body")
-                return Fn(annot, bty), Lam(x, bout, annot)
-            case Mu(a, body, annot):
-                if annot is None:
-                    raise TypeCheckError("AnnotationRequired", path, "mu binder needs a type annotation")
-                bout = self.command(env.bind_covar(a, annot), body, f"{path}.body")
-                return annot, Mu(a, bout, annot)
-            case CoRec(elem_annot=ea):
-                if ea is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "corecursor needs its element type annotation"
-                    )
-                return Stream(ea), self._corec(env, t, ea, path)
-            case App(fn, arg):
-                fty, fout = self.term_infer(env, fn, f"{path}.fn")
-                if not isinstance(fty, Fn):
-                    raise TypeCheckError(
-                        "Mismatch", f"{path}.fn", "applied a non-function", found=fty
-                    )
-                aout = self.term_check(env, arg, fty.arg, f"{path}.arg")
-                return fty.ret, self._app(fout, fty, aout)
-            case RecTerm():
-                zt, zout = self.term_infer(env, t.zero_body, f"{path}.zero")
-                return zt, self._rec_term(env, t, zt, zout, path)
-        raise TypeCheckError("Mismatch", path, f"unknown term form {type(t).__name__}")
-
-    def term_check(self, env: TypeEnv, t: Term, expected: TypeExpr, path: str) -> Term:
-        match t:
-            case Mu(a, body, annot):
-                if annot is not None and annot != expected:
-                    raise TypeCheckError("Mismatch", path, "mu annotation disagrees",
-                                         expected=expected, found=annot)
-                bout = self.command(env.bind_covar(a, expected), body, f"{path}.body")
-                return Mu(a, bout, expected)
-            case Lam(x, body, annot):
-                if not isinstance(expected, Fn):
-                    raise TypeCheckError("Mismatch", path, "function used at a non-function type",
-                                         expected=expected)
-                if annot is not None and annot != expected.arg:
-                    raise TypeCheckError("Mismatch", path, "binder annotation disagrees",
-                                         expected=expected.arg, found=annot)
-                bout = self.term_check(env.bind_var(x, expected.arg), body, expected.ret, f"{path}.body")
-                return Lam(x, bout, expected.arg)
-            case Succ(arg) if expected == Nat():
-                out = self.term_check(env, arg, Nat(), f"{path}.arg")
-                return self._as_value(out, Nat(), lambda v: Succ(v), Nat())
-            case NumZero(arg) if isinstance(expected, Numbered):
-                out = self.term_check(env, arg, expected.payload, f"{path}.arg")
-                return self._as_value(out, expected.payload, lambda v: NumZero(v), expected)
-            case NumSucc(arg) if isinstance(expected, Numbered):
-                out = self.term_check(env, arg, expected, f"{path}.arg")
-                return self._as_value(out, expected, lambda v: NumSucc(v), expected)
-            case Pair(l, r) if isinstance(expected, Prod):
-                lo = self.term_check(env, l, expected.left, f"{path}.left")
-                ro = self.term_check(env, r, expected.right, f"{path}.right")
-                return self._values(
-                    [(lo, expected.left), (ro, expected.right)],
-                    lambda vs: Pair(vs[0], vs[1]),
-                    expected,
-                )
-            case InL(arg, other) if isinstance(expected, Sum):
-                if other is not None and other != expected.right:
-                    raise TypeCheckError("Mismatch", path, "injection annotation disagrees",
-                                         expected=expected.right, found=other)
-                out = self.term_check(env, arg, expected.left, f"{path}.arg")
-                return self._as_value(out, expected.left, lambda v: InL(v, expected.right), expected)
-            case InR(arg, other) if isinstance(expected, Sum):
-                if other is not None and other != expected.left:
-                    raise TypeCheckError("Mismatch", path, "injection annotation disagrees",
-                                         expected=expected.left, found=other)
-                out = self.term_check(env, arg, expected.right, f"{path}.arg")
-                return self._as_value(out, expected.right, lambda v: InR(v, expected.left), expected)
-            case CoRec(elem_annot=ea) if isinstance(expected, Stream):
-                if ea is not None and ea != expected.elem:
-                    raise TypeCheckError("Mismatch", path, "corecursor annotation disagrees",
-                                         expected=expected.elem, found=ea)
-                return self._corec(env, t, expected.elem, path)
-            case RecTerm():
-                zout = self.term_check(env, t.zero_body, expected, f"{path}.zero")
-                return self._rec_term(env, t, expected, zout, path)
-            case _:
-                found, out = self.term_infer(env, t, path)
-                if found != expected:
-                    raise TypeCheckError("Mismatch", path, "type mismatch",
-                                         expected=expected, found=found)
-                return out
-
-    def _app(self, fout: Term, fty: Fn, aout: Term) -> Term:
-        """Compile an application: bind the function value, then the
-        argument value, then cut the function against a call stack."""
-
-        k = fresh_name(self._fcv(fout, aout), "a")
-        f = fresh_name(self._fv(fout, aout), "f")
-        x = fresh_name(self._fv(fout, aout) | {f}, "x")
-        body = Command(
-            fout,
-            MuTilde(
-                f,
-                Command(aout, MuTilde(x, Command(Var(f), Call(Var(x), CoVar(k))), fty.arg)),
-                fty,
-            ),
-        )
-        return Mu(k, body, fty.ret)
-
-    def _rec_term(self, env: TypeEnv, t: RecTerm, result: TypeExpr, zout: Term, path: str) -> Term:
-        senv = env.bind_var(t.pred_var, Nat()).bind_var(t.result_var, result)
-        sout = self.term_check(senv, t.succ_body, result, f"{path}.succ")
-        mout = self.term_check(env, t.scrut, Nat(), f"{path}.scrut")
-        k = fresh_name(self._fcv(zout, sout, mout), "a")
-        rec = RecNat(zout, t.pred_var, t.result_var, sout, CoVar(k), annot=result)
-        return Mu(k, Command(mout, rec), result)
-
-    def _corec(self, env: TypeEnv, t: CoRec, elem: TypeExpr, path: str) -> Term:
-        seed_ty, seed = self.term_infer(env, t.seed, f"{path}.seed")
-        he = self.coterm_check(
-            env.bind_covar(t.head_covar, elem), t.head_body, seed_ty, f"{path}.head"
-        )
-        tenv = env.bind_covar(t.tail_covar, Stream(elem)).bind_covar(t.tail_seed_covar, seed_ty)
-        te = self.coterm_check(tenv, t.tail_body, seed_ty, f"{path}.tail")
-
-        def build(v: Term) -> Term:
-            return CoRec(t.head_covar, he, t.tail_covar, t.tail_seed_covar, te, v,
-                         elem_annot=elem, seed_annot=seed_ty)
-
-        return self._as_value(seed, seed_ty, build, Stream(elem))
-
-    # -- coterms
-
-    def coterm_infer(self, env: TypeEnv, e: CoTerm, path: str) -> tuple[TypeExpr, CoTerm]:
-        match e:
-            case CoVar(name):
-                return env.lookup_covar(name, path), e
-            case MuTilde(x, body, annot):
-                if annot is None:
-                    raise TypeCheckError("AnnotationRequired", path, "comu binder needs a type annotation")
-                bout = self.command(env.bind_var(x, annot), body, f"{path}.body")
-                return annot, MuTilde(x, bout, annot)
-            case Call(arg, rest):
-                aty, aout = self.term_infer(env, arg, f"{path}.arg")
-                rty, rout = self.coterm_infer(env, rest, f"{path}.rest")
-                return Fn(aty, rty), self._call(aout, aty, rout, rty)
-            case Head(rest):
-                a, rout = self.coterm_infer(env, rest, f"{path}.rest")
-                out = self._as_covalue(rout, a, lambda E: Head(E), Stream(a))
-                return Stream(a), out
-            case Tail(rest):
-                st, rout = self.coterm_infer(env, rest, f"{path}.rest")
-                if not isinstance(st, Stream):
-                    raise TypeCheckError("Mismatch", f"{path}.rest", "tail of a non-stream",
-                                         expected=Stream(st), found=st)
-                return st, self._as_covalue(rout, st, lambda E: Tail(E), st)
-            case Fst(rest, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "first projection needs the right component type"
-                    )
-                a, rout = self.coterm_infer(env, rest, f"{path}.rest")
-                ty = Prod(a, other)
-                return ty, self._as_covalue(rout, a, lambda E: Fst(E, other), ty)
-            case Snd(rest, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "second projection needs the left component type"
-                    )
-                a, rout = self.coterm_infer(env, rest, f"{path}.rest")
-                ty = Prod(other, a)
-                return ty, self._as_covalue(rout, a, lambda E: Snd(E, other), ty)
-            case SumCase(l, r):
-                lt, lo = self.coterm_infer(env, l, f"{path}.left")
-                rt, ro = self.coterm_infer(env, r, f"{path}.right")
-                return Sum(lt, rt), SumCase(lo, ro)
-            case RecNat():
-                return self._recnat(env, e, None, path)
-            case RecNum(payload_annot=pa):
-                if pa is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "numbered recursor needs its payload type annotation"
-                    )
-                return self._recnum(env, e, pa, path)
-        raise TypeCheckError("Mismatch", path, f"unknown coterm form {type(e).__name__}")
-
-    def coterm_check(self, env: TypeEnv, e: CoTerm, expected: TypeExpr, path: str) -> CoTerm:
-        match e:
-            case MuTilde(x, body, annot):
-                if annot is not None and annot != expected:
-                    raise TypeCheckError("Mismatch", path, "comu annotation disagrees",
-                                         expected=expected, found=annot)
-                bout = self.command(env.bind_var(x, expected), body, f"{path}.body")
-                return MuTilde(x, bout, expected)
-            case Call(arg, rest) if isinstance(expected, Fn):
-                aout = self.term_check(env, arg, expected.arg, f"{path}.arg")
-                rout = self.coterm_check(env, rest, expected.ret, f"{path}.rest")
-                return self._call(aout, expected.arg, rout, expected.ret)
-            case Head(rest) if isinstance(expected, Stream):
-                rout = self.coterm_check(env, rest, expected.elem, f"{path}.rest")
-                return self._as_covalue(rout, expected.elem, lambda E: Head(E), expected)
-            case Tail(rest) if isinstance(expected, Stream):
-                rout = self.coterm_check(env, rest, expected, f"{path}.rest")
-                return self._as_covalue(rout, expected, lambda E: Tail(E), expected)
-            case Fst(rest, other) if isinstance(expected, Prod):
-                if other is not None and other != expected.right:
-                    raise TypeCheckError("Mismatch", path, "projection annotation disagrees",
-                                         expected=expected.right, found=other)
-                rout = self.coterm_check(env, rest, expected.left, f"{path}.rest")
-                return self._as_covalue(rout, expected.left, lambda E: Fst(E, expected.right), expected)
-            case Snd(rest, other) if isinstance(expected, Prod):
-                if other is not None and other != expected.left:
-                    raise TypeCheckError("Mismatch", path, "projection annotation disagrees",
-                                         expected=expected.left, found=other)
-                rout = self.coterm_check(env, rest, expected.right, f"{path}.rest")
-                return self._as_covalue(rout, expected.right, lambda E: Snd(E, expected.left), expected)
-            case SumCase(l, r) if isinstance(expected, Sum):
-                lo = self.coterm_check(env, l, expected.left, f"{path}.left")
-                ro = self.coterm_check(env, r, expected.right, f"{path}.right")
-                return SumCase(lo, ro)
-            case RecNat() if expected == Nat():
-                return self._recnat(env, e, None, path)[1]
-            case RecNum(payload_annot=pa) if isinstance(expected, Numbered):
-                if pa is not None and pa != expected.payload:
-                    raise TypeCheckError("Mismatch", path, "payload annotation disagrees",
-                                         expected=expected.payload, found=pa)
-                return self._recnum(env, e, expected.payload, path)[1]
-            case _:
-                found, out = self.coterm_infer(env, e, path)
-                if found != expected:
-                    raise TypeCheckError("Mismatch", path, "type mismatch",
-                                         expected=expected, found=found)
-                return out
-
     def _call(self, aout: Term, aty: TypeExpr, rout: CoTerm, rty: TypeExpr) -> CoTerm:
         fty = Fn(aty, rty)
 
@@ -513,74 +270,6 @@ class Compiler:
             return MuTilde(f, Command(aout, inner), fty)
 
         return self._as_covalue(rout, rty, with_tail, fty)
-
-    def _recnat(self, env: TypeEnv, e: RecNat, result: TypeExpr | None, path: str) -> tuple[TypeExpr, CoTerm]:
-        if result is None and e.annot is not None:
-            result = e.annot
-        zout: Term | None = None
-        if result is None:
-            try:
-                result, zout = self.term_infer(env, e.zero_body, f"{path}.zero")
-            except TypeCheckError as ex:
-                if ex.kind != "AnnotationRequired":
-                    raise
-                result, _ = self.coterm_infer(env, e.ret, f"{path}.ret")
-                zout = None
-        if zout is None:
-            zout = self.term_check(env, e.zero_body, result, f"{path}.zero")
-        senv = env.bind_var(e.pred_var, Nat()).bind_var(e.result_var, result)
-        sout = self.term_check(senv, e.succ_body, result, f"{path}.succ")
-        rout = self.coterm_check(env, e.ret, result, f"{path}.ret")
-
-        def build(E: CoTerm) -> CoTerm:
-            return RecNat(zout, e.pred_var, e.result_var, sout, E, annot=result)
-
-        return Nat(), self._as_covalue(rout, result, build, Nat())
-
-    def _recnum(self, env: TypeEnv, e: RecNum, payload: TypeExpr, path: str) -> tuple[TypeExpr, CoTerm]:
-        result = e.annot
-        zenv = env.bind_var(e.payload_var, payload)
-        zout: Term | None = None
-        if result is None:
-            try:
-                result, zout = self.term_infer(zenv, e.zero_body, f"{path}.zero")
-            except TypeCheckError as ex:
-                if ex.kind != "AnnotationRequired":
-                    raise
-                result, _ = self.coterm_infer(env, e.ret, f"{path}.ret")
-                zout = None
-        if zout is None:
-            zout = self.term_check(zenv, e.zero_body, result, f"{path}.zero")
-        senv = env.bind_var(e.pred_var, Numbered(payload)).bind_var(e.result_var, result)
-        sout = self.term_check(senv, e.succ_body, result, f"{path}.succ")
-        rout = self.coterm_check(env, e.ret, result, f"{path}.ret")
-
-        def build(E: CoTerm) -> CoTerm:
-            return RecNum(e.payload_var, zout, e.pred_var, e.result_var, sout, E,
-                          payload_annot=payload, annot=result)
-
-        return Numbered(payload), self._as_covalue(rout, result, build, Numbered(payload))
-
-    # -- commands
-
-    def command(self, env: TypeEnv, c: Command, path: str) -> Command:
-        try:
-            ty, vout = self.term_infer(env, c.producer, f"{path}.producer")
-        except TypeCheckError as first:
-            if first.kind != "AnnotationRequired":
-                raise
-            ty, eout = self.coterm_infer(env, c.consumer, f"{path}.consumer")
-            vout = self.term_check(env, c.producer, ty, f"{path}.producer")
-            return Command(vout, eout)
-        consumer_path = f"{path}.consumer"
-        try:
-            eout = self.coterm_check(env, c.consumer, ty, consumer_path)
-        except TypeCheckError as ex:
-            if ex.kind == "Mismatch" and ex.path == consumer_path and ex.found is not None:
-                raise TypeCheckError("CutMismatch", path, "producer and consumer disagree",
-                                     expected=ty, found=ex.found) from None
-            raise
-        return Command(vout, eout)
 
 
 def translate(t: Term, s: Strategy, program: Program | None = None,

@@ -178,3 +178,33 @@ def test_observe_from_program_file(tmp_path, capsys):
     )
     assert main(["observe", "--depth", "3", "ones", str(p)]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+PLUS_200_3 = PLUS23.replace("2 . 3 . a0", "200 . 3 . a0")
+
+
+def test_run_json_counts_the_forcing_phase(tmp_path, capsys):
+    from duality_vm.kernel import CBN
+    from duality_vm.machine import run_to_numeral
+    from duality_vm.parser import parse
+    from duality_vm.surface import Compiler
+
+    p = tmp_path / "plus200.ct"
+    p.write_text(PLUS_200_3)
+    assert main(["run", "--strategy", "cbn", "--json", str(p)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(lines[0])["value"] == 203
+    _, cmd = Compiler(parse(PLUS_200_3), CBN).main()
+    value, stats = run_to_numeral(cmd, CBN)
+    assert value == 203
+    assert json.loads(lines[1])["total"] == stats.total > 5
+
+
+def test_run_forcing_shares_the_fuel_budget(tmp_path, capsys):
+    p = tmp_path / "plus200.ct"
+    p.write_text(PLUS_200_3)
+    # The run itself takes 5 steps and forcing 599 more: 600 is not enough.
+    assert main(["run", "--strategy", "cbn", "--fuel", "600", str(p)]) == 2
+    assert "fuel" in capsys.readouterr().err
+    assert main(["run", "--strategy", "cbn", "--fuel", "604", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "203"

@@ -1,8 +1,9 @@
 """Command-line interface: check, run, observe, expand, dualize, bench.
 
 Exit codes: 0 success, 1 type error, 2 stuck or out of fuel, 3 usage or
-parse error.  ``--json`` wraps failures as {"error": ...} objects.  The
-environment variable DUALITY_VM_FUEL overrides the default step budget.
+parse error, or input nested deeper than the recursion limit allows.
+``--json`` wraps failures as {"error": ...} objects.  The environment
+variable DUALITY_VM_FUEL overrides the default step budget.
 """
 
 from __future__ import annotations
@@ -280,6 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         return rep.error(str(ex), EXIT_USAGE)
     except FileNotFoundError as ex:
         return rep.error(str(ex), EXIT_USAGE)
+    except RecursionError:
+        return rep.error("input nested too deeply", EXIT_USAGE)
 
 
 def entry() -> None:

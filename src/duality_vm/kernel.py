@@ -9,14 +9,20 @@ else (substitution, alpha-equivalence, printing) is strategy-free.
 
 Every node caches its free variable and free covariable sets at
 construction time, which lets substitution skip untouched subtrees in
-O(1).  Nodes are immutable; rewriting shares unchanged children.
+O(1).  Terms cache the same way whether they are call-by-value values
+(``cbv_value``) and coterms whether they are call-by-name covalues
+(``cbn_covalue``), so both predicates are O(1) reads.  The cached values
+are slots, not dataclass fields: equality, hashing, printing and
+``dataclasses.replace`` ignore them.  Nodes are immutable; rewriting
+shares unchanged children.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import singledispatch
+from operator import attrgetter
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +123,57 @@ EMPTY: frozenset[str] = frozenset()
 
 
 class Node:
-    """Common base; subclasses cache free (co)variable sets post-init."""
+    """Common base; subclasses cache free (co)variable sets post-init, and
+    terms and coterms their strategy bit.  Node classes keep all of it in
+    slots: a successor takes 64 bytes on 64-bit CPython 3.11, against 96
+    for a dict-backed node without the bit."""
 
-    __slots__ = ()
+    __slots__ = ("free_vars", "free_covars")
 
     free_vars: frozenset[str]
     free_covars: frozenset[str]
+    # True or False on a machine term (coterm); None on any other node, and
+    # on a term (coterm) whose bit is copied from such a node.  Leaves fix
+    # the bit as a class attribute, which shadows the slot that Term and
+    # CoTerm add; a Term subclass outside the machine grammar must set it
+    # to None the same way.
+    cbv_value: bool | None = None
+    cbn_covalue: bool | None = None
 
     def _set_free(self, fv: frozenset[str], fcv: frozenset[str]) -> None:
         object.__setattr__(self, "free_vars", fv)
         object.__setattr__(self, "free_covars", fcv)
 
+    def __reduce__(self):
+        # Copies and unpickled nodes are rebuilt through __init__, so they
+        # cache their sets and bit again: only field slots would be saved.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 class Term(Node):
-    __slots__ = ()
+    __slots__ = ("cbv_value",)
+
+    def _set_value(self, bit: bool | None) -> None:
+        object.__setattr__(self, "cbv_value", bit)
+
+    def _cache_as(self, arg: Term) -> None:
+        """Cache what the only child caches: free (co)variables and bit."""
+        object.__setattr__(self, "free_vars", arg.free_vars)
+        object.__setattr__(self, "free_covars", arg.free_covars)
+        object.__setattr__(self, "cbv_value", arg.cbv_value)
 
 
 class CoTerm(Node):
-    __slots__ = ()
+    __slots__ = ("cbn_covalue",)
+
+    def _set_covalue(self, bit: bool | None) -> None:
+        object.__setattr__(self, "cbn_covalue", bit)
+
+    def _cache_as(self, rest: CoTerm) -> None:
+        """Cache what the only child caches: free (co)variables and bit."""
+        object.__setattr__(self, "free_vars", rest.free_vars)
+        object.__setattr__(self, "free_covars", rest.free_covars)
+        object.__setattr__(self, "cbn_covalue", rest.cbn_covalue)
 
 
 def _union(*sets: frozenset[str]) -> frozenset[str]:
@@ -145,7 +184,7 @@ def _union(*sets: frozenset[str]) -> frozenset[str]:
     return out
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class Command(Node):
     producer: Term
     consumer: CoTerm
@@ -157,69 +196,74 @@ class Command(Node):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
+    cbv_value = True
 
     def __post_init__(self) -> None:
         self._set_free(frozenset((self.name,)), EMPTY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mu(Term):
     """Term binding its continuation, then running a command."""
 
     covar: str
     body: Command
     annot: TypeExpr | None = None
+    cbv_value = False
 
     def __post_init__(self) -> None:
         self._set_free(self.body.free_vars, self.body.free_covars - {self.covar})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     var: str
     body: Term
     annot: TypeExpr | None = None
+    cbv_value = True
 
     def __post_init__(self) -> None:
         self._set_free(self.body.free_vars - {self.var}, self.body.free_covars)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero(Term):
+    cbv_value = True
+
     def __post_init__(self) -> None:
         self._set_free(EMPTY, EMPTY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Succ(Term):
     arg: Term
 
     def __post_init__(self) -> None:
-        self._set_free(self.arg.free_vars, self.arg.free_covars)
+        self._cache_as(self.arg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumZero(Term):
     """Base constructor of Numbered: a payload labeled with 0."""
 
     arg: Term
 
     def __post_init__(self) -> None:
-        self._set_free(self.arg.free_vars, self.arg.free_covars)
+        self._cache_as(self.arg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumSucc(Term):
     arg: Term
 
     def __post_init__(self) -> None:
-        self._set_free(self.arg.free_vars, self.arg.free_covars)
+        self._cache_as(self.arg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
@@ -229,27 +273,28 @@ class Pair(Term):
             _union(self.left.free_vars, self.right.free_vars),
             _union(self.left.free_covars, self.right.free_covars),
         )
+        self._set_value(self.left.cbv_value and self.right.cbv_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InL(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent right component
 
     def __post_init__(self) -> None:
-        self._set_free(self.arg.free_vars, self.arg.free_covars)
+        self._cache_as(self.arg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InR(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent left component
 
     def __post_init__(self) -> None:
-        self._set_free(self.arg.free_vars, self.arg.free_covars)
+        self._cache_as(self.arg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoRec(Term):
     """Stream corecursor: produces a stream by cases on head/tail demands.
 
@@ -276,29 +321,32 @@ class CoRec(Term):
                 self.seed.free_covars,
             ),
         )
+        self._set_value(self.seed.cbv_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoVar(CoTerm):
     name: str
+    cbn_covalue = True
 
     def __post_init__(self) -> None:
         self._set_free(EMPTY, frozenset((self.name,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MuTilde(CoTerm):
     """Coterm binding its input value, then running a command."""
 
     var: str
     body: Command
     annot: TypeExpr | None = None
+    cbn_covalue = False
 
     def __post_init__(self) -> None:
         self._set_free(self.body.free_vars - {self.var}, self.body.free_covars)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(CoTerm):
     """Call stack: an argument pushed onto a continuation."""
 
@@ -310,9 +358,10 @@ class Call(CoTerm):
             _union(self.arg.free_vars, self.rest.free_vars),
             _union(self.arg.free_covars, self.rest.free_covars),
         )
+        self._set_covalue(self.rest.cbn_covalue)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecNat(CoTerm):
     """Number recursor: consumes a Nat, threading a growing return continuation.
 
@@ -336,9 +385,10 @@ class RecNat(CoTerm):
             ),
             _union(self.zero_body.free_covars, self.succ_body.free_covars, self.ret.free_covars),
         )
+        self._set_covalue(self.ret.cbn_covalue)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecNum(CoTerm):
     """Generalized recursor over Numbered: the zero branch binds the payload."""
 
@@ -360,48 +410,50 @@ class RecNum(CoTerm):
             ),
             _union(self.zero_body.free_covars, self.succ_body.free_covars, self.ret.free_covars),
         )
+        self._set_covalue(self.ret.cbn_covalue)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Head(CoTerm):
     rest: CoTerm
 
     def __post_init__(self) -> None:
-        self._set_free(self.rest.free_vars, self.rest.free_covars)
+        self._cache_as(self.rest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tail(CoTerm):
     rest: CoTerm
 
     def __post_init__(self) -> None:
-        self._set_free(self.rest.free_vars, self.rest.free_covars)
+        self._cache_as(self.rest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fst(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent right component
 
     def __post_init__(self) -> None:
-        self._set_free(self.rest.free_vars, self.rest.free_covars)
+        self._cache_as(self.rest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snd(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent left component
 
     def __post_init__(self) -> None:
-        self._set_free(self.rest.free_vars, self.rest.free_covars)
+        self._cache_as(self.rest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumCase(CoTerm):
     """Case split on a sum value; a forcing context in both strategies."""
 
     left: CoTerm
     right: CoTerm
+    cbn_covalue = True
 
     def __post_init__(self) -> None:
         self._set_free(
@@ -444,29 +496,18 @@ def is_value(t: Term, s: Strategy) -> bool:
 
     Call-by-name makes every term a value (mu-abstractions included);
     call-by-value excludes mu and requires constructor arguments and
-    corecursor seeds to be values themselves.
+    corecursor seeds to be values themselves.  The call-by-value answer is
+    the ``cbv_value`` bit cached when t was built, so this is O(1).
     """
 
     if s is CBN:
         if not isinstance(t, Term):
             raise ValueError(f"not a term: {t!r}")
         return True
-    while True:
-        match t:
-            case Var() | Lam() | Zero():
-                return True
-            case Succ(arg) | NumZero(arg) | NumSucc(arg) | InL(arg) | InR(arg):
-                t = arg  # loop instead of recursing: numerals can be deep
-            case Pair(left, right):
-                if not is_value(left, s):
-                    return False
-                t = right
-            case CoRec():
-                t = t.seed
-            case Mu():
-                return False
-            case _:
-                raise ValueError(f"not a term: {t!r}")
+    bit = getattr(t, "cbv_value", None)
+    if bit is None:
+        raise ValueError(f"not a term: {_unclassified(t, Term)!r}")
+    return bit
 
 
 def is_covalue(e: CoTerm, s: Strategy) -> bool:
@@ -475,27 +516,36 @@ def is_covalue(e: CoTerm, s: Strategy) -> bool:
     Call-by-value makes every coterm a covalue (mu-tilde included);
     call-by-name excludes mu-tilde and requires destructor tails to be
     covalues themselves.  A case split is a covalue in both strategies
-    regardless of its branches: it forces its input either way.
+    regardless of its branches: it forces its input either way.  The
+    call-by-name answer is the ``cbn_covalue`` bit cached when e was
+    built, so this is O(1).
     """
 
     if s is CBV:
         if not isinstance(e, CoTerm):
             raise ValueError(f"not a coterm: {e!r}")
         return True
-    while True:
-        match e:
-            case CoVar() | SumCase():
-                return True
-            case MuTilde():
-                return False
-            case Call(_, rest):
-                e = rest
-            case RecNat(ret=ret) | RecNum(ret=ret):
-                e = ret
-            case Head(rest) | Tail(rest) | Fst(rest) | Snd(rest):
-                e = rest
+    bit = getattr(e, "cbn_covalue", None)
+    if bit is None:
+        raise ValueError(f"not a coterm: {_unclassified(e, CoTerm)!r}")
+    return bit
+
+
+def _unclassified(node, kind: type) -> object:
+    """The node that left a ``kind`` node's bit unset: follow the positions
+    the bit is copied from down to the first node not classified."""
+
+    while isinstance(node, kind):
+        match node:
+            case Succ(x) | NumZero(x) | NumSucc(x) | InL(x) | InR(x) | CoRec(seed=x):
+                node = x
+            case Pair(left, right):
+                node = left if left.cbv_value is None else right
+            case Call(rest=x) | RecNat(ret=x) | RecNum(ret=x) | Head(x) | Tail(x) | Fst(x) | Snd(x):
+                node = x
             case _:
-                raise ValueError(f"not a coterm: {e!r}")
+                break
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -532,80 +582,39 @@ def subst(node, var_map: dict[str, Term] | None = None, covar_map: dict[str, CoT
     return _subst(node, vm, cm)
 
 
-def _clashes(names: set[str], vm: dict[str, Term], cm: dict[str, CoTerm], var_side: bool) -> set[str]:
-    """Binder names (on one side) that would capture free names of images."""
+def _rebind(binders: list[str], body: Node, vm, cm, var_side: bool):
+    """Prepare substitution maps under binders of one side (variables if
+    var_side, else covariables), renaming a binder that would capture a
+    free name of an image.
 
-    out = set()
-    for n in names:
-        for img in vm.values():
-            if n in (img.free_vars if var_side else img.free_covars):
-                out.add(n)
-                break
-        else:
-            for img in cm.values():
-                if n in (img.free_vars if var_side else img.free_covars):
-                    out.add(n)
-                    break
-    return out
-
-
-def _rebind_vars(binders: list[str], body_nodes: list[Node], vm, cm):
-    """Prepare substitution maps under var binders, renaming on capture.
-
-    Returns (new_binder_names, vm', cm') to apply to the binder bodies.
+    Returns (new_binder_names, vm', cm', live) to apply to the body; live
+    is False when nothing is substituted in it.
     """
 
-    body_fv = _union(*(b.free_vars for b in body_nodes))
-    body_fcv = _union(*(b.free_covars for b in body_nodes))
-    vm = {k: v for k, v in vm.items() if k not in binders and k in body_fv}
-    cm = _relevant(cm, body_fcv)
+    side = attrgetter("free_vars" if var_side else "free_covars")
+    if var_side:
+        vm = {k: v for k, v in vm.items() if k not in binders and k in body.free_vars}
+        cm = _relevant(cm, body.free_covars)
+    else:
+        vm = _relevant(vm, body.free_vars)
+        cm = {k: v for k, v in cm.items() if k not in binders and k in body.free_covars}
     if not vm and not cm:
         return binders, vm, cm, False
-    clash = _clashes(set(binders), vm, cm, var_side=True)
+    images = [*vm.values(), *cm.values()]
+    clash = {b for b in binders if any(b in side(img) for img in images)}
     if not clash:
         return binders, vm, cm, True
-    avoid = set(body_fv)
-    for img in list(vm.values()) + list(cm.values()):
-        avoid |= img.free_vars
-    avoid |= set(vm)
+    own, make = (dict(vm), Var) if var_side else (dict(cm), CoVar)
+    avoid = set(side(body)).union(own, *map(side, images))
     renamed = []
-    vm = dict(vm)
     for b in binders:
         if b in clash:
-            nb = fresh_name(avoid, b)
-            avoid.add(nb)
-            vm[b] = Var(nb)
-            renamed.append(nb)
-        else:
-            renamed.append(b)
-    return renamed, vm, cm, True
-
-
-def _rebind_covars(binders: list[str], body_nodes: list[Node], vm, cm):
-    body_fv = _union(*(b.free_vars for b in body_nodes))
-    body_fcv = _union(*(b.free_covars for b in body_nodes))
-    cm = {k: v for k, v in cm.items() if k not in binders and k in body_fcv}
-    vm = _relevant(vm, body_fv)
-    if not vm and not cm:
-        return binders, vm, cm, False
-    clash = _clashes(set(binders), vm, cm, var_side=False)
-    if not clash:
-        return binders, vm, cm, True
-    avoid = set(body_fcv)
-    for img in list(vm.values()) + list(cm.values()):
-        avoid |= img.free_covars
-    avoid |= set(cm)
-    renamed = []
-    cm = dict(cm)
-    for b in binders:
-        if b in clash:
-            nb = fresh_name(avoid, b)
-            avoid.add(nb)
-            cm[b] = CoVar(nb)
-            renamed.append(nb)
-        else:
-            renamed.append(b)
-    return renamed, vm, cm, True
+            b2 = fresh_name(avoid, b)
+            avoid.add(b2)
+            own[b] = make(b2)
+            b = b2
+        renamed.append(b)
+    return (renamed, own, cm, True) if var_side else (renamed, vm, own, True)
 
 
 def _subst(node, vm: dict[str, Term], cm: dict[str, CoTerm]):
@@ -624,13 +633,13 @@ def _subst(node, vm: dict[str, Term], cm: dict[str, CoTerm]):
         case CoVar(name):
             return cm.get(name, node)
         case Mu(a, body, annot):
-            (a2,), nvm, ncm, live = _rebind_covars([a], [body], vm, cm)
+            (a2,), nvm, ncm, live = _rebind([a], body, vm, cm, var_side=False)
             return Mu(a2, _subst(body, nvm, ncm), annot) if live else node
         case MuTilde(x, body, annot):
-            (x2,), nvm, ncm, live = _rebind_vars([x], [body], vm, cm)
+            (x2,), nvm, ncm, live = _rebind([x], body, vm, cm, var_side=True)
             return MuTilde(x2, _subst(body, nvm, ncm), annot) if live else node
         case Lam(x, body, annot):
-            (x2,), nvm, ncm, live = _rebind_vars([x], [body], vm, cm)
+            (x2,), nvm, ncm, live = _rebind([x], body, vm, cm, var_side=True)
             return Lam(x2, _subst(body, nvm, ncm), annot) if live else node
         case Zero():
             return node
@@ -659,19 +668,19 @@ def _subst(node, vm: dict[str, Term], cm: dict[str, CoTerm]):
         case SumCase(l, r):
             return SumCase(go(l), go(r))
         case RecNat(zb, x, y, sb, ret, annot):
-            (x2, y2), nvm, ncm, live = _rebind_vars([x, y], [sb], vm, cm)
+            (x2, y2), nvm, ncm, live = _rebind([x, y], sb, vm, cm, var_side=True)
             sb2 = _subst(sb, nvm, ncm) if live else sb
             return RecNat(go(zb), x2, y2, sb2, go(ret), annot)
         case RecNum(p, zb, x, y, sb, ret, pannot, annot):
-            (p2,), zvm, zcm, zlive = _rebind_vars([p], [zb], vm, cm)
+            (p2,), zvm, zcm, zlive = _rebind([p], zb, vm, cm, var_side=True)
             zb2 = _subst(zb, zvm, zcm) if zlive else zb
-            (x2, y2), nvm, ncm, live = _rebind_vars([x, y], [sb], vm, cm)
+            (x2, y2), nvm, ncm, live = _rebind([x, y], sb, vm, cm, var_side=True)
             sb2 = _subst(sb, nvm, ncm) if live else sb
             return RecNum(p2, zb2, x2, y2, sb2, go(ret), pannot, annot)
         case CoRec(ha, he, ta, tg, te, seed, ea, sa):
-            (ha2,), hvm, hcm, hlive = _rebind_covars([ha], [he], vm, cm)
+            (ha2,), hvm, hcm, hlive = _rebind([ha], he, vm, cm, var_side=False)
             he2 = _subst(he, hvm, hcm) if hlive else he
-            (ta2, tg2), tvm, tcm, tlive = _rebind_covars([ta, tg], [te], vm, cm)
+            (ta2, tg2), tvm, tcm, tlive = _rebind([ta, tg], te, vm, cm, var_side=False)
             te2 = _subst(te, tvm, tcm) if tlive else te
             return CoRec(ha2, he2, ta2, tg2, te2, go(seed), ea, sa)
     raise ValueError(f"substitution over unknown node: {node!r}")
@@ -811,74 +820,83 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
     trivial under one of the two strategies and real under the other.
     """
 
+    # A path is "command" or a (parent path, field) link, spelled out only
+    # for a violation, so deep nesting costs no quadratic string building.
     out: list[Violation] = []
-    todo: list[tuple[Node, str]] = [(c, "command")]
+    todo: list[tuple[Node, object]] = [(c, "command")]
 
-    def need_value(t: Term, path: str, what: str) -> None:
+    def spell(path) -> str:
+        fields = []
+        while isinstance(path, tuple):
+            path, field = path
+            fields.append(field)
+        return ".".join([path, *reversed(fields)])
+
+    def need_value(t: Term, path, what: str) -> None:
         if not is_value(t, s):
-            out.append(Violation(path, f"{what} must be a {s.value} value"))
+            out.append(Violation(spell(path), f"{what} must be a {s.value} value"))
 
-    def need_covalue(e: CoTerm, path: str, what: str) -> None:
+    def need_covalue(e: CoTerm, path, what: str) -> None:
         if not is_covalue(e, s):
-            out.append(Violation(path, f"{what} must be a {s.value} covalue"))
+            out.append(Violation(spell(path), f"{what} must be a {s.value} covalue"))
 
     while todo:
         node, path = todo.pop()
         match node:
             case Command(v, e):
-                todo.append((v, f"{path}.producer"))
-                todo.append((e, f"{path}.consumer"))
+                todo.append((v, (path, "producer")))
+                todo.append((e, (path, "consumer")))
             case Var() | CoVar() | Zero():
                 pass
             case Mu(_, body) | MuTilde(_, body):
-                todo.append((body, f"{path}.body"))
+                todo.append((body, (path, "body")))
             case Lam(_, body):
-                todo.append((body, f"{path}.body"))
+                todo.append((body, (path, "body")))
             case Succ(arg):
-                need_value(arg, f"{path}.arg", "successor argument")
-                todo.append((arg, f"{path}.arg"))
+                need_value(arg, (path, "arg"), "successor argument")
+                todo.append((arg, (path, "arg")))
             case NumZero(arg):
-                need_value(arg, f"{path}.arg", "numbered-zero argument")
-                todo.append((arg, f"{path}.arg"))
+                need_value(arg, (path, "arg"), "numbered-zero argument")
+                todo.append((arg, (path, "arg")))
             case NumSucc(arg):
-                need_value(arg, f"{path}.arg", "numbered-successor argument")
-                todo.append((arg, f"{path}.arg"))
+                need_value(arg, (path, "arg"), "numbered-successor argument")
+                todo.append((arg, (path, "arg")))
             case Pair(l, r):
-                need_value(l, f"{path}.left", "pair component")
-                need_value(r, f"{path}.right", "pair component")
-                todo.append((l, f"{path}.left"))
-                todo.append((r, f"{path}.right"))
+                need_value(l, (path, "left"), "pair component")
+                need_value(r, (path, "right"), "pair component")
+                todo.append((l, (path, "left")))
+                todo.append((r, (path, "right")))
             case InL(arg) | InR(arg):
-                need_value(arg, f"{path}.arg", "injection argument")
-                todo.append((arg, f"{path}.arg"))
+                need_value(arg, (path, "arg"), "injection argument")
+                todo.append((arg, (path, "arg")))
             case CoRec(_, he, _, _, te, seed):
-                need_value(seed, f"{path}.seed", "corecursor seed")
-                todo.append((he, f"{path}.head"))
-                todo.append((te, f"{path}.tail"))
-                todo.append((seed, f"{path}.seed"))
+                need_value(seed, (path, "seed"), "corecursor seed")
+                todo.append((he, (path, "head")))
+                todo.append((te, (path, "tail")))
+                todo.append((seed, (path, "seed")))
             case Call(arg, rest):
-                need_value(arg, f"{path}.arg", "call-stack argument")
-                need_covalue(rest, f"{path}.rest", "call-stack tail")
-                todo.append((arg, f"{path}.arg"))
-                todo.append((rest, f"{path}.rest"))
+                need_value(arg, (path, "arg"), "call-stack argument")
+                need_covalue(rest, (path, "rest"), "call-stack tail")
+                todo.append((arg, (path, "arg")))
+                todo.append((rest, (path, "rest")))
             case RecNat(zb, _, _, sb, ret):
-                need_covalue(ret, f"{path}.ret", "recursor return")
-                todo.append((zb, f"{path}.zero"))
-                todo.append((sb, f"{path}.succ"))
-                todo.append((ret, f"{path}.ret"))
+                need_covalue(ret, (path, "ret"), "recursor return")
+                todo.append((zb, (path, "zero")))
+                todo.append((sb, (path, "succ")))
+                todo.append((ret, (path, "ret")))
             case RecNum(_, zb, _, _, sb, ret):
-                need_covalue(ret, f"{path}.ret", "recursor return")
-                todo.append((zb, f"{path}.zero"))
-                todo.append((sb, f"{path}.succ"))
-                todo.append((ret, f"{path}.ret"))
+                need_covalue(ret, (path, "ret"), "recursor return")
+                todo.append((zb, (path, "zero")))
+                todo.append((sb, (path, "succ")))
+                todo.append((ret, (path, "ret")))
             case Head(rest) | Tail(rest) | Fst(rest) | Snd(rest):
-                need_covalue(rest, f"{path}.rest", "destructor tail")
-                todo.append((rest, f"{path}.rest"))
+                need_covalue(rest, (path, "rest"), "destructor tail")
+                todo.append((rest, (path, "rest")))
             case SumCase(l, r):
-                todo.append((l, f"{path}.left"))
-                todo.append((r, f"{path}.right"))
+                todo.append((l, (path, "left")))
+                todo.append((r, (path, "right")))
             case _:
-                out.append(Violation(path, f"unknown node {type(node).__name__}"))
+                out.append(Violation(spell(path), f"unknown node {type(node).__name__}"))
     out.reverse()
     return out
 

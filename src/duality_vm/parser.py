@@ -53,13 +53,15 @@ from .kernel import (
 )
 
 # ---------------------------------------------------------------------------
-# Front-end-only AST nodes
+# Front-end-only AST nodes.  They are outside the machine grammar, so their
+# ``cbv_value`` is None and ``kernel.is_value`` rejects them under CBV.
 
 
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
+    cbv_value = None
 
     def __post_init__(self) -> None:
         self._set_free(
@@ -77,6 +79,7 @@ class RecTerm(Term):
     pred_var: str
     result_var: str
     succ_body: Term
+    cbv_value = None
 
     def __post_init__(self) -> None:
         self._set_free(
@@ -90,6 +93,7 @@ class RecTerm(Term):
 @dataclass(frozen=True)
 class NumLit(Term):
     n: int
+    cbv_value = None
 
     def __post_init__(self) -> None:
         self._set_free(kernel.EMPTY, kernel.EMPTY)
@@ -100,6 +104,7 @@ class Ref(Term):
     """Reference to a named top-level definition (definitions are closed)."""
 
     name: str
+    cbv_value = None
 
     def __post_init__(self) -> None:
         self._set_free(kernel.EMPTY, kernel.EMPTY)

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import duality_vm
 from duality_vm.cli import main
 
 PLUS23 = """
@@ -208,3 +213,34 @@ def test_run_forcing_shares_the_fuel_budget(tmp_path, capsys):
     assert "fuel" in capsys.readouterr().err
     assert main(["run", "--strategy", "cbn", "--fuel", "604", str(p)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "203"
+
+
+def _entry(tmp_path, name: str, text: str, command: str):
+    """Run ``cli.entry`` on a program file in a child process, so the CLI's
+    own recursion limit holds rather than the test suite's."""
+
+    p = tmp_path / name
+    p.write_text(text)
+    src = str(Path(duality_vm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "from duality_vm.cli import entry; entry()"
+    return subprocess.run(
+        [sys.executable, "-c", code, command, str(p)], capture_output=True, text=True, env=env, timeout=600
+    )
+
+
+def test_deeply_nested_successors_exit_three_without_traceback(tmp_path):
+    n = 4998
+    proc = _entry(tmp_path, "deep.ct", "main = <" + "S (" * n + "Z" + ")" * n + " | a0>;", "check")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: input nested too deeply\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_huge_numeral_literal_exits_three_without_traceback(tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "programs" / "plus23.ct").read_text()
+    assert "<plus | 2 . 3 . a0>" in text
+    proc = _entry(tmp_path, "plus20000.ct", text.replace("<plus | 2 . 3", "<plus | 20000 . 3"), "run")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: input nested too deeply\n"
+    assert "Traceback" not in proc.stdout + proc.stderr

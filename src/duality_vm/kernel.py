@@ -15,6 +15,17 @@ O(1).  Terms cache the same way whether they are call-by-value values
 are slots, not dataclass fields: equality, hashing, printing and
 ``dataclasses.replace`` ignore them.  Nodes are immutable; rewriting
 shares unchanged children.
+
+Each node class declares its shape once, next to its dataclass: per child,
+the field, its step in a ``well_formed`` path, the binder fields in scope
+in it and what the grammar demands of it (a value or a covalue); per
+class, which side its binders are on, and which other fields
+alpha-equivalence compares or ignores.  The cached sets and bit,
+substitution, alpha-equivalence, the grammar check and the node named by
+a classification error are all derived from the shapes, in the manner of
+Curien and Herbelin's "The duality of computation", where substitution
+and alpha-equivalence are defined once over binders.  Printing stays per
+class, since each class has its own concrete syntax.
 """
 
 from __future__ import annotations
@@ -123,10 +134,11 @@ EMPTY: frozenset[str] = frozenset()
 
 
 class Node:
-    """Common base; subclasses cache free (co)variable sets post-init, and
-    terms and coterms their strategy bit.  Node classes keep all of it in
-    slots: a successor takes 64 bytes on 64-bit CPython 3.11, against 96
-    for a dict-backed node without the bit."""
+    """Common base; each node caches its free (co)variable sets when it is
+    built, and terms and coterms their strategy bit, as its class's shape
+    derives them.  Node classes keep all of it in slots: a successor takes
+    64 bytes on 64-bit CPython 3.11, against 96 for a dict-backed node
+    without the bit."""
 
     __slots__ = ("free_vars", "free_covars")
 
@@ -135,14 +147,15 @@ class Node:
     # True or False on a machine term (coterm); None on any other node, and
     # on a term (coterm) whose bit is copied from such a node.  Leaves fix
     # the bit as a class attribute, which shadows the slot that Term and
-    # CoTerm add; a Term subclass outside the machine grammar must set it
-    # to None the same way.
+    # CoTerm add; a shape declared outside the machine grammar sets it to
+    # None the same way.
     cbv_value: bool | None = None
     cbn_covalue: bool | None = None
+    _shape: Shape
 
-    def _set_free(self, fv: frozenset[str], fcv: frozenset[str]) -> None:
-        object.__setattr__(self, "free_vars", fv)
-        object.__setattr__(self, "free_covars", fcv)
+    def __post_init__(self) -> None:
+        # Replaced in every concrete class by the one its shape derives.
+        raise TypeError(f"{type(self).__name__} declares no shape")
 
     def __reduce__(self):
         # Copies and unpickled nodes are rebuilt through __init__, so they
@@ -153,58 +166,173 @@ class Node:
 class Term(Node):
     __slots__ = ("cbv_value",)
 
-    def _set_value(self, bit: bool | None) -> None:
-        object.__setattr__(self, "cbv_value", bit)
-
-    def _cache_as(self, arg: Term) -> None:
-        """Cache what the only child caches: free (co)variables and bit."""
-        object.__setattr__(self, "free_vars", arg.free_vars)
-        object.__setattr__(self, "free_covars", arg.free_covars)
-        object.__setattr__(self, "cbv_value", arg.cbv_value)
-
 
 class CoTerm(Node):
     __slots__ = ("cbn_covalue",)
 
-    def _set_covalue(self, bit: bool | None) -> None:
-        object.__setattr__(self, "cbn_covalue", bit)
 
-    def _cache_as(self, rest: CoTerm) -> None:
-        """Cache what the only child caches: free (co)variables and bit."""
-        object.__setattr__(self, "free_vars", rest.free_vars)
-        object.__setattr__(self, "free_covars", rest.free_covars)
-        object.__setattr__(self, "cbn_covalue", rest.cbn_covalue)
+# The slots' own setters: they write past a frozen dataclass's __setattr__.
+_set_fv = Node.free_vars.__set__
+_set_fcv = Node.free_covars.__set__
+_BIT_SETTERS = {"cbv_value": Term.cbv_value.__set__, "cbn_covalue": CoTerm.cbn_covalue.__set__}
 
 
-def _union(*sets: frozenset[str]) -> frozenset[str]:
-    out = EMPTY
-    for s in sets:
-        if s:
-            out = out | s if out else s
-    return out
+class Child:
+    """One child position of a node class: its field, its step in a
+    ``well_formed`` path, the binder fields in scope in it, and what the
+    strategy-indexed grammar demands of it, if anything: a value (a
+    covalue), with the message that names the position."""
+
+    __slots__ = ("field", "label", "binds", "value", "covalue")
+
+    def __init__(self, field: str, label: str | None = None, *, binds: tuple[str, ...] = (),
+                 value: str | None = None, covalue: str | None = None):
+        self.field = field
+        self.label = label or field
+        self.binds = binds
+        self.value = value
+        self.covalue = covalue
 
 
+class Shape:
+    """What a node class is made of, declared once with ``shape``.
+
+    Construction, substitution, alpha-equivalence, the grammar check and
+    value/covalue error reports all read it instead of matching on classes.
+    ``var_side`` tells whether the binders bind variables or covariables;
+    ``data`` fields are compared by alpha-equivalence, ``ignore`` fields
+    (filled in by elaboration, with no concrete syntax) are not.  A shape
+    outside the ``grammar`` is a front-end node: it caches free sets, its
+    bit is None, and the traversals reject it.  ``bit_from`` names the
+    children whose bits a node's own bit is the ``and`` of (their grammar
+    demands it be of the node's sort); it is None when the class fixes its
+    bit, or has none (``Command``).
+    """
+
+    __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "kids", "bit",
+                 "bit_from")
+
+    def __init__(self, cls: type, children, side, data, ignore, grammar):
+        self.children = children
+        self.var_side = side == "vars"
+        self.data = data
+        self.ignore = ignore
+        self.grammar = grammar
+        self.names = tuple(f.name for f in fields(cls))
+        pos = self.names.index
+        # (child index, its binder indices) in field order, for rebuilding.
+        self.kids = tuple((pos(c.field), tuple(map(pos, c.binds))) for c in children)
+        self.bit = "cbv_value" if issubclass(cls, Term) else "cbn_covalue" if issubclass(cls, CoTerm) else None
+        if self.bit is None or self.bit in cls.__dict__:
+            self.bit_from = None
+        else:
+            own = "value" if self.bit == "cbv_value" else "covalue"
+            self.bit_from = tuple(c.field for c in children if getattr(c, own))
+
+
+def shape(*children: Child, side: str | None = None, data: tuple[str, ...] = (),
+          ignore: tuple[str, ...] = (), grammar: bool = True):
+    """Declare a dataclass node's children (in field order), the side its
+    binders are on ("vars" or "covars"), and its other fields; install the
+    ``__post_init__`` that caches free sets and the strategy bit."""
+
+    def declare(cls):
+        if not grammar:
+            setattr(cls, "cbv_value" if issubclass(cls, Term) else "cbn_covalue", None)
+        sh = cls._shape = Shape(cls, children, side, data, ignore, grammar)
+        if "__post_init__" not in cls.__dict__:
+            cls.__post_init__ = _cache(sh)
+        return cls
+
+    return declare
+
+
+def _cache(sh: Shape):
+    """The ``__post_init__`` caching what sh derives: a node's free names
+    are its children's, less each child's binders on the shape's side; its
+    bit is the ``and`` of the bits of the children in ``bit_from``."""
+
+    kids = sh.children
+    set_bit = sh.bit_from is not None and _BIT_SETTERS[sh.bit]
+    one = kids and attrgetter(kids[0].field)
+    if len(kids) == 1 and not kids[0].binds and sh.bit_from == (kids[0].field,):
+        bit = attrgetter(sh.bit)
+
+        def cache(self) -> None:
+            c = one(self)
+            _set_fv(self, c.free_vars)
+            _set_fcv(self, c.free_covars)
+            set_bit(self, bit(c))
+
+        return cache
+    if len(kids) == 1 and len(kids[0].binds) == 1 and not set_bit:
+        binder = attrgetter(kids[0].binds[0])
+        if sh.var_side:
+
+            def cache(self) -> None:
+                c = one(self)
+                _set_fv(self, c.free_vars - {binder(self)})
+                _set_fcv(self, c.free_covars)
+
+        else:
+
+            def cache(self) -> None:
+                c = one(self)
+                _set_fv(self, c.free_vars)
+                _set_fcv(self, c.free_covars - {binder(self)})
+
+        return cache
+    # A binder getter returns a tuple of names, even for one binder.
+    parts = tuple((attrgetter(c.field), c.binds and attrgetter(*c.binds, c.binds[0])) for c in kids)
+    var_side = sh.var_side
+    bits = set_bit and tuple(attrgetter(f + "." + sh.bit) for f in sh.bit_from)
+
+    def cache(self) -> None:
+        fv = fcv = EMPTY
+        for get, binders in parts:
+            c = get(self)
+            v, cv = c.free_vars, c.free_covars
+            if binders:
+                if var_side:
+                    v = v.difference(binders(self))
+                else:
+                    cv = cv.difference(binders(self))
+            if v:
+                fv = fv | v if fv else v
+            if cv:
+                fcv = fcv | cv if fcv else cv
+        _set_fv(self, fv)
+        _set_fcv(self, fcv)
+        if bits:
+            b = True
+            for get in bits:
+                b = b and get(self)
+            set_bit(self, b)
+
+    return cache
+
+
+@shape(Child("producer"), Child("consumer"))
 @dataclass(frozen=True, slots=True)
 class Command(Node):
     producer: Term
     consumer: CoTerm
 
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(self.producer.free_vars, self.consumer.free_vars),
-            _union(self.producer.free_covars, self.consumer.free_covars),
-        )
 
-
+# _subst and _alpha treat Var and CoVar as base cases and never read this
+# shape; ``data`` is declared so that every field has a shape entry.
+@shape(data=("name",))
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     cbv_value = True
 
     def __post_init__(self) -> None:
-        self._set_free(frozenset((self.name,)), EMPTY)
+        _set_fv(self, frozenset((self.name,)))
+        _set_fcv(self, EMPTY)
 
 
+@shape(Child("body", binds=("covar",)), side="covars", data=("annot",))
 @dataclass(frozen=True, slots=True)
 class Mu(Term):
     """Term binding its continuation, then running a command."""
@@ -214,10 +342,8 @@ class Mu(Term):
     annot: TypeExpr | None = None
     cbv_value = False
 
-    def __post_init__(self) -> None:
-        self._set_free(self.body.free_vars, self.body.free_covars - {self.covar})
 
-
+@shape(Child("body", binds=("var",)), side="vars", data=("annot",))
 @dataclass(frozen=True, slots=True)
 class Lam(Term):
     var: str
@@ -225,75 +351,62 @@ class Lam(Term):
     annot: TypeExpr | None = None
     cbv_value = True
 
-    def __post_init__(self) -> None:
-        self._set_free(self.body.free_vars - {self.var}, self.body.free_covars)
 
-
+@shape()
 @dataclass(frozen=True, slots=True)
 class Zero(Term):
     cbv_value = True
 
-    def __post_init__(self) -> None:
-        self._set_free(EMPTY, EMPTY)
 
-
+@shape(Child("arg", value="successor argument"))
 @dataclass(frozen=True, slots=True)
 class Succ(Term):
     arg: Term
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.arg)
 
-
+@shape(Child("arg", value="numbered-zero argument"))
 @dataclass(frozen=True, slots=True)
 class NumZero(Term):
     """Base constructor of Numbered: a payload labeled with 0."""
 
     arg: Term
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.arg)
 
-
+@shape(Child("arg", value="numbered-successor argument"))
 @dataclass(frozen=True, slots=True)
 class NumSucc(Term):
     arg: Term
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.arg)
 
-
+@shape(Child("left", value="pair component"), Child("right", value="pair component"))
 @dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(self.left.free_vars, self.right.free_vars),
-            _union(self.left.free_covars, self.right.free_covars),
-        )
-        self._set_value(self.left.cbv_value and self.right.cbv_value)
 
-
+@shape(Child("arg", value="injection argument"), data=("other",))
 @dataclass(frozen=True, slots=True)
 class InL(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent right component
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.arg)
 
-
+@shape(Child("arg", value="injection argument"), data=("other",))
 @dataclass(frozen=True, slots=True)
 class InR(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent left component
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.arg)
 
-
+@shape(
+    Child("head_body", "head", binds=("head_covar",)),
+    Child("tail_body", "tail", binds=("tail_covar", "tail_seed_covar")),
+    Child("seed", value="corecursor seed"),
+    side="covars",
+    data=("elem_annot",),
+    ignore=("seed_annot",),
+)
 @dataclass(frozen=True, slots=True)
 class CoRec(Term):
     """Stream corecursor: produces a stream by cases on head/tail demands.
@@ -312,27 +425,21 @@ class CoRec(Term):
     elem_annot: TypeExpr | None = None  # element type of the produced stream
     seed_annot: TypeExpr | None = None  # filled in by elaboration
 
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(self.head_body.free_vars, self.tail_body.free_vars, self.seed.free_vars),
-            _union(
-                self.head_body.free_covars - {self.head_covar},
-                self.tail_body.free_covars - {self.tail_covar, self.tail_seed_covar},
-                self.seed.free_covars,
-            ),
-        )
-        self._set_value(self.seed.cbv_value)
 
-
+# _subst and _alpha treat Var and CoVar as base cases and never read this
+# shape; ``data`` is declared so that every field has a shape entry.
+@shape(data=("name",))
 @dataclass(frozen=True, slots=True)
 class CoVar(CoTerm):
     name: str
     cbn_covalue = True
 
     def __post_init__(self) -> None:
-        self._set_free(EMPTY, frozenset((self.name,)))
+        _set_fv(self, EMPTY)
+        _set_fcv(self, frozenset((self.name,)))
 
 
+@shape(Child("body", binds=("var",)), side="vars", data=("annot",))
 @dataclass(frozen=True, slots=True)
 class MuTilde(CoTerm):
     """Coterm binding its input value, then running a command."""
@@ -342,10 +449,8 @@ class MuTilde(CoTerm):
     annot: TypeExpr | None = None
     cbn_covalue = False
 
-    def __post_init__(self) -> None:
-        self._set_free(self.body.free_vars - {self.var}, self.body.free_covars)
 
-
+@shape(Child("arg", value="call-stack argument"), Child("rest", covalue="call-stack tail"))
 @dataclass(frozen=True, slots=True)
 class Call(CoTerm):
     """Call stack: an argument pushed onto a continuation."""
@@ -353,14 +458,14 @@ class Call(CoTerm):
     arg: Term
     rest: CoTerm
 
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(self.arg.free_vars, self.rest.free_vars),
-            _union(self.arg.free_covars, self.rest.free_covars),
-        )
-        self._set_covalue(self.rest.cbn_covalue)
 
-
+@shape(
+    Child("zero_body", "zero"),
+    Child("succ_body", "succ", binds=("pred_var", "result_var")),
+    Child("ret", covalue="recursor return"),
+    side="vars",
+    ignore=("annot",),
+)
 @dataclass(frozen=True, slots=True)
 class RecNat(CoTerm):
     """Number recursor: consumes a Nat, threading a growing return continuation.
@@ -376,18 +481,15 @@ class RecNat(CoTerm):
     ret: CoTerm
     annot: TypeExpr | None = None  # result type; filled in by elaboration
 
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(
-                self.zero_body.free_vars,
-                self.succ_body.free_vars - {self.pred_var, self.result_var},
-                self.ret.free_vars,
-            ),
-            _union(self.zero_body.free_covars, self.succ_body.free_covars, self.ret.free_covars),
-        )
-        self._set_covalue(self.ret.cbn_covalue)
 
-
+@shape(
+    Child("zero_body", "zero", binds=("payload_var",)),
+    Child("succ_body", "succ", binds=("pred_var", "result_var")),
+    Child("ret", covalue="recursor return"),
+    side="vars",
+    data=("payload_annot",),
+    ignore=("annot",),
+)
 @dataclass(frozen=True, slots=True)
 class RecNum(CoTerm):
     """Generalized recursor over Numbered: the zero branch binds the payload."""
@@ -401,52 +503,34 @@ class RecNum(CoTerm):
     payload_annot: TypeExpr | None = None  # payload type; needed for inference
     annot: TypeExpr | None = None  # result type; filled in by elaboration
 
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(
-                self.zero_body.free_vars - {self.payload_var},
-                self.succ_body.free_vars - {self.pred_var, self.result_var},
-                self.ret.free_vars,
-            ),
-            _union(self.zero_body.free_covars, self.succ_body.free_covars, self.ret.free_covars),
-        )
-        self._set_covalue(self.ret.cbn_covalue)
 
-
+@shape(Child("rest", covalue="destructor tail"))
 @dataclass(frozen=True, slots=True)
 class Head(CoTerm):
     rest: CoTerm
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.rest)
 
-
+@shape(Child("rest", covalue="destructor tail"))
 @dataclass(frozen=True, slots=True)
 class Tail(CoTerm):
     rest: CoTerm
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.rest)
 
-
+@shape(Child("rest", covalue="destructor tail"), data=("other",))
 @dataclass(frozen=True, slots=True)
 class Fst(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent right component
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.rest)
 
-
+@shape(Child("rest", covalue="destructor tail"), data=("other",))
 @dataclass(frozen=True, slots=True)
 class Snd(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent left component
 
-    def __post_init__(self) -> None:
-        self._cache_as(self.rest)
 
-
+@shape(Child("left"), Child("right"))
 @dataclass(frozen=True, slots=True)
 class SumCase(CoTerm):
     """Case split on a sum value; a forcing context in both strategies."""
@@ -454,12 +538,6 @@ class SumCase(CoTerm):
     left: CoTerm
     right: CoTerm
     cbn_covalue = True
-
-    def __post_init__(self) -> None:
-        self._set_free(
-            _union(self.left.free_vars, self.right.free_vars),
-            _union(self.left.free_covars, self.right.free_covars),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +614,14 @@ def _unclassified(node, kind: type) -> object:
     the bit is copied from down to the first node not classified."""
 
     while isinstance(node, kind):
-        match node:
-            case Succ(x) | NumZero(x) | NumSucc(x) | InL(x) | InR(x) | CoRec(seed=x):
-                node = x
-            case Pair(left, right):
-                node = left if left.cbv_value is None else right
-            case Call(rest=x) | RecNat(ret=x) | RecNum(ret=x) | Head(x) | Tail(x) | Fst(x) | Snd(x):
-                node = x
-            case _:
+        sh = getattr(type(node), "_shape", None)
+        for f in sh and sh.bit_from or ():
+            child = getattr(node, f)
+            if getattr(child, sh.bit, None) is None:
+                node = child
                 break
+        else:
+            break
     return node
 
 
@@ -618,72 +695,40 @@ def _rebind(binders: list[str], body: Node, vm, cm, var_side: bool):
 
 
 def _subst(node, vm: dict[str, Term], cm: dict[str, CoTerm]):
-    def go(n):
-        lvm = _relevant(vm, n.free_vars)
-        lcm = _relevant(cm, n.free_covars)
-        if not lvm and not lcm:
-            return n
-        return _subst(n, lvm, lcm)
+    # vm and cm hold only names free in node, so at least one child changes.
+    cls = type(node)
+    if cls is Var:
+        return vm.get(node.name, node)
+    if cls is CoVar:
+        return cm.get(node.name, node)
+    sh = _grammar_shape(node, "substitution over unknown node")
+    vals = [getattr(node, f) for f in sh.names]
+    if len(sh.kids) == 1 and not sh.kids[0][1]:
+        # The only child has the node's free names: no maps to narrow.
+        i = sh.kids[0][0]
+        vals[i] = _subst(vals[i], vm, cm)
+        return cls(*vals)
+    for i, bound in sh.kids:
+        child = vals[i]
+        if bound:
+            names, nvm, ncm, live = _rebind([vals[j] for j in bound], child, vm, cm, sh.var_side)
+            if live:
+                for j, name in zip(bound, names):
+                    vals[j] = name
+                vals[i] = _subst(child, nvm, ncm)
+        else:
+            lvm = _relevant(vm, child.free_vars)
+            lcm = _relevant(cm, child.free_covars)
+            if lvm or lcm:
+                vals[i] = _subst(child, lvm, lcm)
+    return cls(*vals)
 
-    match node:
-        case Command(v, e):
-            return Command(go(v), go(e))
-        case Var(name):
-            return vm.get(name, node)
-        case CoVar(name):
-            return cm.get(name, node)
-        case Mu(a, body, annot):
-            (a2,), nvm, ncm, live = _rebind([a], body, vm, cm, var_side=False)
-            return Mu(a2, _subst(body, nvm, ncm), annot) if live else node
-        case MuTilde(x, body, annot):
-            (x2,), nvm, ncm, live = _rebind([x], body, vm, cm, var_side=True)
-            return MuTilde(x2, _subst(body, nvm, ncm), annot) if live else node
-        case Lam(x, body, annot):
-            (x2,), nvm, ncm, live = _rebind([x], body, vm, cm, var_side=True)
-            return Lam(x2, _subst(body, nvm, ncm), annot) if live else node
-        case Zero():
-            return node
-        case Succ(arg):
-            return Succ(go(arg))
-        case NumZero(arg):
-            return NumZero(go(arg))
-        case NumSucc(arg):
-            return NumSucc(go(arg))
-        case Pair(l, r):
-            return Pair(go(l), go(r))
-        case InL(arg, other):
-            return InL(go(arg), other)
-        case InR(arg, other):
-            return InR(go(arg), other)
-        case Call(arg, rest):
-            return Call(go(arg), go(rest))
-        case Head(rest):
-            return Head(go(rest))
-        case Tail(rest):
-            return Tail(go(rest))
-        case Fst(rest, other):
-            return Fst(go(rest), other)
-        case Snd(rest, other):
-            return Snd(go(rest), other)
-        case SumCase(l, r):
-            return SumCase(go(l), go(r))
-        case RecNat(zb, x, y, sb, ret, annot):
-            (x2, y2), nvm, ncm, live = _rebind([x, y], sb, vm, cm, var_side=True)
-            sb2 = _subst(sb, nvm, ncm) if live else sb
-            return RecNat(go(zb), x2, y2, sb2, go(ret), annot)
-        case RecNum(p, zb, x, y, sb, ret, pannot, annot):
-            (p2,), zvm, zcm, zlive = _rebind([p], zb, vm, cm, var_side=True)
-            zb2 = _subst(zb, zvm, zcm) if zlive else zb
-            (x2, y2), nvm, ncm, live = _rebind([x, y], sb, vm, cm, var_side=True)
-            sb2 = _subst(sb, nvm, ncm) if live else sb
-            return RecNum(p2, zb2, x2, y2, sb2, go(ret), pannot, annot)
-        case CoRec(ha, he, ta, tg, te, seed, ea, sa):
-            (ha2,), hvm, hcm, hlive = _rebind([ha], he, vm, cm, var_side=False)
-            he2 = _subst(he, hvm, hcm) if hlive else he
-            (ta2, tg2), tvm, tcm, tlive = _rebind([ta, tg], te, vm, cm, var_side=False)
-            te2 = _subst(te, tvm, tcm) if tlive else te
-            return CoRec(ha2, he2, ta2, tg2, te2, go(seed), ea, sa)
-    raise ValueError(f"substitution over unknown node: {node!r}")
+
+def _grammar_shape(node, error: str) -> Shape:
+    sh = getattr(type(node), "_shape", None)
+    if sh is None or not sh.grammar:
+        raise ValueError(f"{error}: {node!r}")
+    return sh
 
 
 def subst_var(c: Command, x: str, v: Term) -> Command:
@@ -705,97 +750,29 @@ def alpha_eq(a, b) -> bool:
 
 
 def _alpha(a, b, va, vb, ca, cb, ctr) -> bool:
-    if type(a) is not type(b):
+    cls = type(a)
+    if cls is not type(b):
         return False
-
-    def bind(env_a, env_b, na, nb):
-        ctr[0] += 1
-        ea = dict(env_a)
-        eb = dict(env_b)
-        ea[na] = ctr[0]
-        eb[nb] = ctr[0]
-        return ea, eb
-
-    match a:
-        case Command():
-            return _alpha(a.producer, b.producer, va, vb, ca, cb, ctr) and _alpha(
-                a.consumer, b.consumer, va, vb, ca, cb, ctr
-            )
-        case Var(na):
-            return va.get(na, na) == vb.get(b.name, b.name)
-        case CoVar(na):
-            return ca.get(na, na) == cb.get(b.name, b.name)
-        case Zero():
-            return True
-        case Succ() | NumZero() | NumSucc():
-            return _alpha(a.arg, b.arg, va, vb, ca, cb, ctr)
-        case InL() | InR():
-            return a.other == b.other and _alpha(a.arg, b.arg, va, vb, ca, cb, ctr)
-        case Pair():
-            return _alpha(a.left, b.left, va, vb, ca, cb, ctr) and _alpha(
-                a.right, b.right, va, vb, ca, cb, ctr
-            )
-        case Lam():
-            if a.annot != b.annot:
-                return False
-            va2, vb2 = bind(va, vb, a.var, b.var)
-            return _alpha(a.body, b.body, va2, vb2, ca, cb, ctr)
-        case Mu():
-            if a.annot != b.annot:
-                return False
-            ca2, cb2 = bind(ca, cb, a.covar, b.covar)
-            return _alpha(a.body, b.body, va, vb, ca2, cb2, ctr)
-        case MuTilde():
-            if a.annot != b.annot:
-                return False
-            va2, vb2 = bind(va, vb, a.var, b.var)
-            return _alpha(a.body, b.body, va2, vb2, ca, cb, ctr)
-        case Call():
-            return _alpha(a.arg, b.arg, va, vb, ca, cb, ctr) and _alpha(
-                a.rest, b.rest, va, vb, ca, cb, ctr
-            )
-        case Head() | Tail():
-            return _alpha(a.rest, b.rest, va, vb, ca, cb, ctr)
-        case Fst() | Snd():
-            return a.other == b.other and _alpha(a.rest, b.rest, va, vb, ca, cb, ctr)
-        case SumCase():
-            return _alpha(a.left, b.left, va, vb, ca, cb, ctr) and _alpha(
-                a.right, b.right, va, vb, ca, cb, ctr
-            )
-        # Result and seed annotations on the recursors and corecursor are
-        # filled by elaboration and have no concrete syntax, so they do not
-        # take part in alpha-identity.
-        case RecNat():
-            if not _alpha(a.zero_body, b.zero_body, va, vb, ca, cb, ctr):
-                return False
-            va2, vb2 = bind(va, vb, a.pred_var, b.pred_var)
-            va2, vb2 = bind(va2, vb2, a.result_var, b.result_var)
-            return _alpha(a.succ_body, b.succ_body, va2, vb2, ca, cb, ctr) and _alpha(
-                a.ret, b.ret, va, vb, ca, cb, ctr
-            )
-        case RecNum():
-            if a.payload_annot != b.payload_annot:
-                return False
-            va2, vb2 = bind(va, vb, a.payload_var, b.payload_var)
-            if not _alpha(a.zero_body, b.zero_body, va2, vb2, ca, cb, ctr):
-                return False
-            va3, vb3 = bind(va, vb, a.pred_var, b.pred_var)
-            va3, vb3 = bind(va3, vb3, a.result_var, b.result_var)
-            return _alpha(a.succ_body, b.succ_body, va3, vb3, ca, cb, ctr) and _alpha(
-                a.ret, b.ret, va, vb, ca, cb, ctr
-            )
-        case CoRec():
-            if a.elem_annot != b.elem_annot:
-                return False
-            ca2, cb2 = bind(ca, cb, a.head_covar, b.head_covar)
-            if not _alpha(a.head_body, b.head_body, va, vb, ca2, cb2, ctr):
-                return False
-            ca3, cb3 = bind(ca, cb, a.tail_covar, b.tail_covar)
-            ca3, cb3 = bind(ca3, cb3, a.tail_seed_covar, b.tail_seed_covar)
-            return _alpha(a.tail_body, b.tail_body, va, vb, ca3, cb3, ctr) and _alpha(
-                a.seed, b.seed, va, vb, ca, cb, ctr
-            )
-    raise ValueError(f"alpha_eq over unknown node: {a!r}")
+    if cls is Var:
+        return va.get(a.name, a.name) == vb.get(b.name, b.name)
+    if cls is CoVar:
+        return ca.get(a.name, a.name) == cb.get(b.name, b.name)
+    sh = _grammar_shape(a, "alpha_eq over unknown node")
+    for f in sh.data:
+        if getattr(a, f) != getattr(b, f):
+            return False
+    for c in sh.children:
+        envs = [va, vb, ca, cb]
+        if c.binds:
+            # Bind each binder pair to one fresh number on the shape's side.
+            side = 0 if sh.var_side else 2
+            ea, eb = envs[side], envs[side + 1] = dict(envs[side]), dict(envs[side + 1])
+            for f in c.binds:
+                ctr[0] += 1
+                ea[getattr(a, f)] = eb[getattr(b, f)] = ctr[0]
+        if not _alpha(getattr(a, c.field), getattr(b, c.field), *envs, ctr):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -832,71 +809,19 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
             fields.append(field)
         return ".".join([path, *reversed(fields)])
 
-    def need_value(t: Term, path, what: str) -> None:
-        if not is_value(t, s):
-            out.append(Violation(spell(path), f"{what} must be a {s.value} value"))
-
-    def need_covalue(e: CoTerm, path, what: str) -> None:
-        if not is_covalue(e, s):
-            out.append(Violation(spell(path), f"{what} must be a {s.value} covalue"))
-
     while todo:
         node, path = todo.pop()
-        match node:
-            case Command(v, e):
-                todo.append((v, (path, "producer")))
-                todo.append((e, (path, "consumer")))
-            case Var() | CoVar() | Zero():
-                pass
-            case Mu(_, body) | MuTilde(_, body):
-                todo.append((body, (path, "body")))
-            case Lam(_, body):
-                todo.append((body, (path, "body")))
-            case Succ(arg):
-                need_value(arg, (path, "arg"), "successor argument")
-                todo.append((arg, (path, "arg")))
-            case NumZero(arg):
-                need_value(arg, (path, "arg"), "numbered-zero argument")
-                todo.append((arg, (path, "arg")))
-            case NumSucc(arg):
-                need_value(arg, (path, "arg"), "numbered-successor argument")
-                todo.append((arg, (path, "arg")))
-            case Pair(l, r):
-                need_value(l, (path, "left"), "pair component")
-                need_value(r, (path, "right"), "pair component")
-                todo.append((l, (path, "left")))
-                todo.append((r, (path, "right")))
-            case InL(arg) | InR(arg):
-                need_value(arg, (path, "arg"), "injection argument")
-                todo.append((arg, (path, "arg")))
-            case CoRec(_, he, _, _, te, seed):
-                need_value(seed, (path, "seed"), "corecursor seed")
-                todo.append((he, (path, "head")))
-                todo.append((te, (path, "tail")))
-                todo.append((seed, (path, "seed")))
-            case Call(arg, rest):
-                need_value(arg, (path, "arg"), "call-stack argument")
-                need_covalue(rest, (path, "rest"), "call-stack tail")
-                todo.append((arg, (path, "arg")))
-                todo.append((rest, (path, "rest")))
-            case RecNat(zb, _, _, sb, ret):
-                need_covalue(ret, (path, "ret"), "recursor return")
-                todo.append((zb, (path, "zero")))
-                todo.append((sb, (path, "succ")))
-                todo.append((ret, (path, "ret")))
-            case RecNum(_, zb, _, _, sb, ret):
-                need_covalue(ret, (path, "ret"), "recursor return")
-                todo.append((zb, (path, "zero")))
-                todo.append((sb, (path, "succ")))
-                todo.append((ret, (path, "ret")))
-            case Head(rest) | Tail(rest) | Fst(rest) | Snd(rest):
-                need_covalue(rest, (path, "rest"), "destructor tail")
-                todo.append((rest, (path, "rest")))
-            case SumCase(l, r):
-                todo.append((l, (path, "left")))
-                todo.append((r, (path, "right")))
-            case _:
-                out.append(Violation(spell(path), f"unknown node {type(node).__name__}"))
+        sh = getattr(type(node), "_shape", None)
+        if sh is None or not sh.grammar:
+            out.append(Violation(spell(path), f"unknown node {type(node).__name__}"))
+            continue
+        for c in sh.children:
+            child, at = getattr(node, c.field), (path, c.label)
+            if c.value and not is_value(child, s):
+                out.append(Violation(spell(at), f"{c.value} must be a {s.value} value"))
+            if c.covalue and not is_covalue(child, s):
+                out.append(Violation(spell(at), f"{c.covalue} must be a {s.value} covalue"))
+            todo.append((child, at))
     out.reverse()
     return out
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import kernel
 from .kernel import (
     Call,
+    Child,
     Command,
     CoRec,
     CoTerm,
@@ -50,26 +51,29 @@ from .kernel import (
     Var,
     Zero,
     pretty,
+    shape,
 )
 
 # ---------------------------------------------------------------------------
-# Front-end-only AST nodes.  They are outside the machine grammar, so their
-# ``cbv_value`` is None and ``kernel.is_value`` rejects them under CBV.
+# Front-end-only AST nodes.  Their shapes are outside the machine grammar,
+# so their ``cbv_value`` is None and ``kernel.is_value`` rejects them under
+# CBV.
 
 
+@shape(Child("fn"), Child("arg"), grammar=False)
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
-    cbv_value = None
-
-    def __post_init__(self) -> None:
-        self._set_free(
-            self.fn.free_vars | self.arg.free_vars,
-            self.fn.free_covars | self.arg.free_covars,
-        )
 
 
+@shape(
+    Child("scrut"),
+    Child("zero_body"),
+    Child("succ_body", binds=("pred_var", "result_var")),
+    side="vars",
+    grammar=False,
+)
 @dataclass(frozen=True)
 class RecTerm(Term):
     """Front-end recursor expression; compiles to a RecNat continuation."""
@@ -79,35 +83,20 @@ class RecTerm(Term):
     pred_var: str
     result_var: str
     succ_body: Term
-    cbv_value = None
-
-    def __post_init__(self) -> None:
-        self._set_free(
-            self.scrut.free_vars
-            | self.zero_body.free_vars
-            | (self.succ_body.free_vars - {self.pred_var, self.result_var}),
-            self.scrut.free_covars | self.zero_body.free_covars | self.succ_body.free_covars,
-        )
 
 
+@shape(data=("n",), grammar=False)
 @dataclass(frozen=True)
 class NumLit(Term):
     n: int
-    cbv_value = None
-
-    def __post_init__(self) -> None:
-        self._set_free(kernel.EMPTY, kernel.EMPTY)
 
 
+@shape(data=("name",), grammar=False)
 @dataclass(frozen=True)
 class Ref(Term):
     """Reference to a named top-level definition (definitions are closed)."""
 
     name: str
-    cbv_value = None
-
-    def __post_init__(self) -> None:
-        self._set_free(kernel.EMPTY, kernel.EMPTY)
 
 
 def _term_atom(t: Term) -> str:

@@ -1,8 +1,4 @@
-import sys
-
 import pytest
-
-sys.setrecursionlimit(40000)
 
 from duality_vm.kernel import CBN, CBV
 from duality_vm.surface import Compiler, prelude

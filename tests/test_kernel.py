@@ -1,29 +1,42 @@
 """Kernel: values, substitution, alpha-equivalence, grammar checks, printing."""
 
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from duality_vm import kernel, parser
 from duality_vm.kernel import (
     CBN,
     CBV,
     Call,
     Command,
+    CoRec,
+    CoTerm,
     CoVar,
     Fst,
     Head,
     InL,
+    InR,
     Lam,
     Mu,
     MuTilde,
     Nat,
+    Node,
+    NumSucc,
+    NumZero,
     Pair,
     RecNat,
+    RecNum,
     Snd,
     Stream,
     Succ,
     SumCase,
     Tail,
+    Term,
     Var,
+    Violation,
     Zero,
     alpha_eq,
     as_numeral,
@@ -38,7 +51,8 @@ from duality_vm.kernel import (
     type_str,
     well_formed,
 )
-from duality_vm.parser import parse_command, parse_coterm, parse_term, parse_type
+from duality_vm.parser import App, parse_command, parse_coterm, parse_term, parse_type
+from generators import DualGen, TypedGen
 
 MU0 = Mu("a", Command(Zero(), CoVar("a")))  # mu a. <Z | a>
 MT0 = MuTilde("x", Command(Var("x"), CoVar("a")))  # comu x. <x | a>
@@ -161,48 +175,98 @@ def test_subst_commutes_for_independent_names():
     assert alpha_eq(one, two)
 
 
-# Independent oracle: a tiny de-Bruijn-style substitution for the pure
-# mu/comu/var/covar fragment, against which the kernel substitution is
-# cross-checked on generated terms.
+# Independent oracle: a nameless (de-Bruijn-style) form of every machine
+# node class, and substitution on it, against which the kernel's
+# substitution and alpha-equivalence are cross-checked on generated
+# commands.  It shares no code with the kernel: which fields bind, on which
+# side, and which annotations count is written out here again.
 
 
-def _db(node, venv, cenv):
-    """Convert to a nameless tuple form, with free names kept as strings."""
+def _db(node, venv=(), cenv=()):
+    """Convert to a nameless tuple form: bound names become their binder's
+    index in the environment (innermost first), free names stay strings.
+    Of two binders of one position the second is the inner one, and the
+    annotations that elaboration fills in (recursor results, corecursor
+    seeds) are left out, as alpha-equivalence ignores them."""
 
+    def name(n, env):
+        return env.index(n) if n in env else n
+
+    venv, cenv = list(venv), list(cenv)
     match node:
         case Command(v, e):
             return ("cmd", _db(v, venv, cenv), _db(e, venv, cenv))
         case Var(n):
-            return ("v", venv.index(n) if n in venv else n)
+            return ("v", name(n, venv))
         case CoVar(n):
-            return ("c", cenv.index(n) if n in cenv else n)
-        case Mu(a, body, _):
-            return ("mu", _db(body, venv, [a] + cenv))
-        case MuTilde(x, body, _):
-            return ("mt", _db(body, [x] + venv, cenv))
+            return ("c", name(n, cenv))
+        case Mu(a, body, annot):
+            return ("mu", annot, _db(body, venv, [a] + cenv))
+        case MuTilde(x, body, annot):
+            return ("mt", annot, _db(body, [x] + venv, cenv))
+        case Lam(x, body, annot):
+            return ("lam", annot, _db(body, [x] + venv, cenv))
         case Zero():
             return ("z",)
         case Succ(arg):
             return ("s", _db(arg, venv, cenv))
+        case NumZero(arg):
+            return ("nz", _db(arg, venv, cenv))
+        case NumSucc(arg):
+            return ("ns", _db(arg, venv, cenv))
+        case Pair(left, right):
+            return ("pair", _db(left, venv, cenv), _db(right, venv, cenv))
+        case InL(arg, other):
+            return ("inl", other, _db(arg, venv, cenv))
+        case InR(arg, other):
+            return ("inr", other, _db(arg, venv, cenv))
+        case CoRec(ha, he, ta, tg, te, seed, elem_annot, _):
+            return (
+                "corec",
+                elem_annot,
+                _db(he, venv, [ha] + cenv),
+                _db(te, venv, [tg, ta] + cenv),
+                _db(seed, venv, cenv),
+            )
+        case Call(arg, rest):
+            return ("call", _db(arg, venv, cenv), _db(rest, venv, cenv))
+        case RecNat(zb, x, y, sb, ret, _):
+            return ("rn", _db(zb, venv, cenv), _db(sb, [y, x] + venv, cenv), _db(ret, venv, cenv))
+        case RecNum(p, zb, x, y, sb, ret, payload_annot, _):
+            return (
+                "rm",
+                payload_annot,
+                _db(zb, [p] + venv, cenv),
+                _db(sb, [y, x] + venv, cenv),
+                _db(ret, venv, cenv),
+            )
+        case Head(rest):
+            return ("hd", _db(rest, venv, cenv))
+        case Tail(rest):
+            return ("tl", _db(rest, venv, cenv))
+        case Fst(rest, other):
+            return ("fst", other, _db(rest, venv, cenv))
+        case Snd(rest, other):
+            return ("snd", other, _db(rest, venv, cenv))
+        case SumCase(left, right):
+            return ("case", _db(left, venv, cenv), _db(right, venv, cenv))
     raise AssertionError(node)
 
 
-def _db_subst(t, name, repl):
-    """Substitute in nameless form: free names need no capture machinery."""
+def _db_subst(t, images):
+    """Parallel substitution in nameless form: images maps a free leaf,
+    ("v", name) or ("c", name), to its nameless image.  Bound leaves are
+    numbers and free ones strings, so nothing can be captured."""
 
-    match t:
-        case ("v", n) if n == name:
-            return repl
-        case ("cmd", v, e):
-            return ("cmd", _db_subst(v, name, repl), _db_subst(e, name, repl))
-        case ("mu", b):
-            return ("mu", _db_subst(b, name, repl))
-        case ("mt", b):
-            return ("mt", _db_subst(b, name, repl))
-        case ("s", a):
-            return ("s", _db_subst(a, name, repl))
-        case _:
-            return t
+    if t[0] in ("v", "c"):
+        return images.get(t, t)
+    return tuple(_db_subst(x, images) if isinstance(x, tuple) else x for x in t)
+
+
+def _db_images(var_map, covar_map):
+    images = {("v", x): _db(v) for x, v in (var_map or {}).items()}
+    images.update({("c", a): _db(e) for a, e in (covar_map or {}).items()})
+    return images
 
 
 @st.composite
@@ -237,8 +301,7 @@ def small_commands(draw):
 def test_subst_matches_nameless_oracle(c, repl_cmd):
     repl = Mu("a", repl_cmd)
     got = subst_var(c, "x", repl)
-    want = _db_subst(_db(c, [], []), "x", _db(repl, [], []))
-    assert _db(got, [], []) == want
+    assert _db(got) == _db_subst(_db(c), _db_images({"x": repl}, None))
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,6 +311,149 @@ def test_alpha_eq_invariant_under_renaming(c):
     wrapped1 = Mu("a", c)
     wrapped2 = Mu("zz", subst_covar(c, "a", CoVar("zz")))
     assert alpha_eq(wrapped1, wrapped2)
+
+
+# The oracle's own list of binder fields, to see which binders a
+# substitution renamed.
+BINDER_FIELDS = {
+    Mu: ("covar",),
+    MuTilde: ("var",),
+    Lam: ("var",),
+    RecNat: ("pred_var", "result_var"),
+    RecNum: ("payload_var", "pred_var", "result_var"),
+    CoRec: ("head_covar", "tail_covar", "tail_seed_covar"),
+}
+COVARIABLE_BINDERS = (Mu, CoRec)
+
+
+def _children(node):
+    return [getattr(node, f.name) for f in dataclasses.fields(node)]
+
+
+def _bound_names(root):
+    """(variables, covariables) bound anywhere under root."""
+
+    vs, cs = set(), set()
+    todo = [root]
+    while todo:
+        n = todo.pop()
+        for f in BINDER_FIELDS.get(type(n), ()):
+            (cs if isinstance(n, COVARIABLE_BINDERS) else vs).add(getattr(n, f))
+        todo.extend(x for x in _children(n) if isinstance(x, Node))
+    return vs, cs
+
+
+def _renamed_binders(before, after):
+    """The (class, binder field) positions whose name a substitution changed."""
+
+    out = set()
+    todo = [(before, after)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b) or isinstance(a, (Var, CoVar)):
+            continue
+        out |= {(type(a).__name__, f) for f in BINDER_FIELDS.get(type(a), ()) if getattr(a, f) != getattr(b, f)}
+        todo.extend((x, y) for x, y in zip(_children(a), _children(b)) if isinstance(x, Node))
+    return out
+
+
+def _capturing_images(root):
+    """A term and a coterm whose free names include every name bound in
+    root, so substituting either under a binder of root renames it."""
+
+    vs, cs = _bound_names(root)
+    t: Term = Zero()
+    for x in sorted(vs):
+        t = Pair(Var(x), t)
+    e: CoTerm = CoVar("top")
+    for a in sorted(cs):
+        e = SumCase(CoVar(a), e)
+    return Mu("k", Command(t, e)), MuTilde("w", Command(t, e))
+
+
+class _Respelled:
+    """Generator mixin: the same commands, every bound name spelled anew."""
+
+    def fresh(self, hint: str) -> str:
+        name = super().fresh(hint)
+        return name if hint in ("fv", "fc") else name + "_"
+
+
+class _RespelledTypedGen(_Respelled, TypedGen):
+    pass
+
+
+class _RespelledDualGen(_Respelled, DualGen):
+    pass
+
+
+def _generated(typed=TypedGen, dual=DualGen):
+    tg, dg = typed(17), dual(18)
+    return [tg.command(depth=4) for _ in range(60)] + [dg.command(depth=3)[0] for _ in range(60)]
+
+
+def _capturing_maps(c):
+    """Substitutions into c: each free name alone, then all at once, with
+    images free in every name bound in c."""
+
+    term, coterm = _capturing_images(c)
+    maps = [({x: term}, None) for x in sorted(c.free_vars)]
+    maps += [(None, {a: coterm}) for a in sorted(c.free_covars)]
+    maps.append(({x: term for x in c.free_vars}, {a: coterm for a in c.free_covars}))
+    return maps
+
+
+def test_subst_matches_nameless_oracle_on_generated_commands():
+    renamed = set()
+    for c in _generated():
+        for vm, cm in _capturing_maps(c):
+            got = subst(c, vm, cm)
+            assert _db(got) == _db_subst(_db(c), _db_images(vm, cm)), pretty(c)
+            renamed |= _renamed_binders(c, got)
+    assert renamed == {(cls.__name__, f) for cls, fs in BINDER_FIELDS.items() for f in fs}
+
+
+def _shadowing(node, outer_vars=(), outer_covars=()):
+    """node with its first binder nested under another binder of its side
+    renamed to that binder's name, which recaptures the outer binder's
+    occurrences beneath it; None if there is no such nesting."""
+
+    fs = BINDER_FIELDS.get(type(node), ())
+    outer = outer_covars if isinstance(node, COVARIABLE_BINDERS) else outer_vars
+    for f in fs:
+        for name in outer:
+            if name != getattr(node, f):
+                return dataclasses.replace(node, **{f: name})
+    bound = tuple(getattr(node, f) for f in fs)
+    if isinstance(node, COVARIABLE_BINDERS):
+        outer_covars = outer_covars + bound
+    else:
+        outer_vars = outer_vars + bound
+    for f in dataclasses.fields(node):
+        child = getattr(node, f.name)
+        if isinstance(child, Node):
+            new = _shadowing(child, outer_vars, outer_covars)
+            if new is not None:
+                return dataclasses.replace(node, **{f.name: new})
+    return None
+
+
+def test_alpha_eq_matches_nameless_oracle_on_generated_commands():
+    cmds, respelled = _generated(), _generated(_RespelledTypedGen, _RespelledDualGen)
+    verdicts = set()
+    for c, d, other in zip(cmds, respelled, cmds[1:] + cmds[:1]):
+        assert pretty(c) != pretty(d) or not any(_bound_names(c))
+        pairs = [(c, d), (c, other), (d, other), (c.consumer, other.consumer)]
+        shadowed = _shadowing(c)
+        if shadowed is not None:
+            pairs.append((c, shadowed))
+        for vm, cm in _capturing_maps(c):
+            pairs += [(subst(c, vm, cm), subst(d, vm, cm)), (c, subst(d, vm, cm))]
+        for a, b in pairs:
+            verdict = alpha_eq(a, b)
+            assert verdict == (_db(a) == _db(b)), (pretty(a), pretty(b))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +523,87 @@ def test_well_formed_preserved_by_value_substitution():
     assert well_formed(out, CBV) == []
     out_cbn = subst_var(c, "x", MU0)  # mu-term: a CBN value
     assert well_formed(out_cbn, CBN) == []
+
+
+def test_well_formed_order_and_paths_across_corec_recnum_and_call():
+    c = Command(
+        CoRec("h", Head(MT0), "t", "g", Tail(Call(MU0, MT0)), MU0),
+        Call(MU0, RecNum("p", Succ(MU0), "x", "y", Pair(MU0, Pair(Zero(), MU0)), Call(MU0, Fst(MT0)))),
+    )
+    assert [(v.path, v.message) for v in well_formed(c, CBV)] == [
+        ("command.producer.tail.rest.arg", "call-stack argument must be a cbv value"),
+        ("command.producer.seed", "corecursor seed must be a cbv value"),
+        ("command.consumer.rest.zero.arg", "successor argument must be a cbv value"),
+        ("command.consumer.rest.succ.right.right", "pair component must be a cbv value"),
+        ("command.consumer.rest.succ.right", "pair component must be a cbv value"),
+        ("command.consumer.rest.succ.left", "pair component must be a cbv value"),
+        ("command.consumer.rest.ret.arg", "call-stack argument must be a cbv value"),
+        ("command.consumer.arg", "call-stack argument must be a cbv value"),
+    ]
+    assert [(v.path, v.message) for v in well_formed(c, CBN)] == [
+        ("command.producer.head.rest", "destructor tail must be a cbn covalue"),
+        ("command.producer.tail.rest.rest", "call-stack tail must be a cbn covalue"),
+        ("command.producer.tail.rest", "destructor tail must be a cbn covalue"),
+        ("command.consumer.rest.ret.rest.rest", "destructor tail must be a cbn covalue"),
+        ("command.consumer.rest.ret.rest", "call-stack tail must be a cbn covalue"),
+        ("command.consumer.rest.ret", "recursor return must be a cbn covalue"),
+        ("command.consumer.rest", "call-stack tail must be a cbn covalue"),
+    ]
+
+
+# Front-end nodes are outside the machine grammar: every traversal rejects them.
+APP = App(Var("f"), Var("x"))
+
+
+def test_well_formed_reports_a_front_end_node():
+    for s in (CBV, CBN):
+        assert well_formed(Command(APP, CoVar("a")), s) == [Violation("command.producer", "unknown node App")]
+
+
+def test_subst_into_a_front_end_node_raises():
+    with pytest.raises(ValueError, match="^substitution over unknown node: App"):
+        subst(Command(APP, CoVar("a")), {"x": Zero()})
+
+
+def test_alpha_eq_of_front_end_nodes_raises():
+    with pytest.raises(ValueError, match="^alpha_eq over unknown node: App"):
+        alpha_eq(APP, App(Var("f"), Var("x")))
+    assert not alpha_eq(APP, Var("f"))
+
+
+# ---------------------------------------------------------------------------
+# Shapes: every node class declares each of its fields once
+
+
+def _node_classes():
+    abstract = (Node, Term, CoTerm)
+    return [
+        cls
+        for mod in (kernel, parser)
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and issubclass(cls, Node) and cls.__module__ == mod.__name__
+        and cls not in abstract
+    ]
+
+
+@pytest.mark.parametrize("cls", _node_classes(), ids=lambda cls: cls.__name__)
+def test_shape_declares_every_field(cls):
+    assert "_shape" in vars(cls), f"{cls.__name__} declares no shape"
+    sh = cls._shape
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    nodes = [n for n in names if isinstance(hints[n], type) and issubclass(hints[n], Node)]
+    assert [c.field for c in sh.children] == nodes
+    binders = [b for c in sh.children for b in c.binds]
+    assert all(hints[b] is str for b in binders)
+    rest = [n for n in names if n not in nodes and n not in binders]
+    assert sorted(rest) == sorted(sh.data + sh.ignore)
+    assert not set(sh.data) & set(sh.ignore)
+
+
+def test_every_node_class_is_checked_for_its_shape():
+    names = {cls.__name__ for cls in _node_classes()}
+    assert len(names) == 26 and {"Command", "RecNum", "CoRec", "App", "RecTerm", "Ref"} <= names
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +680,6 @@ def test_as_numeral():
 
 
 def test_round_trip_and_cbn_values_on_generated_commands():
-    from generators import DualGen, TypedGen
-
     cmds = []
     tg = TypedGen(7)
     cmds += [tg.command(depth=4) for _ in range(40)]

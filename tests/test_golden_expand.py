@@ -1,11 +1,12 @@
-"""`duality-vm expand` output, pinned byte for byte.
+"""CLI output of `expand`, `dualize` and `run --trace`, pinned byte for byte.
 
-For the prelude and every program under ``programs/``, in both strategies,
+For every program under ``programs/`` (and, for `expand`, the prelude),
 the CLI's stdout, stderr and exit code are compared with the files under
-``tests/golden/expand``.  Refactors of the typechecker and the staging
-compiler must leave them unchanged.  To record them again after an
-intended change of the compiled code, run
-``PYTHONPATH=src python tests/test_golden_expand.py``.
+``tests/golden/<command>``: `expand` and `run --trace` in both strategies,
+`dualize` once, since duality is syntactic.  Refactors of the typechecker,
+the staging compiler, the printer and the duality must leave them
+unchanged.  To record them again after an intended change of the output,
+run ``PYTHONPATH=src python tests/test_golden_expand.py``.
 """
 
 import os
@@ -16,37 +17,68 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden" / "expand"
-SOURCES = [ROOT / "src" / "duality_vm" / "prelude.ct", *sorted((ROOT / "programs").glob("*.ct"))]
-CASES = [(src, s) for src in SOURCES for s in ("cbv", "cbn")]
+GOLDEN = ROOT / "tests" / "golden"
+PROGRAMS = sorted((ROOT / "programs").glob("*.ct"))
+SOURCES = [ROOT / "src" / "duality_vm" / "prelude.ct", *PROGRAMS]
+STRATEGIES = ("cbv", "cbn")
+
+# golden directory -> (CLI arguments before the file, [(source, strategy or None)])
+COMMANDS = {
+    "expand": (["expand"], [(src, s) for src in SOURCES for s in STRATEGIES]),
+    "dualize": (["dualize"], [(src, None) for src in PROGRAMS]),
+    "trace": (["run", "--trace"], [(src, s) for src in PROGRAMS for s in STRATEGIES]),
+}
 
 
-def _expand(src: Path, strategy: str) -> dict[str, bytes]:
+def _cli(command: str, src: Path, strategy: str | None) -> dict[str, bytes]:
     """Run the CLI exactly as the console script does (cli.entry)."""
 
+    args = COMMANDS[command][0] + (["--strategy", strategy] if strategy else [])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("DUALITY_VM_FUEL", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "duality_vm.cli", "expand", "--strategy", strategy, src.name],
+        [sys.executable, "-m", "duality_vm.cli", *args, src.name],
         cwd=src.parent, env=env, capture_output=True, timeout=300,
     )
     return {"stdout": proc.stdout, "stderr": proc.stderr, "exit": f"{proc.returncode}\n".encode()}
 
 
-def _golden(src: Path, strategy: str, stream: str) -> Path:
-    return GOLDEN / f"{src.stem}.{strategy}.{stream}"
+def _golden(command: str, src: Path, strategy: str | None, stream: str) -> Path:
+    stem = f"{src.stem}.{strategy}" if strategy else src.stem
+    return GOLDEN / command / f"{stem}.{stream}"
 
 
-@pytest.mark.parametrize("src,strategy", CASES, ids=[f"{src.stem}-{s}" for src, s in CASES])
+def _check(command: str, src: Path, strategy: str | None) -> None:
+    for stream, data in _cli(command, src, strategy).items():
+        assert data == _golden(command, src, strategy, stream).read_bytes(), f"{stream} of {command} differs"
+
+
+def _cases(command: str):
+    cases = COMMANDS[command][1]
+    return pytest.mark.parametrize(
+        "src,strategy", cases, ids=["-".join(filter(None, [src.stem, s])) for src, s in cases]
+    )
+
+
+@_cases("expand")
 def test_expand_matches_golden(src, strategy):
-    got = _expand(src, strategy)
-    for stream, data in got.items():
-        assert data == _golden(src, strategy, stream).read_bytes(), f"{stream} of expand differs"
+    _check("expand", src, strategy)
+
+
+@_cases("dualize")
+def test_dualize_matches_golden(src, strategy):
+    _check("dualize", src, strategy)
+
+
+@_cases("trace")
+def test_run_trace_matches_golden(src, strategy):
+    _check("trace", src, strategy)
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for src, strategy in CASES:
-        for stream, data in _expand(src, strategy).items():
-            _golden(src, strategy, stream).write_bytes(data)
+    for command, (_, cases) in COMMANDS.items():
+        (GOLDEN / command).mkdir(parents=True, exist_ok=True)
+        for src, strategy in cases:
+            for stream, data in _cli(command, src, strategy).items():
+                _golden(command, src, strategy, stream).write_bytes(data)

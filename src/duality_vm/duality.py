@@ -1,13 +1,17 @@
 """Syntactic duality: numbered values against streams, producers against
 consumers, call-by-value against call-by-name.
 
-The transformation swaps terms with coterms node by node: numbered
-constructors with stream destructors, pairs with case splits, injections
-with projections, mu with comu, the corecursor with the generalized
-recursor.  Variables swap with covariables through a pairing context;
-binders pair a name with itself, which is always safe because the two
-namespaces never mix.  Plain-Nat constructors and functions sit outside
-the dualizable fragment.
+The transformation swaps terms with coterms node by node, as a table of
+dual class pairs (``_NODE_PAIRS``, in the manner of Wadler's "Call-by-value
+is dual to call-by-name", where duality is a map over constructors):
+numbered constructors with stream destructors, pairs with case splits,
+injections with projections, mu with comu, the corecursor with the
+generalized recursor.  The fields of each pair correspond in declaration
+order, so one walk over the kernel's shapes rebuilds every pair.
+Variables swap with covariables through a pairing context; binders keep
+their names, and a binder pairs its name with itself in its own namespace
+only.  Plain-Nat constructors, functions and call stacks sit outside the
+dualizable fragment (``_NO_DUAL``).
 
 Nat itself is kept as a self-dual leaf type: the dualizable type grammar
 has no base case of its own, so payload and seed types bottom out at Nat.
@@ -77,6 +81,27 @@ _RULE_PAIRS = [
 _RULE_DUAL = {a: b for a, b in _RULE_PAIRS} | {b: a for a, b in _RULE_PAIRS}
 
 
+# Each pair's fields correspond one to one in declaration order: children to
+# children, binders to binders, type annotations to type annotations.
+_NODE_PAIRS = [
+    (Mu, MuTilde),
+    (NumZero, Head),
+    (NumSucc, Tail),
+    (Pair, SumCase),
+    (InL, Fst),
+    (InR, Snd),
+    (CoRec, RecNum),
+]
+_NODE_DUAL = {a: b for a, b in _NODE_PAIRS} | {b: a for a, b in _NODE_PAIRS}
+_NO_DUAL = {
+    Zero: "plain number constructors have no dual",
+    Succ: "plain number constructors have no dual",
+    Lam: "functions have no dual",
+    RecNat: "the plain number recursor has no dual",
+    Call: "call stacks have no dual",
+}
+
+
 def dual_rule(tag: RuleTag) -> RuleTag:
     try:
         return _RULE_DUAL[tag]
@@ -134,79 +159,83 @@ EMPTY_CTX = DualityContext()
 def dual_term(v: Term, ctx: DualityContext = EMPTY_CTX) -> CoTerm:
     """The coterm mirroring a term, swapping constructors for destructors."""
 
-    match v:
-        case Var(name):
-            return CoVar(ctx.covar_of(name))
-        case Mu(a, body, annot):
-            return MuTilde(a, dual_command(body, ctx.pair(a, a)), dual_type(annot))
-        case NumZero(arg):
-            return Head(dual_term(arg, ctx))
-        case NumSucc(arg):
-            return Tail(dual_term(arg, ctx))
-        case Pair(l, r):
-            return SumCase(dual_term(l, ctx), dual_term(r, ctx))
-        case InL(arg, other):
-            return Fst(dual_term(arg, ctx), dual_type(other))
-        case InR(arg, other):
-            return Snd(dual_term(arg, ctx), dual_type(other))
-        case CoRec(ha, he, ta, tg, te, seed, ea, sa):
-            return RecNum(
-                payload_var=ha,
-                zero_body=dual_coterm(he, ctx.pair(ha, ha)),
-                pred_var=ta,
-                result_var=tg,
-                succ_body=dual_coterm(te, ctx.pair(ta, ta).pair(tg, tg)),
-                ret=dual_term(seed, ctx),
-                payload_annot=dual_type(ea),
-                annot=dual_type(sa),
-            )
-        case Zero() | Succ():
-            raise NotDualizable("plain number constructors have no dual")
-        case Lam():
-            raise NotDualizable("functions have no dual")
-    raise NotDualizable(f"term {type(v).__name__} has no dual")
+    return _dual(v, Term, ctx)
 
 
 def dual_coterm(e: CoTerm, ctx: DualityContext = EMPTY_CTX) -> Term:
     """The term mirroring a coterm, swapping destructors for constructors."""
 
-    match e:
-        case CoVar(name):
-            return Var(ctx.var_of(name))
-        case MuTilde(x, body, annot):
-            return Mu(x, dual_command(body, ctx.pair(x, x)), dual_type(annot))
-        case Head(rest):
-            return NumZero(dual_coterm(rest, ctx))
-        case Tail(rest):
-            return NumSucc(dual_coterm(rest, ctx))
-        case SumCase(l, r):
-            return Pair(dual_coterm(l, ctx), dual_coterm(r, ctx))
-        case Fst(rest, other):
-            return InL(dual_coterm(rest, ctx), dual_type(other))
-        case Snd(rest, other):
-            return InR(dual_coterm(rest, ctx), dual_type(other))
-        case RecNum(p, zb, x, y, sb, ret, pa, annot):
-            return CoRec(
-                head_covar=p,
-                head_body=dual_term(zb, ctx.pair(p, p)),
-                tail_covar=x,
-                tail_seed_covar=y,
-                tail_body=dual_term(sb, ctx.pair(x, x).pair(y, y)),
-                seed=dual_coterm(ret, ctx),
-                elem_annot=dual_type(pa),
-                seed_annot=dual_type(annot),
-            )
-        case RecNat():
-            raise NotDualizable("the plain number recursor has no dual")
-        case Call():
-            raise NotDualizable("call stacks have no dual")
-    raise NotDualizable(f"coterm {type(e).__name__} has no dual")
+    return _dual(e, CoTerm, ctx)
 
 
 def dual_command(c: Command, ctx: DualityContext = EMPTY_CTX) -> Command:
     """Mirror a command: the dual consumer becomes the producer and vice versa."""
 
-    return Command(dual_coterm(c.consumer, ctx), dual_term(c.producer, ctx))
+    return _dual(c, Command, ctx)
+
+
+def _dual(root, sort: type, ctx: DualityContext):
+    """Rebuild root with each node replaced by its dual, in one walk with an
+    explicit stack.  A node's fields map in place to its ``_NODE_DUAL``
+    partner's: children are dualized, binder names kept, type annotations
+    mapped by ``dual_type``; a command swaps its two sides.  A free name
+    maps through the context; a binder shadows the pairing of its own
+    namespace, and only that one."""
+
+    if not isinstance(root, sort):
+        raise NotDualizable(f"{sort.__name__.lower()} {type(root).__name__} has no dual")
+    done: list = []
+    # (node, var -> covar pairing, covar -> var pairing) to dualize, or
+    # (node, None, None) to rebuild from its children's duals atop done.
+    todo: list = [(root, ctx.var_to_covar, ctx.covar_to_var)]
+    while todo:
+        node, v2c, c2v = todo.pop()
+        cls = type(node)
+        if v2c is None:
+            n = len(cls._shape.kids)
+            kids = done[-n:]
+            del done[-n:]
+            done.append(Command(*kids) if cls is Command else _rebuild(node, kids))
+        elif cls is Var:
+            done.append(CoVar(v2c.get(node.name, node.name)))
+        elif cls is CoVar:
+            done.append(Var(c2v.get(node.name, node.name)))
+        elif cls is Command:
+            todo += [(node, None, None), (node.producer, v2c, c2v), (node.consumer, v2c, c2v)]
+        elif cls in _NODE_DUAL:
+            todo.append((node, None, None))
+            sh = cls._shape
+            for c in reversed(sh.children):
+                binders = [getattr(node, b) for b in c.binds]
+                if sh.var_side:
+                    todo.append((getattr(node, c.field), _shadow(v2c, binders), c2v))
+                else:
+                    todo.append((getattr(node, c.field), v2c, _shadow(c2v, binders)))
+        else:
+            kind = "term" if isinstance(node, Term) else "coterm"
+            raise NotDualizable(_NO_DUAL.get(cls) or f"{kind} {cls.__name__} has no dual")
+    return done[0]
+
+
+def _rebuild(node, kids: list):
+    """node's dual partner, with kids for its children in field order."""
+
+    sh = type(node)._shape
+    vals = [getattr(node, f) for f in sh.names]
+    for (i, _), kid in zip(sh.kids, kids):
+        vals[i] = kid
+    for i, f in enumerate(sh.names):
+        if f in sh.data or f in sh.ignore:
+            vals[i] = dual_type(vals[i])
+    return _NODE_DUAL[type(node)](*vals)
+
+
+def _shadow(pairing: dict[str, str], binders: list[str]) -> dict[str, str]:
+    """The pairing under binders of its namespace: they pair with themselves."""
+
+    if not any(b in pairing for b in binders):
+        return pairing
+    return {k: v for k, v in pairing.items() if k not in binders}
 
 
 def dual_env(env: TypeEnv, ctx: DualityContext = EMPTY_CTX) -> TypeEnv:

@@ -19,21 +19,22 @@ shares unchanged children.
 Each node class declares its shape once, next to its dataclass: per child,
 the field, its step in a ``well_formed`` path, the binder fields in scope
 in it and what the grammar demands of it (a value or a covalue); per
-class, which side its binders are on, and which other fields
-alpha-equivalence compares or ignores.  The cached sets and bit,
-substitution, alpha-equivalence, the grammar check and the node named by
-a classification error are all derived from the shapes, in the manner of
-Curien and Herbelin's "The duality of computation", where substitution
-and alpha-equivalence are defined once over binders.  Printing stays per
-class, since each class has its own concrete syntax.
+class, which side its binders are on, which other fields
+alpha-equivalence compares or ignores, and its concrete syntax as a
+template, with whether it prints as an atom.  The cached sets and bit,
+substitution, alpha-equivalence, the grammar check, the node named by a
+classification error and the printer are all derived from the shapes, in
+the manner of Curien and Herbelin's "The duality of computation", where
+substitution and alpha-equivalence are defined once over binders.  The
+duality reads the same shapes (``duality.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from functools import singledispatch
 from operator import attrgetter
+from string import Formatter
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +207,22 @@ class Shape:
     bit is None, and the traversals reject it.  ``bit_from`` names the
     children whose bits a node's own bit is the ``and`` of (their grammar
     demands it be of the node's sort); it is None when the class fixes its
-    bit, or has none (``Command``).
+    bit, or has none (``Command``).  ``syntax`` is the print template
+    compiled for ``pretty``; ``atomic`` classes never need parentheses.
     """
 
     __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "kids", "bit",
-                 "bit_from")
+                 "bit_from", "syntax", "atomic")
 
-    def __init__(self, cls: type, children, side, data, ignore, grammar):
+    def __init__(self, cls: type, children, side, data, ignore, grammar, syntax, atomic):
         self.children = children
         self.var_side = side == "vars"
         self.data = data
         self.ignore = ignore
         self.grammar = grammar
+        self.atomic = atomic
         self.names = tuple(f.name for f in fields(cls))
+        self.syntax = _template(syntax, self.names, {c.field for c in children}, ignore)
         pos = self.names.index
         # (child index, its binder indices) in field order, for rebuilding.
         self.kids = tuple((pos(c.field), tuple(map(pos, c.binds))) for c in children)
@@ -231,20 +235,48 @@ class Shape:
 
 
 def shape(*children: Child, side: str | None = None, data: tuple[str, ...] = (),
-          ignore: tuple[str, ...] = (), grammar: bool = True):
+          ignore: tuple[str, ...] = (), grammar: bool = True, syntax: str, atomic: bool = False):
     """Declare a dataclass node's children (in field order), the side its
-    binders are on ("vars" or "covars"), and its other fields; install the
-    ``__post_init__`` that caches free sets and the strategy bit."""
+    binders are on ("vars" or "covars"), its other fields and its print
+    template; install the ``__post_init__`` that caches free sets and the
+    strategy bit.
+
+    The template is literal text with a ``{field}`` slot per printed field
+    (``{{`` and ``}}`` are braces).  A child slot prints the child whole;
+    ``{f!a}`` prints it as an atom, in parentheses unless its class is
+    ``atomic``; ``{f!s}`` (an application's function) prints it bare if it
+    is of the node's own class, else as an atom; ``{f!t}`` prints an
+    optional type annotation as `` : T``.  Any other slot prints the
+    field's value (a binder name, a number)."""
 
     def declare(cls):
         if not grammar:
             setattr(cls, "cbv_value" if issubclass(cls, Term) else "cbn_covalue", None)
-        sh = cls._shape = Shape(cls, children, side, data, ignore, grammar)
+        sh = cls._shape = Shape(cls, children, side, data, ignore, grammar, syntax, atomic)
         if "__post_init__" not in cls.__dict__:
             cls.__post_init__ = _cache(sh)
         return cls
 
     return declare
+
+
+def _template(text: str, names: tuple[str, ...], kids: set[str], ignore: tuple[str, ...]) -> tuple:
+    """A print template as the printer's stack takes it, last piece first:
+    (None, text) for literal text, else (conversion, field getter), where
+    the conversion is "a", "s" or "t" as written, "w" for a child printed
+    whole and "n" for any other field.  Each field but the ``ignore``d
+    ones has exactly one slot."""
+
+    out, slots = [], []
+    for lit, field, _, conv in Formatter().parse(text):
+        if lit:
+            out.append((None, lit))
+        if field is not None:
+            slots.append(field)
+            out.append((conv or ("w" if field in kids else "n"), attrgetter(field)))
+    if sorted(slots) != sorted(n for n in names if n not in ignore):
+        raise TypeError(f"template {text!r} must have one slot per field of {names} but {ignore}")
+    return tuple(reversed(out))
 
 
 def _cache(sh: Shape):
@@ -312,7 +344,7 @@ def _cache(sh: Shape):
     return cache
 
 
-@shape(Child("producer"), Child("consumer"))
+@shape(Child("producer"), Child("consumer"), syntax="<{producer} | {consumer}>")
 @dataclass(frozen=True, slots=True)
 class Command(Node):
     producer: Term
@@ -321,7 +353,7 @@ class Command(Node):
 
 # _subst and _alpha treat Var and CoVar as base cases and never read this
 # shape; ``data`` is declared so that every field has a shape entry.
-@shape(data=("name",))
+@shape(data=("name",), syntax="{name}", atomic=True)
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
@@ -332,7 +364,7 @@ class Var(Term):
         _set_fcv(self, EMPTY)
 
 
-@shape(Child("body", binds=("covar",)), side="covars", data=("annot",))
+@shape(Child("body", binds=("covar",)), side="covars", data=("annot",), syntax="mu {covar}{annot!t}. {body}")
 @dataclass(frozen=True, slots=True)
 class Mu(Term):
     """Term binding its continuation, then running a command."""
@@ -343,7 +375,7 @@ class Mu(Term):
     cbv_value = False
 
 
-@shape(Child("body", binds=("var",)), side="vars", data=("annot",))
+@shape(Child("body", binds=("var",)), side="vars", data=("annot",), syntax="fun {var}{annot!t} => {body}")
 @dataclass(frozen=True, slots=True)
 class Lam(Term):
     var: str
@@ -352,19 +384,21 @@ class Lam(Term):
     cbv_value = True
 
 
-@shape()
+@shape(syntax="Z", atomic=True)
 @dataclass(frozen=True, slots=True)
 class Zero(Term):
     cbv_value = True
 
 
-@shape(Child("arg", value="successor argument"))
+# pretty prints a chain of successors in one walk, with this template on
+# each one, unless the chain ends in Z and is a numeral.
+@shape(Child("arg", value="successor argument"), syntax="S {arg!a}")
 @dataclass(frozen=True, slots=True)
 class Succ(Term):
     arg: Term
 
 
-@shape(Child("arg", value="numbered-zero argument"))
+@shape(Child("arg", value="numbered-zero argument"), syntax="numZ {arg!a}")
 @dataclass(frozen=True, slots=True)
 class NumZero(Term):
     """Base constructor of Numbered: a payload labeled with 0."""
@@ -372,27 +406,28 @@ class NumZero(Term):
     arg: Term
 
 
-@shape(Child("arg", value="numbered-successor argument"))
+@shape(Child("arg", value="numbered-successor argument"), syntax="numS {arg!a}")
 @dataclass(frozen=True, slots=True)
 class NumSucc(Term):
     arg: Term
 
 
-@shape(Child("left", value="pair component"), Child("right", value="pair component"))
+@shape(Child("left", value="pair component"), Child("right", value="pair component"),
+       syntax="pair({left}, {right})", atomic=True)
 @dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@shape(Child("arg", value="injection argument"), data=("other",))
+@shape(Child("arg", value="injection argument"), data=("other",), syntax="inl{other!t} {arg!a}")
 @dataclass(frozen=True, slots=True)
 class InL(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent right component
 
 
-@shape(Child("arg", value="injection argument"), data=("other",))
+@shape(Child("arg", value="injection argument"), data=("other",), syntax="inr{other!t} {arg!a}")
 @dataclass(frozen=True, slots=True)
 class InR(Term):
     arg: Term
@@ -406,6 +441,8 @@ class InR(Term):
     side="covars",
     data=("elem_annot",),
     ignore=("seed_annot",),
+    syntax="corec{elem_annot!t} {{ head {head_covar} -> {head_body}"
+    " | tail {tail_covar} -> {tail_seed_covar}. {tail_body} }} with {seed!a}",
 )
 @dataclass(frozen=True, slots=True)
 class CoRec(Term):
@@ -428,7 +465,7 @@ class CoRec(Term):
 
 # _subst and _alpha treat Var and CoVar as base cases and never read this
 # shape; ``data`` is declared so that every field has a shape entry.
-@shape(data=("name",))
+@shape(data=("name",), syntax="{name}", atomic=True)
 @dataclass(frozen=True, slots=True)
 class CoVar(CoTerm):
     name: str
@@ -439,7 +476,7 @@ class CoVar(CoTerm):
         _set_fcv(self, frozenset((self.name,)))
 
 
-@shape(Child("body", binds=("var",)), side="vars", data=("annot",))
+@shape(Child("body", binds=("var",)), side="vars", data=("annot",), syntax="comu {var}{annot!t}. {body}")
 @dataclass(frozen=True, slots=True)
 class MuTilde(CoTerm):
     """Coterm binding its input value, then running a command."""
@@ -450,7 +487,8 @@ class MuTilde(CoTerm):
     cbn_covalue = False
 
 
-@shape(Child("arg", value="call-stack argument"), Child("rest", covalue="call-stack tail"))
+@shape(Child("arg", value="call-stack argument"), Child("rest", covalue="call-stack tail"),
+       syntax="{arg!a} . {rest}")
 @dataclass(frozen=True, slots=True)
 class Call(CoTerm):
     """Call stack: an argument pushed onto a continuation."""
@@ -465,6 +503,7 @@ class Call(CoTerm):
     Child("ret", covalue="recursor return"),
     side="vars",
     ignore=("annot",),
+    syntax="rec {{ Z -> {zero_body} | S {pred_var} -> {result_var}. {succ_body} }} with {ret}",
 )
 @dataclass(frozen=True, slots=True)
 class RecNat(CoTerm):
@@ -489,6 +528,8 @@ class RecNat(CoTerm):
     side="vars",
     data=("payload_annot",),
     ignore=("annot",),
+    syntax="rec{payload_annot!t} {{ Z {payload_var} -> {zero_body}"
+    " | S {pred_var} -> {result_var}. {succ_body} }} with {ret}",
 )
 @dataclass(frozen=True, slots=True)
 class RecNum(CoTerm):
@@ -504,33 +545,33 @@ class RecNum(CoTerm):
     annot: TypeExpr | None = None  # result type; filled in by elaboration
 
 
-@shape(Child("rest", covalue="destructor tail"))
+@shape(Child("rest", covalue="destructor tail"), syntax="head {rest!a}")
 @dataclass(frozen=True, slots=True)
 class Head(CoTerm):
     rest: CoTerm
 
 
-@shape(Child("rest", covalue="destructor tail"))
+@shape(Child("rest", covalue="destructor tail"), syntax="tail {rest!a}")
 @dataclass(frozen=True, slots=True)
 class Tail(CoTerm):
     rest: CoTerm
 
 
-@shape(Child("rest", covalue="destructor tail"), data=("other",))
+@shape(Child("rest", covalue="destructor tail"), data=("other",), syntax="fst{other!t} {rest!a}")
 @dataclass(frozen=True, slots=True)
 class Fst(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent right component
 
 
-@shape(Child("rest", covalue="destructor tail"), data=("other",))
+@shape(Child("rest", covalue="destructor tail"), data=("other",), syntax="snd{other!t} {rest!a}")
 @dataclass(frozen=True, slots=True)
 class Snd(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent left component
 
 
-@shape(Child("left"), Child("right"))
+@shape(Child("left"), Child("right"), syntax="case[{left}, {right}]", atomic=True)
 @dataclass(frozen=True, slots=True)
 class SumCase(CoTerm):
     """Case split on a sum value; a forcing context in both strategies."""
@@ -830,157 +871,55 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
 # Printing (parseable; the parser lives in the surface layer)
 
 
-@singledispatch
 def pretty(node) -> str:
-    raise ValueError(f"no printer for {type(node).__name__}")
+    """Concrete syntax of a node, from its class's print template.
 
+    One walk with an explicit stack of pending text and (node, as an atom)
+    pairs, so depth costs no Python frames; the text is joined once.  The
+    one rule by hand is for numerals: a chain of successors is walked once,
+    and prints as its number if it ends in Z, else as ``S (S … (S b))``.
+    """
 
-def _term_atom(t: Term) -> str:
-    """Print a term, parenthesized unless it is syntactically atomic."""
-
-    s = pretty(t)
-    match t:
-        case Var() | Zero() | Pair():
-            return s
-        case Succ():
-            return s if as_numeral(t) is not None else f"({s})"
-        case _:
-            return f"({s})"
-
-
-def _coterm_atom(e: CoTerm) -> str:
-    s = pretty(e)
-    match e:
-        case CoVar() | SumCase():
-            return s
-        case _:
-            return f"({s})"
-
-
-def _annot_str(annot: TypeExpr | None) -> str:
-    return f" : {type_str(annot)}" if annot is not None else ""
-
-
-@pretty.register
-def _(node: Command) -> str:
-    return f"<{pretty(node.producer)} | {pretty(node.consumer)}>"
-
-
-@pretty.register
-def _(node: Var) -> str:
-    return node.name
-
-
-@pretty.register
-def _(node: CoVar) -> str:
-    return node.name
-
-
-@pretty.register
-def _(node: Zero) -> str:
-    return "Z"
-
-
-@pretty.register
-def _(node: Succ) -> str:
-    n = as_numeral(node)
-    if n is not None:
-        return str(n)
-    return f"S {_term_atom(node.arg)}"
-
-
-@pretty.register
-def _(node: NumZero) -> str:
-    return f"numZ {_term_atom(node.arg)}"
-
-
-@pretty.register
-def _(node: NumSucc) -> str:
-    return f"numS {_term_atom(node.arg)}"
-
-
-@pretty.register
-def _(node: Mu) -> str:
-    return f"mu {node.covar}{_annot_str(node.annot)}. {pretty(node.body)}"
-
-
-@pretty.register
-def _(node: MuTilde) -> str:
-    return f"comu {node.var}{_annot_str(node.annot)}. {pretty(node.body)}"
-
-
-@pretty.register
-def _(node: Lam) -> str:
-    return f"fun {node.var}{_annot_str(node.annot)} => {pretty(node.body)}"
-
-
-@pretty.register
-def _(node: Pair) -> str:
-    return f"pair({pretty(node.left)}, {pretty(node.right)})"
-
-
-@pretty.register
-def _(node: InL) -> str:
-    return f"inl{_annot_str(node.other)} {_term_atom(node.arg)}"
-
-
-@pretty.register
-def _(node: InR) -> str:
-    return f"inr{_annot_str(node.other)} {_term_atom(node.arg)}"
-
-
-@pretty.register
-def _(node: CoRec) -> str:
-    return (
-        f"corec{_annot_str(node.elem_annot)} {{ head {node.head_covar} -> {pretty(node.head_body)}"
-        f" | tail {node.tail_covar} -> {node.tail_seed_covar}. {pretty(node.tail_body)} }}"
-        f" with {_term_atom(node.seed)}"
-    )
-
-
-@pretty.register
-def _(node: Call) -> str:
-    return f"{_term_atom(node.arg)} . {pretty(node.rest)}"
-
-
-@pretty.register
-def _(node: Head) -> str:
-    return f"head {_coterm_atom(node.rest)}"
-
-
-@pretty.register
-def _(node: Tail) -> str:
-    return f"tail {_coterm_atom(node.rest)}"
-
-
-@pretty.register
-def _(node: Fst) -> str:
-    return f"fst{_annot_str(node.other)} {_coterm_atom(node.rest)}"
-
-
-@pretty.register
-def _(node: Snd) -> str:
-    return f"snd{_annot_str(node.other)} {_coterm_atom(node.rest)}"
-
-
-@pretty.register
-def _(node: SumCase) -> str:
-    return f"case[{pretty(node.left)}, {pretty(node.right)}]"
-
-
-@pretty.register
-def _(node: RecNat) -> str:
-    return (
-        f"rec {{ Z -> {pretty(node.zero_body)}"
-        f" | S {node.pred_var} -> {node.result_var}. {pretty(node.succ_body)} }}"
-        f" with {pretty(node.ret)}"
-    )
-
-
-@pretty.register
-def _(node: RecNum) -> str:
-    return (
-        f"rec{_annot_str(node.payload_annot)} {{ Z {node.payload_var} -> {pretty(node.zero_body)}"
-        f" | S {node.pred_var} -> {node.result_var}. {pretty(node.succ_body)} }}"
-        f" with {pretty(node.ret)}"
-    )
+    out: list[str] = []
+    todo: list = [(node, False)]
+    pop, push, emit = todo.pop, todo.append, out.append
+    while todo:
+        item = pop()
+        if item.__class__ is str:
+            emit(item)
+            continue
+        node, atom = item
+        cls = node.__class__
+        if cls is Succ:
+            k = 0
+            while type(node) is Succ:
+                node = node.arg
+                k += 1
+            if type(node) is Zero:
+                emit(str(k))
+                continue
+            emit("(" * atom + "S (" * (k - 1) + "S ")
+            push(")" * (k - 1 + atom))
+            push((node, True))
+            continue
+        sh = getattr(cls, "_shape", None)
+        if sh is None:
+            raise ValueError(f"no printer for {cls.__name__}")
+        wrap = atom and not sh.atomic
+        if wrap:
+            push(")")
+        for conv, get in sh.syntax:
+            if conv is None:
+                push(get)
+            elif conv == "n":
+                push(str(get(node)))
+            elif conv == "t":
+                t = get(node)
+                if t is not None:
+                    push(" : " + type_str(t))
+            else:
+                child = get(node)
+                push((child, conv == "a" or conv == "s" and child.__class__ is not cls))
+        if wrap:
+            push("(")
+    return "".join(out)

@@ -50,7 +50,6 @@ from .kernel import (
     subst,
     subst_covar,
     subst_var,
-    well_formed,
 )
 
 DEFAULT_FUEL = 10**6
@@ -263,16 +262,11 @@ def run(
     s: Strategy,
     fuel: int = DEFAULT_FUEL,
     trace: bool = False,
-    validate: bool = False,
 ) -> RunResult:
     """Iterate step until Final, Stuck, or the fuel is spent."""
 
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    if validate:
-        bad = well_formed(c, s)
-        if bad:
-            raise ValueError("command is not well-formed: " + "; ".join(map(str, bad)))
     stats = RunStats()
     entries: list[TraceEntry] | None = [] if trace else None
     truncated = False

@@ -50,7 +50,6 @@ from .kernel import (
     TypeExpr,
     Var,
     Zero,
-    pretty,
     shape,
 )
 
@@ -60,7 +59,7 @@ from .kernel import (
 # CBV.
 
 
-@shape(Child("fn"), Child("arg"), grammar=False)
+@shape(Child("fn"), Child("arg"), grammar=False, syntax="{fn!s} {arg!a}")
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
@@ -73,6 +72,7 @@ class App(Term):
     Child("succ_body", binds=("pred_var", "result_var")),
     side="vars",
     grammar=False,
+    syntax="rec {scrut!a} as {{ Z -> {zero_body} | S {pred_var} -> {result_var}. {succ_body} }}",
 )
 @dataclass(frozen=True)
 class RecTerm(Term):
@@ -85,51 +85,18 @@ class RecTerm(Term):
     succ_body: Term
 
 
-@shape(data=("n",), grammar=False)
+@shape(data=("n",), grammar=False, syntax="{n}", atomic=True)
 @dataclass(frozen=True)
 class NumLit(Term):
     n: int
 
 
-@shape(data=("name",), grammar=False)
+@shape(data=("name",), grammar=False, syntax="{name}", atomic=True)
 @dataclass(frozen=True)
 class Ref(Term):
     """Reference to a named top-level definition (definitions are closed)."""
 
     name: str
-
-
-def _term_atom(t: Term) -> str:
-    s = pretty(t)
-    if isinstance(t, (Var, Zero, Pair, NumLit, Ref)):
-        return s
-    if isinstance(t, Succ) and kernel.as_numeral(t) is not None:
-        return s
-    return f"({s})"
-
-
-@pretty.register
-def _(node: App) -> str:
-    fn = pretty(node.fn) if isinstance(node.fn, (App, Var, Ref)) else _term_atom(node.fn)
-    return f"{fn} {_term_atom(node.arg)}"
-
-
-@pretty.register
-def _(node: RecTerm) -> str:
-    return (
-        f"rec {_term_atom(node.scrut)} as {{ Z -> {pretty(node.zero_body)}"
-        f" | S {node.pred_var} -> {node.result_var}. {pretty(node.succ_body)} }}"
-    )
-
-
-@pretty.register
-def _(node: NumLit) -> str:
-    return str(node.n)
-
-
-@pretty.register
-def _(node: Ref) -> str:
-    return node.name
 
 
 # ---------------------------------------------------------------------------

@@ -637,9 +637,3 @@ def prelude() -> Program:
 
     text = importlib.resources.files(__package__).joinpath("prelude.ct").read_text()
     return parse(text)
-
-
-def prelude_term(name: str, s: Strategy) -> Term:
-    """A prelude definition compiled to the machine language."""
-
-    return Compiler(prelude(), s).lookup_def(name, name)[1]

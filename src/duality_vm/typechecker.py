@@ -476,14 +476,6 @@ def infer_coterm(env: TypeEnv, e: CoTerm) -> TypeExpr:
     return _RULES.coterm_infer(env, e, "coterm")[0]
 
 
-def check_term(env: TypeEnv, t: Term, expected: TypeExpr) -> Term:
-    return _RULES.term_check(env, t, expected, "term")
-
-
-def check_coterm(env: TypeEnv, e: CoTerm, expected: TypeExpr) -> CoTerm:
-    return _RULES.coterm_check(env, e, expected, "coterm")
-
-
 def elaborate_command(env: TypeEnv, c: Command) -> Command:
     """Check c and return it with all inferable annotations filled in."""
 

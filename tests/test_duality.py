@@ -2,7 +2,11 @@
 
 import pytest
 
+from duality_vm import kernel
 from duality_vm.duality import (
+    _NO_DUAL,
+    _NODE_DUAL,
+    _NODE_PAIRS,
     DualityContext,
     NotDualizable,
     dual_command,
@@ -18,25 +22,30 @@ from duality_vm.kernel import (
     CBV,
     Command,
     CoRec,
+    CoTerm,
     CoVar,
     Fn,
     Head,
     Lam,
     Nat,
     Numbered,
+    NumSucc,
     NumZero,
     Prod,
     RecNum,
     Stream,
     Succ,
     Sum,
+    Tail,
+    Term,
     Var,
     Zero,
     alpha_eq,
+    pretty,
     well_formed,
 )
 from duality_vm.machine import RuleTag, Stepped, step
-from duality_vm.parser import parse_command, parse_coterm, parse_term
+from duality_vm.parser import Ref, parse_command, parse_coterm, parse_term
 from duality_vm.typechecker import TypeEnv, check_command, elaborate_command
 
 from generators import DualGen
@@ -109,19 +118,88 @@ def test_dual_involution_on_nodes():
 
 
 def test_plain_numbers_and_functions_not_dualizable():
-    for bad in [Zero(), Succ(Zero()), Lam("x", Var("x"))]:
-        with pytest.raises(NotDualizable):
-            dual_term(bad)
-    with pytest.raises(NotDualizable):
-        dual_coterm(parse_coterm("x . a0"))
-    with pytest.raises(NotDualizable):
-        dual_coterm(parse_coterm("rec { Z -> x | S p -> q. q } with a0"))
+    terms = [
+        (Zero(), "plain number constructors have no dual"),
+        (Succ(Zero()), "plain number constructors have no dual"),
+        (Lam("x", Var("x")), "functions have no dual"),
+        (parse_term("inl : Nat -> Nat x"), "function types have no dual"),
+        (Ref("plus"), "term Ref has no dual"),
+        (CoVar("a"), "term CoVar has no dual"),
+    ]
+    coterms = [
+        (parse_coterm("x . a0"), "call stacks have no dual"),
+        (parse_coterm("rec { Z -> x | S p -> q. q } with a0"), "the plain number recursor has no dual"),
+        (Zero(), "coterm Zero has no dual"),
+    ]
+    for dual, cases in ((dual_term, terms), (dual_coterm, coterms)):
+        for node, message in cases:
+            with pytest.raises(NotDualizable, match=f"^{message}$"):
+                dual(node)
 
 
 def test_explicit_pairing_context():
     ctx = DualityContext().pair("x", "alpha")
     assert dual_term(Var("x"), ctx) == CoVar("alpha")
     assert dual_coterm(CoVar("alpha"), ctx) == Var("x")
+
+
+@pytest.mark.parametrize(
+    "text,pairing,dual",
+    [
+        # The comu binds a variable a; the free variable a still pairs with alpha.
+        ("<mu a : Nat. <a | a> | k>", ("a", "alpha"), "<k | comu a : Nat. <a | alpha>>"),
+        # The mu binds a covariable x; the free covariable x still pairs with y.
+        ("<z | comu x : Nat. <x | x>>", ("y", "x"), "<mu x : Nat. <y | x> | z>"),
+    ],
+)
+def test_binder_shadows_only_its_own_namespace(text, pairing, dual):
+    ctx = DualityContext().pair(*pairing)
+    cmd = parse_command(text)
+    env = TypeEnv.make(vars={n: NAT for n in cmd.free_vars}, covars={n: NAT for n in cmd.free_covars})
+    check_command(env, cmd)
+    out = dual_command(cmd, ctx)
+    assert out == parse_command(dual)
+    check_command(dual_env(env, ctx), out)
+
+
+@pytest.mark.parametrize("pair", _NODE_PAIRS, ids=lambda p: f"{p[0].__name__}-{p[1].__name__}")
+def test_dual_pairs_match_by_position(pair):
+    # The dual is rebuilt field by field in declaration order, so a field
+    # moved on one side of a pair must fail here, not mis-dualize.
+    a, b = (cls._shape for cls in pair)
+    assert issubclass(pair[0], Term) and issubclass(pair[1], CoTerm)
+    assert len(a.names) == len(b.names)
+    assert a.kids == b.kids  # child indices, with their binders' indices
+    assert [len(c.binds) for c in a.children] == [len(c.binds) for c in b.children]
+    types = [sorted(map(sh.names.index, sh.data + sh.ignore)) for sh in (a, b)]
+    assert types[0] == types[1]
+    if any(c.binds for c in a.children):
+        assert a.var_side != b.var_side  # mu binds a covariable, comu a variable
+
+
+def test_every_kernel_class_is_dualized_or_refused():
+    classes = {cls for cls in vars(kernel).values()
+               if isinstance(cls, type) and issubclass(cls, (Term, CoTerm)) and "_shape" in vars(cls)}
+    handled = set(_NODE_DUAL) | set(_NO_DUAL) | {Var, CoVar}
+    assert classes == handled
+    assert not set(_NODE_DUAL) & set(_NO_DUAL)
+
+
+DEEP = 100000
+
+
+def test_dual_of_deep_towers():
+    # Under Python's default recursion limit: the dual keeps its own stack.
+    v, e = NumZero(Var("x")), Head(CoVar("a"))
+    for _ in range(DEEP):
+        v, e = NumSucc(v), Tail(e)
+    out = dual_command(Command(v, e))
+    assert pretty(out) == "<" + "numS (" * DEEP + "numZ a" + ")" * DEEP + " | " + "tail (" * DEEP + "head x" + ")" * DEEP + ">"
+    tower = Var("x")
+    for _ in range(DEEP):
+        tower = Succ(tower)
+    with pytest.raises(NotDualizable, match="plain number constructors"):
+        dual_command(Command(tower, CoVar("a")))
 
 
 def test_command_sides_swap():

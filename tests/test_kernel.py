@@ -601,6 +601,19 @@ def test_shape_declares_every_field(cls):
     assert not set(sh.data) & set(sh.ignore)
 
 
+def test_a_template_must_print_each_field_once():
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Probe(CoTerm):
+        rest: CoTerm
+        other: object = None
+
+    declare = kernel.shape(kernel.Child("rest"), data=("other",), syntax="probe{other!t} {rest!a}")
+    assert pretty(declare(Probe)(CoVar("a"))) == "probe a"
+    for syntax in ("probe {rest!a} {rest!a}", "probe {rest}", "probe {other} {rest} {nope}"):
+        with pytest.raises(TypeError, match="template"):
+            kernel.shape(kernel.Child("rest"), data=("other",), syntax=syntax)(Probe)
+
+
 def test_every_node_class_is_checked_for_its_shape():
     names = {cls.__name__ for cls in _node_classes()}
     assert len(names) == 26 and {"Command", "RecNum", "CoRec", "App", "RecTerm", "Ref"} <= names
@@ -618,6 +631,47 @@ def test_pretty_examples():
 
 def test_pretty_succ_of_non_numeral():
     assert pretty(Succ(Var("x"))) == "S x"
+    assert pretty(Succ(Succ(Succ(Var("x"))))) == "S (S (S x))"
+    assert pretty(Call(Succ(Succ(Var("x"))), CoVar("a"))) == "(S (S x)) . a"
+    assert pretty(Call(numeral(3), CoVar("a"))) == "3 . a"
+
+
+def test_pretty_front_end_children_follow_the_atom_rule():
+    ref, lit = parser.Ref("plus"), parser.NumLit(3)
+    assert pretty(Call(ref, CoVar("a0"))) == "plus . a0"
+    assert pretty(Succ(lit)) == "S 3"
+    app = App(App(ref, lit), Succ(Var("x")))
+    assert pretty(app) == "plus 3 (S x)"
+    assert pretty(App(Succ(Var("f")), app)) == "(S f) (plus 3 (S x))"
+
+
+def test_pretty_rejects_what_has_no_shape():
+    with pytest.raises(ValueError, match="no printer for Nat"):
+        pretty(Nat())
+
+
+DEEP = 100000
+
+
+def _tower(make, base, n=DEEP):
+    for _ in range(n):
+        base = make(base)
+    return base
+
+
+@pytest.mark.parametrize(
+    "make,base,text",
+    [
+        (Succ, Var("x"), "S (" * (DEEP - 1) + "S x" + ")" * (DEEP - 1)),
+        (Succ, Zero(), str(DEEP)),
+        (Tail, Head(CoVar("a")), "tail (" * DEEP + "head a" + ")" * DEEP),
+        (NumSucc, NumZero(Var("x")), "numS (" * DEEP + "numZ x" + ")" * DEEP),
+    ],
+    ids=["succ-var", "numeral", "tail", "numsucc"],
+)
+def test_pretty_of_deep_towers(make, base, text):
+    # Under Python's default recursion limit: the printer keeps its own stack.
+    assert pretty(_tower(make, base)) == text
 
 
 def test_type_round_trips():

@@ -195,6 +195,19 @@ def test_trace_replay_reproduces_states(compilers):
     assert cur == res.final
 
 
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_trace_of_a_deep_stream_observation(compilers, s):
+    # tail^400 over head makes states deeper than Python's default recursion
+    # limit, which the printer must not depend on.
+    cmd = Command(gt(compilers[s], "nats"), tails(400, Head(CoVar("a0"))))
+    res = run(cmd, s, trace=True)
+    assert res.outcome == "Final" and res.trace
+    cur = cmd
+    for entry in res.trace:
+        cur = step(cur, s).next
+        assert entry.command_text == pretty(cur)
+
+
 def test_trace_json_schema(compilers):
     plus = gt(compilers[CBV], "plus")
     res = run(Command(plus, Call(numeral(1), Call(numeral(1), CoVar("a0")))), CBV, trace=True)

@@ -885,11 +885,11 @@ def pretty(node) -> str:
     pop, push, emit = todo.pop, todo.append, out.append
     while todo:
         item = pop()
-        if item.__class__ is str:
+        if type(item) is str:
             emit(item)
             continue
         node, atom = item
-        cls = node.__class__
+        cls = type(node)
         if cls is Succ:
             k = 0
             while type(node) is Succ:
@@ -919,7 +919,7 @@ def pretty(node) -> str:
                     push(" : " + type_str(t))
             else:
                 child = get(node)
-                push((child, conv == "a" or conv == "s" and child.__class__ is not cls))
+                push((child, conv == "a" or conv == "s" and type(child) is not cls))
         if wrap:
             push("(")
     return "".join(out)

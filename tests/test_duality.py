@@ -193,8 +193,9 @@ def test_dual_of_deep_towers():
     v, e = NumZero(Var("x")), Head(CoVar("a"))
     for _ in range(DEEP):
         v, e = NumSucc(v), Tail(e)
-    out = dual_command(Command(v, e))
-    assert pretty(out) == "<" + "numS (" * DEEP + "numZ a" + ")" * DEEP + " | " + "tail (" * DEEP + "head x" + ")" * DEEP + ">"
+    producer = "numS (" * DEEP + "numZ a" + ")" * DEEP
+    consumer = "tail (" * DEEP + "head x" + ")" * DEEP
+    assert pretty(dual_command(Command(v, e))) == f"<{producer} | {consumer}>"
     tower = Var("x")
     for _ in range(DEEP):
         tower = Succ(tower)

@@ -1,11 +1,13 @@
-"""CLI output of `expand`, `dualize` and `run --trace`, pinned byte for byte.
+"""CLI output of `expand`, `dualize`, `run --trace` and `bench`, pinned byte
+for byte.
 
 For every program under ``programs/`` (and, for `expand`, the prelude),
 the CLI's stdout, stderr and exit code are compared with the files under
 ``tests/golden/<command>``: `expand` and `run --trace` in both strategies,
-`dualize` once, since duality is syntactic.  Refactors of the typechecker,
-the staging compiler, the printer and the duality must leave them
-unchanged.  To record them again after an intended change of the output,
+`dualize` once, since duality is syntactic.  `bench --sizes 1..12 --csv`
+is pinned for every registered experiment in both strategies.  Refactors
+of the typechecker, the staging compiler, the encodings, the printer and
+the duality must leave them unchanged.  To record them again after an intended change of the output,
 run ``PYTHONPATH=src python tests/test_golden_expand.py``.
 """
 
@@ -16,36 +18,45 @@ from pathlib import Path
 
 import pytest
 
+from duality_vm.bench import EXPERIMENTS
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 PROGRAMS = sorted((ROOT / "programs").glob("*.ct"))
 SOURCES = [ROOT / "src" / "duality_vm" / "prelude.ct", *PROGRAMS]
 STRATEGIES = ("cbv", "cbn")
 
-# golden directory -> (CLI arguments before the file, [(source, strategy or None)])
+# golden directory -> (CLI arguments before the source, [(source, strategy or None)]);
+# a source is a program file, or for `bench` the name of an experiment.
 COMMANDS = {
     "expand": (["expand"], [(src, s) for src in SOURCES for s in STRATEGIES]),
     "dualize": (["dualize"], [(src, None) for src in PROGRAMS]),
     "trace": (["run", "--trace"], [(src, s) for src in PROGRAMS for s in STRATEGIES]),
+    "bench": (["bench", "--sizes", "1..12", "--csv"], [(exp, s) for exp in EXPERIMENTS for s in STRATEGIES]),
 }
 
 
-def _cli(command: str, src: Path, strategy: str | None) -> dict[str, bytes]:
+def _cli(command: str, src: Path | str, strategy: str | None) -> dict[str, bytes]:
     """Run the CLI exactly as the console script does (cli.entry)."""
 
     args = COMMANDS[command][0] + (["--strategy", strategy] if strategy else [])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("DUALITY_VM_FUEL", None)
+    where, name = (src.parent, src.name) if isinstance(src, Path) else (ROOT, src)
     proc = subprocess.run(
-        [sys.executable, "-m", "duality_vm.cli", *args, src.name],
-        cwd=src.parent, env=env, capture_output=True, timeout=300,
+        [sys.executable, "-m", "duality_vm.cli", *args, name],
+        cwd=where, env=env, capture_output=True, timeout=300,
     )
     return {"stdout": proc.stdout, "stderr": proc.stderr, "exit": f"{proc.returncode}\n".encode()}
 
 
-def _golden(command: str, src: Path, strategy: str | None, stream: str) -> Path:
-    stem = f"{src.stem}.{strategy}" if strategy else src.stem
+def _stem(src: Path | str) -> str:
+    return src.stem if isinstance(src, Path) else src
+
+
+def _golden(command: str, src: Path | str, strategy: str | None, stream: str) -> Path:
+    stem = f"{_stem(src)}.{strategy}" if strategy else _stem(src)
     return GOLDEN / command / f"{stem}.{stream}"
 
 
@@ -57,7 +68,7 @@ def _check(command: str, src: Path, strategy: str | None) -> None:
 def _cases(command: str):
     cases = COMMANDS[command][1]
     return pytest.mark.parametrize(
-        "src,strategy", cases, ids=["-".join(filter(None, [src.stem, s])) for src, s in cases]
+        "src,strategy", cases, ids=["-".join(filter(None, [_stem(src), s])) for src, s in cases]
     )
 
 
@@ -74,6 +85,11 @@ def test_dualize_matches_golden(src, strategy):
 @_cases("trace")
 def test_run_trace_matches_golden(src, strategy):
     _check("trace", src, strategy)
+
+
+@_cases("bench")
+def test_bench_matches_golden(src, strategy):
+    _check("bench", src, strategy)
 
 
 if __name__ == "__main__":

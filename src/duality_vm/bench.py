@@ -120,8 +120,8 @@ class _Experiments:
             fn: Term = Lam(scons.var, Lam(scons.body.var, enc, scons.body.annot), scons.annot)
         else:
             fn = Ref("scons")
-        return self.comp.term_infer(
-            EMPTY_ENV, App(App(fn, NumLit(element)), Ref("zeroes")), "bench"
+        return self.comp.term(
+            EMPTY_ENV, App(App(fn, NumLit(element)), Ref("zeroes")), None, "bench"
         )[1]
 
     # -- the registered experiments

@@ -116,7 +116,7 @@ class Compiler(Elaborator):
         self._busy.add(name)
         try:
             d = self.program.defs[name]
-            body = self.term_check(EMPTY_ENV, d.body, d.declared, f"def {name}")
+            _, body = self.term(EMPTY_ENV, d.body, d.declared, f"def {name}")
             if body.free_vars or body.free_covars:
                 loose = sorted(body.free_vars | body.free_covars)
                 raise TypeCheckError(
@@ -153,8 +153,7 @@ class Compiler(Elaborator):
             for a in covars:
                 env = env.bind_covar(a, Nat())
             return None, self.command(env, m, "main")
-        ty, t = self.term_infer(EMPTY_ENV, m, "main")
-        return ty, t
+        return self.term(EMPTY_ENV, m, None, "main")
 
     # -- the front-end forms
 
@@ -172,26 +171,23 @@ class Compiler(Elaborator):
                 while isinstance(head, App):
                     spine.append((head.arg, hpath))
                     head, hpath = head.fn, f"{hpath}.fn"
-                ty, out = self.term_infer(env, head, hpath)
+                ty, out = self.term(env, head, None, hpath)
                 for arg, p in reversed(spine):
                     if not isinstance(ty, Fn):
                         raise TypeCheckError("Mismatch", f"{p}.fn", "applied a non-function", found=ty)
-                    aout = self.term_check(env, arg, ty.arg, f"{p}.arg")
+                    _, aout = self.term(env, arg, ty.arg, f"{p}.arg")
                     ty, out = ty.ret, self._app(out, ty, aout)
             case RecTerm():
-                if expected is None:
-                    ty, zout = self.term_infer(env, t.zero_body, f"{path}.zero")
-                else:
-                    ty, zout = expected, self.term_check(env, t.zero_body, expected, f"{path}.zero")
+                ty, zout = self.term(env, t.zero_body, expected, f"{path}.zero")
                 senv = env.bind_var(t.pred_var, Nat()).bind_var(t.result_var, ty)
-                sout = self.term_check(senv, t.succ_body, ty, f"{path}.succ")
-                mout = self.term_check(env, t.scrut, Nat(), f"{path}.scrut")
+                _, sout = self.term(senv, t.succ_body, ty, f"{path}.succ")
+                _, mout = self.term(env, t.scrut, Nat(), f"{path}.scrut")
                 k = fresh_name(self._fcv(zout, sout, mout), "a")
                 rec = RecNat(zout, t.pred_var, t.result_var, sout, CoVar(k), annot=ty)
                 out = Mu(k, Command(mout, rec), ty)
             case _:
                 return super()._other_term(env, t, expected, path)
-        return ty, out if expected is None else self._expect(expected, ty, out, path)
+        return self._expect(expected, ty, out, path)
 
     def _app(self, fout: Term, fty: Fn, aout: Term) -> Term:
         """Compile an application: bind the function value, then the
@@ -276,16 +272,13 @@ def translate(t: Term, s: Strategy, program: Program | None = None,
               env: TypeEnv | None = None, expected: TypeExpr | None = None) -> Term:
     """Compile a front-end term to the machine language for strategy s."""
 
-    comp = Compiler(program, s)
-    if expected is not None:
-        return comp.term_check(env or EMPTY_ENV, t, expected, "term")
-    return comp.term_infer(env or EMPTY_ENV, t, "term")[1]
+    return Compiler(program, s).term(env or EMPTY_ENV, t, expected, "term")[1]
 
 
 def infer(t: Term, program: Program | None = None, env: TypeEnv | None = None) -> TypeExpr:
     """Front-end typing: the type of a mixed term (strategy-independent)."""
 
-    return Compiler(program, CBV).term_infer(env or EMPTY_ENV, t, "term")[0]
+    return Compiler(program, CBV).term(env or EMPTY_ENV, t, None, "term")[0]
 
 
 # ---------------------------------------------------------------------------

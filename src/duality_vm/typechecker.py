@@ -2,22 +2,24 @@
 
 Judgments: a term produces a type, a coterm consumes a type, and a command
 is a well-formed cut of a producer against a consumer of the same type.
-Checking is bottom-up inference with no unification; binder annotations on
-``mu``/``comu``/``fun``/``corec`` supply the types inference cannot guess.
-A lightweight checking mode lets an unannotated binder be pushed against a
-type known from the other side of a cut, which is how commands produced by
-machine steps stay checkable.
+Checking is bidirectional with no unification: each rule takes an optional
+expected type.  Without one it infers, and binder annotations on
+``mu``/``comu``/``fun``/``corec`` supply the types inference cannot guess;
+with one it pushes the type into the children it fixes, so an unannotated
+binder can take a type known from the other side of a cut.  That is how
+commands produced by machine steps stay checkable.
 
-The rules are the methods of ``Elaborator``.  Each rule rebuilds the node
-it checks with every inferable annotation filled in (recursor result
-types, corecursor seed types, binder types), so that the small-step rules
-can propagate annotations; ``elaborate_command`` returns that rebuilt
-command.  Wherever a strategy's grammar asks for a value or a covalue, the
-rule hands the rebuilt child to a staging hook (``_as_value``,
-``_as_covalue``, ``_call``) whose version here builds the node unchanged.
-``surface.Compiler`` overrides those hooks to insert the mu/comu bindings
-that staging needs, and ``_other_term`` to add the front-end forms, so
-typing and compiling run the same rules in one pass.
+The rules are the methods of ``Elaborator``: one per sort, ``term``,
+``coterm`` and ``command``.  Each rule rebuilds the node it checks with
+every inferable annotation filled in (recursor result types, corecursor
+seed types, binder types), so that the small-step rules can propagate
+annotations; ``elaborate_command`` returns that rebuilt command.  Wherever
+a strategy's grammar asks for a value or a covalue, the rule hands the
+rebuilt child to a staging hook (``_as_value``, ``_as_covalue``, ``_call``)
+whose version here builds the node unchanged.  ``surface.Compiler``
+overrides those hooks to insert the mu/comu bindings that staging needs,
+and ``_other_term`` to add the front-end forms, so typing and compiling run
+the same rules in one pass.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ from .kernel import (
     Zero,
     type_str,
 )
-
-
 
 
 class TypeCheckError(Exception):
@@ -136,18 +136,24 @@ def _disagrees(what: str, path: str, expected: TypeExpr, found: TypeExpr) -> Typ
     return TypeCheckError("Mismatch", path, f"{what} annotation disagrees", expected=expected, found=found)
 
 
-# The terms the rules cover; any other term goes to Elaborator._other_term.
-_MACHINE_TERMS = (Var, Zero, Succ, NumZero, NumSucc, Pair, InL, InR, Lam, Mu, CoRec)
+def _parts(expected: TypeExpr | None, cls: type, *names: str) -> tuple:
+    """The named fields of expected if it is a cls, else one None per name."""
+
+    if isinstance(expected, cls):
+        return tuple(getattr(expected, n) for n in names)
+    return (None,) * len(names)
 
 
 class Elaborator:
     """The typing rules; each returns the node rebuilt with its annotations.
 
-    ``*_infer`` methods find the type of a node, ``*_check`` methods push a
-    known type into it, and ``command`` checks a cut.  A subclass changes
-    only the staging hooks and ``_other_term``: every rule hands each child
-    that the grammar constrains to a hook instead of building its parent
-    directly.
+    ``term`` and ``coterm`` hold one rule per node class.  With an expected
+    type they check the node against it, pushing the type into the children
+    whose types it fixes; with None they infer.  A rule that cannot use the
+    expected type infers and compares.  ``command`` checks a cut.  A subclass
+    changes only the staging hooks and ``_other_term``: every rule hands each
+    child that the grammar constrains to a hook instead of building its
+    parent directly.
     """
 
     # -- hooks
@@ -178,119 +184,86 @@ class Elaborator:
         raise TypeCheckError("Mismatch", path, f"not a machine term: {type(t).__name__} (translate first)")
 
     @staticmethod
-    def _expect(expected: TypeExpr, found: TypeExpr, out, path: str):
-        if found != expected:
+    def _expect(expected: TypeExpr | None, found: TypeExpr, out, path: str):
+        if expected is not None and found != expected:
             raise _mismatch(path, expected, found)
-        return out
+        return found, out
+
+    @staticmethod
+    def _annot(what: str, annot: TypeExpr | None, pushed: TypeExpr | None, path: str,
+               needs: str) -> TypeExpr:
+        """The type a binder or type field stands for: the pushed type, which
+        the annotation must agree with, else the annotation, which is then
+        required."""
+
+        if pushed is None:
+            if annot is None:
+                raise TypeCheckError("AnnotationRequired", path, needs)
+            return annot
+        if annot is not None and annot != pushed:
+            raise _disagrees(what, path, pushed, annot)
+        return pushed
 
     # -- terms
 
-    def term_infer(self, env: TypeEnv, t: Term, path: str) -> tuple[TypeExpr, Term]:
+    def term(self, env: TypeEnv, t: Term, expected: TypeExpr | None,
+             path: str) -> tuple[TypeExpr, Term]:
         match t:
             case Var(name):
-                return env.lookup_var(name, path), t
+                return self._expect(expected, env.lookup_var(name, path), t, path)
             case Zero():
-                return Nat(), t
+                return self._expect(expected, Nat(), t, path)
             case Succ(arg):
-                out = self.term_check(env, arg, Nat(), f"{path}.arg")
-                return Nat(), self._as_value(out, Nat(), Succ, Nat())
+                _, out = self.term(env, arg, Nat(), f"{path}.arg")
+                return self._expect(expected, Nat(), self._as_value(out, Nat(), Succ, Nat()), path)
             case NumZero(arg):
-                a, out = self.term_infer(env, arg, f"{path}.arg")
-                return Numbered(a), self._as_value(out, a, NumZero, Numbered(a))
+                (payload,) = _parts(expected, Numbered, "payload")
+                a, out = self.term(env, arg, payload, f"{path}.arg")
+                return self._expect(expected, Numbered(a), self._as_value(out, a, NumZero, Numbered(a)), path)
             case NumSucc(arg):
-                a, out = self.term_infer(env, arg, f"{path}.arg")
+                pushed = expected if isinstance(expected, Numbered) else None
+                a, out = self.term(env, arg, pushed, f"{path}.arg")
                 if not isinstance(a, Numbered):
                     raise TypeCheckError(
                         "Mismatch", f"{path}.arg", "numbered successor of a non-Numbered value",
                         expected=Numbered(a), found=a,
                     )
-                return a, self._as_value(out, a, NumSucc, a)
+                return self._expect(expected, a, self._as_value(out, a, NumSucc, a), path)
             case Pair(l, r):
-                lt, lo = self.term_infer(env, l, f"{path}.left")
-                rt, ro = self.term_infer(env, r, f"{path}.right")
+                left, right = _parts(expected, Prod, "left", "right")
+                lt, lo = self.term(env, l, left, f"{path}.left")
+                rt, ro = self.term(env, r, right, f"{path}.right")
                 ty = Prod(lt, rt)
-                return ty, self._pair(lo, ro, ty)
+                return self._expect(expected, ty, self._pair(lo, ro, ty), path)
             case InL(arg, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "left injection needs the right component type"
-                    )
-                a, out = self.term_infer(env, arg, f"{path}.arg")
+                left, right = _parts(expected, Sum, "left", "right")
+                other = self._annot("injection", other, right, path, "left injection needs the right component type")
+                a, out = self.term(env, arg, left, f"{path}.arg")
                 ty = Sum(a, other)
-                return ty, self._as_value(out, a, lambda v: InL(v, other), ty)
+                return self._expect(expected, ty, self._as_value(out, a, lambda v: InL(v, other), ty), path)
             case InR(arg, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "right injection needs the left component type"
-                    )
-                a, out = self.term_infer(env, arg, f"{path}.arg")
+                left, right = _parts(expected, Sum, "left", "right")
+                other = self._annot("injection", other, left, path, "right injection needs the left component type")
+                a, out = self.term(env, arg, right, f"{path}.arg")
                 ty = Sum(other, a)
-                return ty, self._as_value(out, a, lambda v: InR(v, other), ty)
+                return self._expect(expected, ty, self._as_value(out, a, lambda v: InR(v, other), ty), path)
             case Lam(x, body, annot):
-                if annot is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "function binder needs a type annotation"
-                    )
-                b, out = self.term_infer(env.bind_var(x, annot), body, f"{path}.body")
-                return Fn(annot, b), Lam(x, out, annot)
-            case Mu(a, body, annot):
-                if annot is None:
-                    raise TypeCheckError("AnnotationRequired", path, "mu binder needs a type annotation")
-                return annot, Mu(a, self.command(env.bind_covar(a, annot), body, f"{path}.body"), annot)
-            case CoRec(elem_annot=ea):
-                if ea is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "corecursor needs its element type annotation"
-                    )
-                return self._corec(env, t, ea, path)
-        return self._other_term(env, t, None, path)
-
-    def term_check(self, env: TypeEnv, t: Term, expected: TypeExpr, path: str) -> Term:
-        match t:
-            case Mu(a, body, annot):
-                if annot is not None and annot != expected:
-                    raise _disagrees("mu", path, expected, annot)
-                return Mu(a, self.command(env.bind_covar(a, expected), body, f"{path}.body"), expected)
-            case Lam(x, body, annot):
-                if not isinstance(expected, Fn):
+                if expected is not None and not isinstance(expected, Fn):
                     raise TypeCheckError(
                         "Mismatch", path, "function used at a non-function type", expected=expected
                     )
-                if annot is not None and annot != expected.arg:
-                    raise _disagrees("binder", path, expected.arg, annot)
-                out = self.term_check(env.bind_var(x, expected.arg), body, expected.ret, f"{path}.body")
-                return Lam(x, out, expected.arg)
-            case Succ(arg) if expected == Nat():
-                out = self.term_check(env, arg, Nat(), f"{path}.arg")
-                return self._as_value(out, Nat(), Succ, Nat())
-            case NumZero(arg) if isinstance(expected, Numbered):
-                out = self.term_check(env, arg, expected.payload, f"{path}.arg")
-                return self._as_value(out, expected.payload, NumZero, expected)
-            case NumSucc(arg) if isinstance(expected, Numbered):
-                out = self.term_check(env, arg, expected, f"{path}.arg")
-                return self._as_value(out, expected, NumSucc, expected)
-            case Pair(l, r) if isinstance(expected, Prod):
-                lo = self.term_check(env, l, expected.left, f"{path}.left")
-                ro = self.term_check(env, r, expected.right, f"{path}.right")
-                return self._pair(lo, ro, expected)
-            case InL(arg, other) if isinstance(expected, Sum):
-                if other is not None and other != expected.right:
-                    raise _disagrees("injection", path, expected.right, other)
-                out = self.term_check(env, arg, expected.left, f"{path}.arg")
-                return self._as_value(out, expected.left, lambda v: InL(v, expected.right), expected)
-            case InR(arg, other) if isinstance(expected, Sum):
-                if other is not None and other != expected.left:
-                    raise _disagrees("injection", path, expected.left, other)
-                out = self.term_check(env, arg, expected.right, f"{path}.arg")
-                return self._as_value(out, expected.right, lambda v: InR(v, expected.left), expected)
-            case CoRec(elem_annot=ea) if isinstance(expected, Stream):
-                if ea is not None and ea != expected.elem:
-                    raise _disagrees("corecursor", path, expected.elem, ea)
-                return self._corec(env, t, expected.elem, path)[1]
-        if isinstance(t, _MACHINE_TERMS):
-            found, out = self.term_infer(env, t, path)
-            return self._expect(expected, found, out, path)
-        return self._other_term(env, t, expected, path)[1]
+                arg, ret = _parts(expected, Fn, "arg", "ret")
+                annot = self._annot("binder", annot, arg, path, "function binder needs a type annotation")
+                b, out = self.term(env.bind_var(x, annot), body, ret, f"{path}.body")
+                return Fn(annot, b), Lam(x, out, annot)
+            case Mu(a, body, annot):
+                annot = self._annot("mu", annot, expected, path, "mu binder needs a type annotation")
+                return annot, Mu(a, self.command(env.bind_covar(a, annot), body, f"{path}.body"), annot)
+            case CoRec(elem_annot=ea):
+                (pushed,) = _parts(expected, Stream, "elem")
+                elem = self._annot("corecursor", ea, pushed, path, "corecursor needs its element type annotation")
+                return self._expect(expected, *self._corec(env, t, elem, path), path)
+        return self._other_term(env, t, expected, path)
 
     def _pair(self, left: Term, right: Term, ty: Prod) -> Term:
         """Pair(left, right): both components must be values."""
@@ -301,10 +274,10 @@ class Elaborator:
         return self._as_value(left, ty.left, with_left, ty)
 
     def _corec(self, env: TypeEnv, t: CoRec, elem: TypeExpr, path: str) -> tuple[TypeExpr, Term]:
-        seed_ty, seed = self.term_infer(env, t.seed, f"{path}.seed")
-        head = self.coterm_check(env.bind_covar(t.head_covar, elem), t.head_body, seed_ty, f"{path}.head")
+        seed_ty, seed = self.term(env, t.seed, None, f"{path}.seed")
+        _, head = self.coterm(env.bind_covar(t.head_covar, elem), t.head_body, seed_ty, f"{path}.head")
         tenv = env.bind_covar(t.tail_covar, Stream(elem)).bind_covar(t.tail_seed_covar, seed_ty)
-        tail = self.coterm_check(tenv, t.tail_body, seed_ty, f"{path}.tail")
+        _, tail = self.coterm(tenv, t.tail_body, seed_ty, f"{path}.tail")
 
         def build(v: Term) -> Term:
             return replace(t, head_body=head, tail_body=tail, seed=v, elem_annot=elem, seed_annot=seed_ty)
@@ -313,95 +286,54 @@ class Elaborator:
 
     # -- coterms
 
-    def coterm_infer(self, env: TypeEnv, e: CoTerm, path: str) -> tuple[TypeExpr, CoTerm]:
+    def coterm(self, env: TypeEnv, e: CoTerm, expected: TypeExpr | None,
+               path: str) -> tuple[TypeExpr, CoTerm]:
         match e:
             case CoVar(name):
-                return env.lookup_covar(name, path), e
+                return self._expect(expected, env.lookup_covar(name, path), e, path)
             case MuTilde(x, body, annot):
-                if annot is None:
-                    raise TypeCheckError("AnnotationRequired", path, "comu binder needs a type annotation")
+                annot = self._annot("comu", annot, expected, path, "comu binder needs a type annotation")
                 return annot, MuTilde(x, self.command(env.bind_var(x, annot), body, f"{path}.body"), annot)
             case Call(arg, rest):
-                a, aout = self.term_infer(env, arg, f"{path}.arg")
-                b, rout = self.coterm_infer(env, rest, f"{path}.rest")
-                return Fn(a, b), self._call(aout, a, rout, b)
+                arg_ty, ret_ty = _parts(expected, Fn, "arg", "ret")
+                a, aout = self.term(env, arg, arg_ty, f"{path}.arg")
+                b, rout = self.coterm(env, rest, ret_ty, f"{path}.rest")
+                return self._expect(expected, Fn(a, b), self._call(aout, a, rout, b), path)
             case RecNat():
-                return self._rec(env, e, None, path)
+                return self._expect(expected, *self._rec(env, e, None, path), path)
             case RecNum(payload_annot=pa):
-                if pa is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "numbered recursor needs its payload type annotation"
-                    )
-                return self._rec(env, e, pa, path)
+                (pushed,) = _parts(expected, Numbered, "payload")
+                pa = self._annot("payload", pa, pushed, path, "numbered recursor needs its payload type annotation")
+                return self._expect(expected, *self._rec(env, e, pa, path), path)
             case Head(rest):
-                a, out = self.coterm_infer(env, rest, f"{path}.rest")
-                return Stream(a), self._as_covalue(out, a, Head, Stream(a))
+                (elem,) = _parts(expected, Stream, "elem")
+                a, out = self.coterm(env, rest, elem, f"{path}.rest")
+                return self._expect(expected, Stream(a), self._as_covalue(out, a, Head, Stream(a)), path)
             case Tail(rest):
-                st, out = self.coterm_infer(env, rest, f"{path}.rest")
+                pushed = expected if isinstance(expected, Stream) else None
+                st, out = self.coterm(env, rest, pushed, f"{path}.rest")
                 if not isinstance(st, Stream):
                     raise TypeCheckError("Mismatch", f"{path}.rest", "tail of a non-stream",
                                          expected=Stream(st), found=st)
-                return st, self._as_covalue(out, st, Tail, st)
+                return self._expect(expected, st, self._as_covalue(out, st, Tail, st), path)
             case Fst(rest, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "first projection needs the right component type"
-                    )
-                a, out = self.coterm_infer(env, rest, f"{path}.rest")
+                left, right = _parts(expected, Prod, "left", "right")
+                other = self._annot("projection", other, right, path, "first projection needs the right component type")
+                a, out = self.coterm(env, rest, left, f"{path}.rest")
                 ty = Prod(a, other)
-                return ty, self._as_covalue(out, a, lambda E: Fst(E, other), ty)
+                return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Fst(E, other), ty), path)
             case Snd(rest, other):
-                if other is None:
-                    raise TypeCheckError(
-                        "AnnotationRequired", path, "second projection needs the left component type"
-                    )
-                a, out = self.coterm_infer(env, rest, f"{path}.rest")
+                left, right = _parts(expected, Prod, "left", "right")
+                other = self._annot("projection", other, left, path, "second projection needs the left component type")
+                a, out = self.coterm(env, rest, right, f"{path}.rest")
                 ty = Prod(other, a)
-                return ty, self._as_covalue(out, a, lambda E: Snd(E, other), ty)
+                return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Snd(E, other), ty), path)
             case SumCase(l, r):
-                lt, lo = self.coterm_infer(env, l, f"{path}.left")
-                rt, ro = self.coterm_infer(env, r, f"{path}.right")
-                return Sum(lt, rt), SumCase(lo, ro)
+                left, right = _parts(expected, Sum, "left", "right")
+                lt, lo = self.coterm(env, l, left, f"{path}.left")
+                rt, ro = self.coterm(env, r, right, f"{path}.right")
+                return self._expect(expected, Sum(lt, rt), SumCase(lo, ro), path)
         raise TypeCheckError("Mismatch", path, f"not a machine coterm: {type(e).__name__} (translate first)")
-
-    def coterm_check(self, env: TypeEnv, e: CoTerm, expected: TypeExpr, path: str) -> CoTerm:
-        match e:
-            case MuTilde(x, body, annot):
-                if annot is not None and annot != expected:
-                    raise _disagrees("comu", path, expected, annot)
-                return MuTilde(x, self.command(env.bind_var(x, expected), body, f"{path}.body"), expected)
-            case Call(arg, rest) if isinstance(expected, Fn):
-                aout = self.term_check(env, arg, expected.arg, f"{path}.arg")
-                rout = self.coterm_check(env, rest, expected.ret, f"{path}.rest")
-                return self._call(aout, expected.arg, rout, expected.ret)
-            case Head(rest) if isinstance(expected, Stream):
-                out = self.coterm_check(env, rest, expected.elem, f"{path}.rest")
-                return self._as_covalue(out, expected.elem, Head, expected)
-            case Tail(rest) if isinstance(expected, Stream):
-                out = self.coterm_check(env, rest, expected, f"{path}.rest")
-                return self._as_covalue(out, expected, Tail, expected)
-            case Fst(rest, other) if isinstance(expected, Prod):
-                if other is not None and other != expected.right:
-                    raise _disagrees("projection", path, expected.right, other)
-                out = self.coterm_check(env, rest, expected.left, f"{path}.rest")
-                return self._as_covalue(out, expected.left, lambda E: Fst(E, expected.right), expected)
-            case Snd(rest, other) if isinstance(expected, Prod):
-                if other is not None and other != expected.left:
-                    raise _disagrees("projection", path, expected.left, other)
-                out = self.coterm_check(env, rest, expected.right, f"{path}.rest")
-                return self._as_covalue(out, expected.right, lambda E: Snd(E, expected.left), expected)
-            case SumCase(l, r) if isinstance(expected, Sum):
-                lo = self.coterm_check(env, l, expected.left, f"{path}.left")
-                ro = self.coterm_check(env, r, expected.right, f"{path}.right")
-                return SumCase(lo, ro)
-            case RecNat() if expected == Nat():
-                return self._rec(env, e, None, path)[1]
-            case RecNum(payload_annot=pa) if isinstance(expected, Numbered):
-                if pa is not None and pa != expected.payload:
-                    raise _disagrees("payload", path, expected.payload, pa)
-                return self._rec(env, e, expected.payload, path)[1]
-        found, out = self.coterm_infer(env, e, path)
-        return self._expect(expected, found, out, path)
 
     def _rec(self, env: TypeEnv, e: RecNat | RecNum, payload: TypeExpr | None,
              path: str) -> tuple[TypeExpr, CoTerm]:
@@ -415,19 +347,16 @@ class Elaborator:
         numbered = isinstance(e, RecNum)
         scrut = Numbered(payload) if numbered else Nat()
         zenv = env.bind_var(e.payload_var, payload) if numbered else env
-        result, zout = e.annot, None
-        if result is None:
-            try:
-                result, zout = self.term_infer(zenv, e.zero_body, f"{path}.zero")
-            except TypeCheckError as ex:
-                if ex.kind != "AnnotationRequired":
-                    raise
-                result, _ = self.coterm_infer(env, e.ret, f"{path}.ret")
-        if zout is None:
-            zout = self.term_check(zenv, e.zero_body, result, f"{path}.zero")
+        try:
+            result, zout = self.term(zenv, e.zero_body, e.annot, f"{path}.zero")
+        except TypeCheckError as ex:
+            if ex.kind != "AnnotationRequired" or e.annot is not None:
+                raise
+            result, _ = self.coterm(env, e.ret, None, f"{path}.ret")
+            _, zout = self.term(zenv, e.zero_body, result, f"{path}.zero")
         senv = env.bind_var(e.pred_var, scrut).bind_var(e.result_var, result)
-        sout = self.term_check(senv, e.succ_body, result, f"{path}.succ")
-        rout = self.coterm_check(env, e.ret, result, f"{path}.ret")
+        _, sout = self.term(senv, e.succ_body, result, f"{path}.succ")
+        _, rout = self.coterm(env, e.ret, result, f"{path}.ret")
         annots = {"payload_annot": payload} if numbered else {}
 
         def build(E: CoTerm) -> CoTerm:
@@ -439,16 +368,16 @@ class Elaborator:
 
     def command(self, env: TypeEnv, c: Command, path: str) -> Command:
         try:
-            ty, vout = self.term_infer(env, c.producer, f"{path}.producer")
+            ty, vout = self.term(env, c.producer, None, f"{path}.producer")
         except TypeCheckError as first:
             if first.kind != "AnnotationRequired":
                 raise
             # Producer needs a type from the outside: infer the consumer instead.
-            ty, eout = self.coterm_infer(env, c.consumer, f"{path}.consumer")
-            return Command(self.term_check(env, c.producer, ty, f"{path}.producer"), eout)
+            ty, eout = self.coterm(env, c.consumer, None, f"{path}.consumer")
+            return Command(self.term(env, c.producer, ty, f"{path}.producer")[1], eout)
         consumer_path = f"{path}.consumer"
         try:
-            eout = self.coterm_check(env, c.consumer, ty, consumer_path)
+            _, eout = self.coterm(env, c.consumer, ty, consumer_path)
         except TypeCheckError as ex:
             if ex.kind == "Mismatch" and ex.path == consumer_path and ex.found is not None:
                 raise TypeCheckError(
@@ -467,13 +396,13 @@ _RULES = Elaborator()
 def infer_term(env: TypeEnv, t: Term) -> TypeExpr:
     """The unique type t produces under env, or a TypeCheckError."""
 
-    return _RULES.term_infer(env, t, "term")[0]
+    return _RULES.term(env, t, None, "term")[0]
 
 
 def infer_coterm(env: TypeEnv, e: CoTerm) -> TypeExpr:
     """The unique type e consumes under env, or a TypeCheckError."""
 
-    return _RULES.coterm_infer(env, e, "coterm")[0]
+    return _RULES.coterm(env, e, None, "coterm")[0]
 
 
 def elaborate_command(env: TypeEnv, c: Command) -> Command:

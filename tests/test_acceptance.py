@@ -60,7 +60,7 @@ def applied(comp, name, *args):
     t = Ref(name)
     for a in args:
         t = App(t, NumLit(a))
-    return comp.term_infer(EMPTY_ENV, t, "t")[1]
+    return comp.term(EMPTY_ENV, t, None, "t")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_criterion_04_stream_observation(compilers):
 
 def _scons_relative_costs(s, sizes):
     comp = Compiler(prelude(), s)
-    wrapped = comp.term_infer(EMPTY_ENV, App(App(Ref("scons"), NumLit(1)), Ref("zeroes")), "t")[1]
+    wrapped = comp.term(EMPTY_ENV, App(App(Ref("scons"), NumLit(1)), Ref("zeroes")), None, "t")[1]
     zeroes = comp.lookup_def("zeroes", "t")[1]
     out = []
     for n in sizes:
@@ -173,8 +173,8 @@ def test_criterion_07_corec_via_coiter_penalty(compilers):
         enc_body = encode_corec_via_coiter(scons.body.body, s)
         enc_fn = Lam(scons.var, Lam(scons.body.var, enc_body, scons.body.annot), scons.annot)
         for under in ("zeroes", "nats"):
-            native = comp.term_infer(EMPTY_ENV, App(App(Ref("scons"), NumLit(9)), Ref(under)), "t")[1]
-            enc = comp.term_infer(EMPTY_ENV, App(App(enc_fn, NumLit(9)), Ref(under)), "t")[1]
+            native = comp.term(EMPTY_ENV, App(App(Ref("scons"), NumLit(9)), Ref(under)), None, "t")[1]
+            enc = comp.term(EMPTY_ENV, App(App(enc_fn, NumLit(9)), Ref(under)), None, "t")[1]
             for k in range(16):
                 ok = ok and observe_stream(native, k, s, FUEL) == observe_stream(enc, k, s, FUEL)
     enc_curve = run_experiment("corec-via-coiter", CBV, list(range(1, 16)))
@@ -207,8 +207,8 @@ def corpus(comp):
         out.append(obs(applied(comp, "countDown", 6), k))
         out.append(obs(applied(comp, "countDown2", 6), k))
         out.append(obs(applied(comp, "countNow", 5), k))
-        out.append(obs(comp.term_infer(
-            EMPTY_ENV, App(App(Ref("scons"), NumLit(7)), Ref("nats")), "t")[1], k))
+        out.append(obs(comp.term(
+            EMPTY_ENV, App(App(Ref("scons"), NumLit(7)), Ref("nats")), None, "t")[1], k))
     return out
 
 
@@ -308,7 +308,7 @@ def test_criterion_11_oracle_equivalence(compilers):
             expected = surface_force_numeral(src, CBV, fuel=10**7, program=prelude())
             for s in (CBV, CBN):
                 oracle = surface_force_numeral(src, s, fuel=10**7, program=prelude())
-                t = compilers[s].term_infer(EMPTY_ENV, src, "t")[1]
+                t = compilers[s].term(EMPTY_ENV, src, None, "t")[1]
                 got, _ = run_to_numeral(Command(t, CoVar("a0")), s, 10**7)
                 ok = ok and oracle == expected == got
                 runs += 1

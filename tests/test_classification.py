@@ -238,7 +238,7 @@ def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
         return real_step(c, strat)
 
     monkeypatch.setattr(machine, "step", recording_step)
-    compiled = lambda t: comp.term_infer(EMPTY_ENV, t, "t")[1]
+    compiled = lambda t: comp.term(EMPTY_ENV, t, None, "t")[1]
     nums = [_apply("plus", 2, 3), _apply("times", 2, 2), _apply("pred", 3), _apply("fact", 3)]
     for t in nums:
         machine.run_to_numeral(Command(compiled(t), CoVar("a0")), s)

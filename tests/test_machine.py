@@ -235,7 +235,7 @@ def test_observe_always_seven(compilers):
     from duality_vm.typechecker import EMPTY_ENV
 
     for s in (CBV, CBN):
-        t = compilers[s].term_infer(EMPTY_ENV, App(Ref("always"), NumLit(7)), "t")[1]
+        t = compilers[s].term(EMPTY_ENV, App(Ref("always"), NumLit(7)), None, "t")[1]
         assert observe_stream(t, 0, s) == 7
 
 
@@ -244,7 +244,7 @@ def test_observe_countdown(compilers):
     from duality_vm.typechecker import EMPTY_ENV
 
     for s in (CBV, CBN):
-        t = compilers[s].term_infer(EMPTY_ENV, App(Ref("countDown"), NumLit(5)), "t")[1]
+        t = compilers[s].term(EMPTY_ENV, App(Ref("countDown"), NumLit(5)), None, "t")[1]
         assert observe_stream(t, 2, s) == 3
 
 

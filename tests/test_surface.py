@@ -240,7 +240,7 @@ def test_translation_agrees_with_reference(compilers):
         want = surface_force_numeral(src, CBV, program=prelude())
         for s in (CBV, CBN):
             assert surface_force_numeral(src, s, program=prelude()) == want
-            t = compilers[s].term_infer(EMPTY_ENV, src, "t")[1]
+            t = compilers[s].term(EMPTY_ENV, src, None, "t")[1]
             got, _ = run_to_numeral(Command(t, CoVar("a0")), s)
             assert got == want, (fname, x, y, s)
 
@@ -297,7 +297,7 @@ def test_desugar_cocase_and_coiter_match_native_corecursors(compilers):
     for s in (CBV, CBN):
         comp = compilers[s]
         coit = desugar_coiter("a", CoVar("a"), "g", CoVar("g"), numeral(4), elem_annot=NAT)
-        always4 = comp.term_infer(EMPTY_ENV, App(Ref("always"), NumLit(4)), "t")[1]
+        always4 = comp.term(EMPTY_ENV, App(Ref("always"), NumLit(4)), None, "t")[1]
         for k in range(6):
             assert observe_stream(coit, k, s) == observe_stream(always4, k, s) == 4
         cocase = desugar_cocase(
@@ -305,8 +305,8 @@ def test_desugar_cocase_and_coiter_match_native_corecursors(compilers):
             MuTilde("_", Command(Ref("zeroes"), CoVar("b")), NAT),
             numeral(7), elem_annot=NAT,
         )
-        sugared = comp.term_infer(EMPTY_ENV, cocase, "t")[1]
-        native = comp.term_infer(EMPTY_ENV, App(App(Ref("scons"), NumLit(7)), Ref("zeroes")), "t")[1]
+        sugared = comp.term(EMPTY_ENV, cocase, None, "t")[1]
+        native = comp.term(EMPTY_ENV, App(App(Ref("scons"), NumLit(7)), Ref("zeroes")), None, "t")[1]
         for k in range(6):
             assert observe_stream(sugared, k, s) == observe_stream(native, k, s)
 
@@ -424,8 +424,8 @@ def test_encoded_scons_agrees_with_native(compilers):
     for s in (CBV, CBN):
         comp = compilers[s]
         enc_fn = encoded_scons(comp, s)
-        native = comp.term_infer(EMPTY_ENV, App(App(Ref("scons"), NumLit(9)), Ref("nats")), "t")[1]
-        enc = comp.term_infer(EMPTY_ENV, App(App(enc_fn, NumLit(9)), Ref("nats")), "t")[1]
+        native = comp.term(EMPTY_ENV, App(App(Ref("scons"), NumLit(9)), Ref("nats")), None, "t")[1]
+        enc = comp.term(EMPTY_ENV, App(App(enc_fn, NumLit(9)), Ref("nats")), None, "t")[1]
         for k in range(8):
             assert observe_stream(native, k, s) == observe_stream(enc, k, s)
 
@@ -434,7 +434,7 @@ def test_encoded_scons_typechecks(compilers):
     env = TypeEnv.make(covars={"a0": NAT})
     for s in (CBV, CBN):
         enc_fn = encoded_scons(compilers[s], s)
-        t = compilers[s].term_infer(EMPTY_ENV, App(App(enc_fn, NumLit(1)), Ref("zeroes")), "t")[1]
+        t = compilers[s].term(EMPTY_ENV, App(App(enc_fn, NumLit(1)), Ref("zeroes")), None, "t")[1]
         cmd = Command(t, Head(CoVar("a0")))
         assert well_formed(cmd, s) == []
         check_command(env, cmd)

@@ -366,12 +366,8 @@ def _elaborate(sort, node, pushed):
         return Elaborator().command(TABLE_ENV, node, "c")
     rules = Compiler(None, CBV) if sort == "compile" else Elaborator()
     if sort == "coterm":
-        if pushed is None:
-            return rules.coterm_infer(TABLE_ENV, node, "e")
-        return rules.coterm_check(TABLE_ENV, node, pushed, "e")
-    if pushed is None:
-        return rules.term_infer(TABLE_ENV, node, "t")
-    return rules.term_check(TABLE_ENV, node, pushed, "t")
+        return rules.coterm(TABLE_ENV, node, pushed, "e")
+    return rules.term(TABLE_ENV, node, pushed, "t")
 
 
 _PARSERS = {"term": parse_term, "compile": parse_term, "coterm": parse_coterm, "command": parse_command}

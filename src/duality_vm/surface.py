@@ -43,7 +43,6 @@ from .kernel import (
     Mu,
     MuTilde,
     Nat,
-    Pair,
     Prod,
     RecNat,
     Snd,
@@ -61,7 +60,6 @@ from .kernel import (
     is_covalue,
     is_value,
     numeral,
-    type_str,
 )
 from .parser import App, NumLit, Program, RecTerm, Ref, parse
 from .typechecker import EMPTY_ENV, Elaborator, TypeCheckError, TypeEnv
@@ -487,85 +485,37 @@ def desugar_coiter(head_covar: str, head_body: CoTerm, seed_covar: str, tail_bod
                  elem_annot=elem_annot)
 
 
-def _staged_pair(left: Term, ltype: TypeExpr, right: Term, rtype: TypeExpr,
-                 s: Strategy) -> Term:
-    """A pair whose non-value components are named first (left to right)."""
-
-    pt = Prod(ltype, rtype)
-    lv = is_value(left, s)
-    rv = is_value(right, s)
-    if lv and rv:
-        return Pair(left, right)
-    avoid_v = left.free_vars | right.free_vars
-    avoid_c = left.free_covars | right.free_covars
-    a = fresh_name(avoid_c, "a")
-    if not lv and not rv:
-        u = fresh_name(avoid_v, "u")
-        w = fresh_name(avoid_v | {u}, "w")
-        inner = MuTilde(w, Command(Pair(Var(u), Var(w)), CoVar(a)), rtype)
-        mid = MuTilde(u, Command(right, inner), ltype)
-        return Mu(a, Command(left, mid), pt)
-    if not lv:
-        u = fresh_name(avoid_v, "u")
-        inner = MuTilde(u, Command(Pair(Var(u), right), CoVar(a)), ltype)
-        return Mu(a, Command(left, inner), pt)
-    w = fresh_name(avoid_v, "w")
-    inner = MuTilde(w, Command(Pair(left, Var(w)), CoVar(a)), rtype)
-    return Mu(a, Command(right, inner), pt)
-
-
-def _staged_fst(rest: CoTerm, s: Strategy, pair_type: Prod) -> CoTerm:
-    if is_covalue(rest, s):
-        return Fst(rest, pair_type.right)
-    b = fresh_name(rest.free_covars, "b")
-    p = fresh_name(rest.free_vars, "p")
-    return MuTilde(
-        p, Command(Mu(b, Command(Var(p), Fst(CoVar(b), pair_type.right)), pair_type.left), rest),
-        pair_type,
-    )
-
-
-def _staged_snd(rest: CoTerm, s: Strategy, pair_type: Prod) -> CoTerm:
-    if is_covalue(rest, s):
-        return Snd(rest, pair_type.left)
-    b = fresh_name(rest.free_covars, "b")
-    p = fresh_name(rest.free_vars, "p")
-    return MuTilde(
-        p, Command(Mu(b, Command(Var(p), Snd(CoVar(b), pair_type.left)), pair_type.right), rest),
-        pair_type,
-    )
-
-
 def encode_rec_via_iter(rec: RecNat, s: Strategy, result_type: TypeExpr | None = None) -> CoTerm:
     """Rewrite a recursor as an iterator over pairs.
 
     The iterator rebuilds the consumed number in the first component while
     computing the requested result in the second, and the final
     continuation projects the second component.  Costs the recursor its
-    ability to stop early, which is observable in call-by-name.
+    ability to stop early, which is observable in call-by-name.  The
+    pairs and projections are staged by the Compiler's hooks.
     """
 
     result = result_type or rec.annot
     if result is None:
         raise ValueError("encoding needs the recursor's result type (elaborate first)")
+    comp = Compiler(None, s)
     pt = Prod(Nat(), result)
+
+    def fst(E: CoTerm) -> CoTerm:
+        return comp._as_covalue(E, Nat(), lambda F: Fst(F, result), pt)
+
+    def snd(E: CoTerm) -> CoTerm:
+        return comp._as_covalue(E, result, lambda F: Snd(F, Nat()), pt)
+
     x, y = rec.pred_var, rec.result_var
-    zpair = _staged_pair(Zero(), Nat(), rec.zero_body, result, s)
-    spair = _staged_pair(Succ(Var(x)), Nat(), rec.succ_body, result, s)
+    zpair = comp._pair(Zero(), rec.zero_body, pt)
+    spair = comp._pair(Succ(Var(x)), rec.succ_body, pt)
     z = fresh_name(rec.succ_body.free_vars | {x, y}, "p")
     k = fresh_name(rec.succ_body.free_covars, "a")
-    extract = _staged_fst(
-        MuTilde(
-            x,
-            Command(Var(z), _staged_snd(MuTilde(y, Command(spair, CoVar(k)), result), s, pt)),
-            Nat(),
-        ),
-        s,
-        pt,
-    )
+    extract = fst(MuTilde(x, Command(Var(z), snd(MuTilde(y, Command(spair, CoVar(k)), result))), Nat()))
     body = Mu(k, Command(Var(z), extract), pt)
     unused = fresh_name(body.free_vars | {z}, "_")
-    return RecNat(zpair, unused, z, body, _staged_snd(rec.ret, s, pt), annot=pt)
+    return RecNat(zpair, unused, z, body, snd(rec.ret), annot=pt)
 
 
 def encode_corec_via_coiter(cr: CoRec, s: Strategy, seed_type: TypeExpr | None = None) -> Term:
@@ -575,44 +525,24 @@ def encode_corec_via_coiter(cr: CoRec, s: Strategy, seed_type: TypeExpr | None =
     a whole stream to mimic from now on (left injection); the tail branch
     rebuilds both continuations as a case split.  Costs the corecursor its
     ability to hand off to another stream, which is observable in
-    call-by-value.
+    call-by-value.  The injections are staged by the Compiler's hooks.
     """
 
     elem = cr.elem_annot
     seed_ty = seed_type or cr.seed_annot
     if elem is None or seed_ty is None:
         raise ValueError("encoding needs the corecursor's element and seed types (elaborate first)")
+    comp = Compiler(None, s)
     st = Sum(Stream(elem), seed_ty)
     beta, gamma = cr.tail_covar, cr.tail_seed_covar
     head_body = SumCase(Head(CoVar(cr.head_covar)), cr.head_body)
     core = SumCase(Tail(CoVar(beta)), cr.tail_body)
     x = fresh_name(cr.tail_body.free_vars, "x")
     d = fresh_name(cr.tail_body.free_covars | {beta, gamma}, "d")
-
-    right_part: Term = Mu(gamma, Command(Var(x), core), seed_ty)
-    if not is_value(right_part, s):
-        b = fresh_name(cr.tail_body.free_covars | {beta, gamma, d}, "b")
-        yr = fresh_name(cr.tail_body.free_vars | {x}, "y")
-        right_part = Mu(
-            b,
-            Command(right_part, MuTilde(yr, Command(InR(Var(yr), Stream(elem)), CoVar(b)), seed_ty)),
-            st,
-        )
-    else:
-        right_part = InR(right_part, Stream(elem))
-
-    left_core: Term = Mu(beta, Command(right_part, CoVar(d)), Stream(elem))
-    if not is_value(left_core, s):
-        a = fresh_name(cr.tail_body.free_covars | {beta, gamma, d}, "a")
-        yl = fresh_name(cr.tail_body.free_vars | {x}, "y")
-        left_part: Term = Mu(
-            a,
-            Command(left_core, MuTilde(yl, Command(InL(Var(yl), seed_ty), CoVar(a)), Stream(elem))),
-            st,
-        )
-    else:
-        left_part = InL(left_core, seed_ty)
-
+    right = Mu(gamma, Command(Var(x), core), seed_ty)
+    right_part = comp._as_value(right, seed_ty, lambda v: InR(v, Stream(elem)), st)
+    left = Mu(beta, Command(right_part, CoVar(d)), Stream(elem))
+    left_part = comp._as_value(left, Stream(elem), lambda v: InL(v, seed_ty), st)
     tail_body = MuTilde(x, Command(left_part, CoVar(d)), st)
     unused = fresh_name(tail_body.free_covars | {d}, "_")
     seed = InR(cr.seed, Stream(elem))

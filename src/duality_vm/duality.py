@@ -8,9 +8,10 @@ numbered constructors with stream destructors, pairs with case splits,
 injections with projections, mu with comu, the corecursor with the
 generalized recursor.  The fields of each pair correspond in declaration
 order, so one walk over the kernel's shapes rebuilds every pair.
-Variables swap with covariables through a pairing context; binders keep
-their names, and a binder pairs its name with itself in its own namespace
-only.  Plain-Nat constructors, functions and call stacks sit outside the
+Variables swap with covariables through a pairing context.  A binder pairs
+its name with itself in its own namespace only, and keeps it unless the
+pairing maps a free name of its scope onto it; then it takes a fresh name,
+so the dual captures nothing.  Plain-Nat constructors, functions and call stacks sit outside the
 dualizable fragment (``_NO_DUAL``).
 
 Nat itself is kept as a self-dual leaf type: the dualizable type grammar
@@ -56,6 +57,7 @@ from .kernel import (
     TypeExpr,
     Var,
     Zero,
+    fresh_name,
 )
 from .machine import RuleTag
 from .typechecker import TypeEnv
@@ -132,8 +134,9 @@ def dual_type(t: TypeExpr | None) -> TypeExpr | None:
 class DualityContext:
     """Bijective pairing of variables with covariables for free names.
 
-    Bound names pair with themselves; the pairing for free names defaults
-    to the identity and may be overridden entry by entry.
+    Bound names pair with themselves (or with a fresh name, where the pairing
+    would capture); the pairing for free names defaults to the identity and
+    may be overridden entry by entry.
     """
 
     var_to_covar: dict[str, str] = field(default_factory=dict)
@@ -177,16 +180,17 @@ def dual_command(c: Command, ctx: DualityContext = EMPTY_CTX) -> Command:
 def _dual(root, sort: type, ctx: DualityContext):
     """Rebuild root with each node replaced by its dual, in one walk with an
     explicit stack.  A node's fields map in place to its ``_NODE_DUAL``
-    partner's: children are dualized, binder names kept, type annotations
-    mapped by ``dual_type``; a command swaps its two sides.  A free name
-    maps through the context; a binder shadows the pairing of its own
-    namespace, and only that one."""
+    partner's: children are dualized, binder names kept or renamed by
+    ``_scope``, type annotations mapped by ``dual_type``; a command swaps its
+    two sides.  A free name maps through the context; a binder changes the
+    pairing of its own namespace, and only that one."""
 
     if not isinstance(root, sort):
         raise NotDualizable(f"{sort.__name__.lower()} {type(root).__name__} has no dual")
     done: list = []
     # (node, var -> covar pairing, covar -> var pairing) to dualize, or
-    # (node, None, None) to rebuild from its children's duals atop done.
+    # (node, None, {binder field: new name}) to rebuild from its children's
+    # duals atop done.
     todo: list = [(root, ctx.var_to_covar, ctx.covar_to_var)]
     while todo:
         node, v2c, c2v = todo.pop()
@@ -195,7 +199,8 @@ def _dual(root, sort: type, ctx: DualityContext):
             n = len(cls._shape.kids)
             kids = done[-n:]
             del done[-n:]
-            done.append(Command(*kids) if cls is Command else _rebuild(node, kids))
+            renames = c2v
+            done.append(Command(*kids) if cls is Command else _rebuild(node, kids, renames))
         elif cls is Var:
             done.append(CoVar(v2c.get(node.name, node.name)))
         elif cls is CoVar:
@@ -203,25 +208,30 @@ def _dual(root, sort: type, ctx: DualityContext):
         elif cls is Command:
             todo += [(node, None, None), (node.producer, v2c, c2v), (node.consumer, v2c, c2v)]
         elif cls in _NODE_DUAL:
-            todo.append((node, None, None))
             sh = cls._shape
-            for c in reversed(sh.children):
+            renames: dict[str, str] = {}
+            kids = []
+            for c in sh.children:
+                kid = getattr(node, c.field)
                 binders = [getattr(node, b) for b in c.binds]
-                if sh.var_side:
-                    todo.append((getattr(node, c.field), _shadow(v2c, binders), c2v))
-                else:
-                    todo.append((getattr(node, c.field), v2c, _shadow(c2v, binders)))
+                pairing, names = _scope(v2c if sh.var_side else c2v, binders,
+                                        kid.free_vars if sh.var_side else kid.free_covars)
+                renames.update((f, new) for f, old, new in zip(c.binds, binders, names) if new != old)
+                kids.append((kid, pairing, c2v) if sh.var_side else (kid, v2c, pairing))
+            todo.append((node, None, renames))
+            todo += reversed(kids)
         else:
             kind = "term" if isinstance(node, Term) else "coterm"
             raise NotDualizable(_NO_DUAL.get(cls) or f"{kind} {cls.__name__} has no dual")
     return done[0]
 
 
-def _rebuild(node, kids: list):
-    """node's dual partner, with kids for its children in field order."""
+def _rebuild(node, kids: list, renames: dict[str, str]):
+    """node's dual partner, with kids for its children in field order and
+    the binder fields in renames renamed."""
 
     sh = type(node)._shape
-    vals = [getattr(node, f) for f in sh.names]
+    vals = [renames.get(f, getattr(node, f)) for f in sh.names]
     for (i, _), kid in zip(sh.kids, kids):
         vals[i] = kid
     for i, f in enumerate(sh.names):
@@ -230,12 +240,27 @@ def _rebuild(node, kids: list):
     return _NODE_DUAL[type(node)](*vals)
 
 
-def _shadow(pairing: dict[str, str], binders: list[str]) -> dict[str, str]:
-    """The pairing under binders of its namespace: they pair with themselves."""
+def _scope(pairing: dict[str, str], binders: list[str],
+           free: frozenset[str]) -> tuple[dict[str, str], list[str]]:
+    """The pairing of one namespace inside a scope that binds binders in it
+    and has free names in it, and the binders' names in the dual.
 
-    if not any(b in pairing for b in binders):
-        return pairing
-    return {k: v for k, v in pairing.items() if k not in binders}
+    A binder pairs with itself, unless the pairing maps another free name
+    of the scope onto it: the dual would then capture that name, so the
+    binder takes a fresh name instead.
+    """
+
+    if not (binders and pairing):
+        return pairing, binders
+    captured = {v for k, v in pairing.items() if k in free and k not in binders}
+    if not any(b in pairing or b in captured for b in binders):
+        return pairing, binders
+    taken = {pairing.get(n, n) for n in free if n not in binders} | set(binders)
+    inner = dict(pairing)
+    for b in binders:
+        inner[b] = fresh_name(taken, b) if b in captured else b
+        taken.add(inner[b])
+    return inner, [inner[b] for b in binders]
 
 
 def dual_env(env: TypeEnv, ctx: DualityContext = EMPTY_CTX) -> TypeEnv:

@@ -162,6 +162,18 @@ def test_binder_shadows_only_its_own_namespace(text, pairing, dual):
     check_command(dual_env(env, ctx), out)
 
 
+def test_pairing_onto_a_binder_name_does_not_capture():
+    # The free covariable c pairs with the variable a, the name of the mu's
+    # binder; the dual comu must not capture it.
+    ctx = DualityContext().pair("a", "c")
+    cmd = parse_command("<mu a : Nat. <z | c> | k>")
+    out = dual_command(cmd, ctx)
+    assert out == parse_command("<k | comu a1 : Nat. <a | z>>")
+    assert alpha_eq(dual_command(out, ctx), cmd)
+    env = TypeEnv.make(vars={"z": NAT}, covars={"c": NAT, "k": NAT})
+    check_command(dual_env(env, ctx), out)
+
+
 @pytest.mark.parametrize("pair", _NODE_PAIRS, ids=lambda p: f"{p[0].__name__}-{p[1].__name__}")
 def test_dual_pairs_match_by_position(pair):
     # The dual is rebuilt field by field in declaration order, so a field
@@ -233,6 +245,41 @@ def test_involution_on_corpus():
     for cmd, env in CORPUS:
         cmd = elaborate_command(env, cmd)
         assert alpha_eq(dual_command(dual_command(cmd)), cmd)
+
+
+def _binder_names(cmd):
+    """The variable and the covariable binder names of cmd, in walk order."""
+
+    var_binders, covar_binders, todo = [], [], [cmd]
+    while todo:
+        node = todo.pop()
+        sh = type(node)._shape
+        for c in sh.children:
+            names = [getattr(node, b) for b in c.binds]
+            (var_binders if sh.var_side else covar_binders).extend(names)
+            todo.append(getattr(node, c.field))
+    return var_binders, covar_binders
+
+
+def test_pairings_onto_binder_names_on_corpus():
+    # Pair each free covariable with the name of a covariable binder (it
+    # turns into a variable binder in the dual), and each free variable with
+    # the name of a variable binder: without renaming, the dual would capture.
+    renamed = 0
+    for cmd, env in CORPUS:
+        cmd = elaborate_command(env, cmd)
+        var_binders, covar_binders = _binder_names(cmd)
+        ctx = DualityContext()
+        for a, b in zip(sorted(cmd.free_covars), covar_binders):
+            ctx = ctx.pair(b, a)
+        for x, y in zip(sorted(cmd.free_vars), var_binders):
+            ctx = ctx.pair(x, y)
+        out = dual_command(cmd, ctx)
+        dual_vars, dual_covars = _binder_names(out)  # binders swap namespaces
+        renamed += sorted(dual_vars) != sorted(covar_binders) or sorted(dual_covars) != sorted(var_binders)
+        check_command(dual_env(env, ctx), out)
+        assert alpha_eq(dual_command(out, ctx), cmd)
+    assert renamed >= 40
 
 
 def test_type_duality_on_corpus():

@@ -116,9 +116,6 @@ class Program:
     defs: dict[str, Definition]
     main: Command | Term | None
 
-    def def_names(self) -> list[str]:
-        return list(self.defs)
-
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -288,9 +285,6 @@ class Parser:
             return self.type_expr()
         return None
 
-    def type_starts_here(self) -> bool:
-        return self.peek().text in ("Nat", "Stream", "Num", "(")
-
     # -- terms
 
     def term(self) -> Term:
@@ -449,18 +443,18 @@ class Parser:
         tok = self.peek()
         if tok.text == "head":
             self.next()
-            return Head(self.co_arg())
+            return Head(self.co_atom())
         if tok.text == "tail":
             self.next()
-            return Tail(self.co_arg())
+            return Tail(self.co_atom())
         if tok.text == "fst":
             self.next()
             annot = self.opt_annot()
-            return Fst(self.co_arg(), annot)
+            return Fst(self.co_atom(), annot)
         if tok.text == "snd":
             self.next()
             annot = self.opt_annot()
-            return Snd(self.co_arg(), annot)
+            return Snd(self.co_atom(), annot)
         if tok.text == "case":
             self.next()
             self.eat("[")
@@ -480,9 +474,6 @@ class Parser:
             self.next()
             return CoVar(tok.text)
         raise self.fail("expected a continuation")
-
-    def co_arg(self) -> CoTerm:
-        return self.co_atom()
 
     def rec_coterm(self) -> CoTerm:
         self.eat("rec")

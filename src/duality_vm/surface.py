@@ -1,16 +1,18 @@
 """Front end: typed translation to the machine, plus the reference oracle.
 
 The translator is ``Compiler``, a ``typechecker.Elaborator``: it runs the
-typechecker's sequent rules unchanged and adds two things.  It types and
-compiles the four front-end forms (surface applications, recursor
-expressions, numerals and definition references) down to machine syntax,
-with the lambda-calculus typing rules.  And it overrides the staging hooks:
-wherever the chosen strategy's grammar demands a value or covalue in some
-position and the translated subterm is not one, the translator names the
-offender with a mu/comu binding, the same trick the source-to-machine
-translation uses for successor arguments and call-stack arguments.  The
-output therefore always satisfies ``well_formed`` for the strategy it was
-compiled for.
+typechecker's sequent rules (one per sort, each with an optional expected
+type) unchanged and adds two things.  It types and compiles the four
+front-end forms (surface applications, recursor expressions, numerals and
+definition references) down to machine syntax, with the lambda-calculus
+typing rules.  And it overrides the staging hooks: wherever the chosen
+strategy's grammar demands a value or covalue in some position and the
+translated subterm is not one, the translator names the offender with a
+mu/comu binding, the same trick the source-to-machine translation uses for
+successor arguments and call-stack arguments.  The output therefore always
+satisfies ``well_formed`` for the strategy it was compiled for.  Those
+hooks are the only staging code: the two encodings below stage through
+them as well.
 
 The reference evaluator is an independent small-step interpreter for the
 pure lambda-calculus fragment (no machine constructs), used as the

@@ -219,7 +219,8 @@ class Elaborator:
             case NumZero(arg):
                 (payload,) = _parts(expected, Numbered, "payload")
                 a, out = self.term(env, arg, payload, f"{path}.arg")
-                return self._expect(expected, Numbered(a), self._as_value(out, a, NumZero, Numbered(a)), path)
+                ty = Numbered(a)
+                return self._expect(expected, ty, self._as_value(out, a, NumZero, ty), path)
             case NumSucc(arg):
                 pushed = expected if isinstance(expected, Numbered) else None
                 a, out = self.term(env, arg, pushed, f"{path}.arg")
@@ -237,13 +238,15 @@ class Elaborator:
                 return self._expect(expected, ty, self._pair(lo, ro, ty), path)
             case InL(arg, other):
                 left, right = _parts(expected, Sum, "left", "right")
-                other = self._annot("injection", other, right, path, "left injection needs the right component type")
+                other = self._annot("injection", other, right, path,
+                                    "left injection needs the right component type")
                 a, out = self.term(env, arg, left, f"{path}.arg")
                 ty = Sum(a, other)
                 return self._expect(expected, ty, self._as_value(out, a, lambda v: InL(v, other), ty), path)
             case InR(arg, other):
                 left, right = _parts(expected, Sum, "left", "right")
-                other = self._annot("injection", other, left, path, "right injection needs the left component type")
+                other = self._annot("injection", other, left, path,
+                                    "right injection needs the left component type")
                 a, out = self.term(env, arg, right, f"{path}.arg")
                 ty = Sum(other, a)
                 return self._expect(expected, ty, self._as_value(out, a, lambda v: InR(v, other), ty), path)
@@ -261,7 +264,8 @@ class Elaborator:
                 return annot, Mu(a, self.command(env.bind_covar(a, annot), body, f"{path}.body"), annot)
             case CoRec(elem_annot=ea):
                 (pushed,) = _parts(expected, Stream, "elem")
-                elem = self._annot("corecursor", ea, pushed, path, "corecursor needs its element type annotation")
+                elem = self._annot("corecursor", ea, pushed, path,
+                                   "corecursor needs its element type annotation")
                 return self._expect(expected, *self._corec(env, t, elem, path), path)
         return self._other_term(env, t, expected, path)
 
@@ -303,7 +307,8 @@ class Elaborator:
                 return self._expect(expected, *self._rec(env, e, None, path), path)
             case RecNum(payload_annot=pa):
                 (pushed,) = _parts(expected, Numbered, "payload")
-                pa = self._annot("payload", pa, pushed, path, "numbered recursor needs its payload type annotation")
+                pa = self._annot("payload", pa, pushed, path,
+                                 "numbered recursor needs its payload type annotation")
                 return self._expect(expected, *self._rec(env, e, pa, path), path)
             case Head(rest):
                 (elem,) = _parts(expected, Stream, "elem")
@@ -318,13 +323,15 @@ class Elaborator:
                 return self._expect(expected, st, self._as_covalue(out, st, Tail, st), path)
             case Fst(rest, other):
                 left, right = _parts(expected, Prod, "left", "right")
-                other = self._annot("projection", other, right, path, "first projection needs the right component type")
+                other = self._annot("projection", other, right, path,
+                                    "first projection needs the right component type")
                 a, out = self.coterm(env, rest, left, f"{path}.rest")
                 ty = Prod(a, other)
                 return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Fst(E, other), ty), path)
             case Snd(rest, other):
                 left, right = _parts(expected, Prod, "left", "right")
-                other = self._annot("projection", other, left, path, "second projection needs the left component type")
+                other = self._annot("projection", other, left, path,
+                                    "second projection needs the left component type")
                 a, out = self.coterm(env, rest, right, f"{path}.rest")
                 ty = Prod(other, a)
                 return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Snd(E, other), ty), path)

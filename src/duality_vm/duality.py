@@ -11,8 +11,8 @@ order, so one walk over the kernel's shapes rebuilds every pair.
 Variables swap with covariables through a pairing context.  A binder pairs
 its name with itself in its own namespace only, and keeps it unless the
 pairing maps a free name of its scope onto it; then it takes a fresh name,
-so the dual captures nothing.  Plain-Nat constructors, functions and call stacks sit outside the
-dualizable fragment (``_NO_DUAL``).
+so the dual captures nothing.  Plain-Nat constructors, functions and call
+stacks sit outside the dualizable fragment (``_NO_DUAL``).
 
 Nat itself is kept as a self-dual leaf type: the dualizable type grammar
 has no base case of its own, so payload and seed types bottom out at Nat.
@@ -250,7 +250,7 @@ def _scope(pairing: dict[str, str], binders: list[str],
     binder takes a fresh name instead.
     """
 
-    if not (binders and pairing):
+    if not binders:
         return pairing, binders
     captured = {v for k, v in pairing.items() if k in free and k not in binders}
     if not any(b in pairing or b in captured for b in binders):

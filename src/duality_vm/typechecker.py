@@ -25,6 +25,7 @@ the same rules in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -136,12 +137,13 @@ def _disagrees(what: str, path: str, expected: TypeExpr, found: TypeExpr) -> Typ
     return TypeCheckError("Mismatch", path, f"{what} annotation disagrees", expected=expected, found=found)
 
 
-def _parts(expected: TypeExpr | None, cls: type, *names: str) -> tuple:
-    """The named fields of expected if it is a cls, else one None per name."""
+_FIELDS = {cls: attrgetter(*cls.__match_args__) for cls in (Fn, Prod, Sum)}
 
-    if isinstance(expected, cls):
-        return tuple(getattr(expected, n) for n in names)
-    return (None,) * len(names)
+
+def _parts(expected: TypeExpr | None, cls: type) -> tuple:
+    """The two fields of expected if it is a cls, else (None, None)."""
+
+    return _FIELDS[cls](expected) if isinstance(expected, cls) else (None, None)
 
 
 class Elaborator:
@@ -217,7 +219,7 @@ class Elaborator:
                 _, out = self.term(env, arg, Nat(), f"{path}.arg")
                 return self._expect(expected, Nat(), self._as_value(out, Nat(), Succ, Nat()), path)
             case NumZero(arg):
-                (payload,) = _parts(expected, Numbered, "payload")
+                payload = expected.payload if isinstance(expected, Numbered) else None
                 a, out = self.term(env, arg, payload, f"{path}.arg")
                 ty = Numbered(a)
                 return self._expect(expected, ty, self._as_value(out, a, NumZero, ty), path)
@@ -231,20 +233,20 @@ class Elaborator:
                     )
                 return self._expect(expected, a, self._as_value(out, a, NumSucc, a), path)
             case Pair(l, r):
-                left, right = _parts(expected, Prod, "left", "right")
+                left, right = _parts(expected, Prod)
                 lt, lo = self.term(env, l, left, f"{path}.left")
                 rt, ro = self.term(env, r, right, f"{path}.right")
                 ty = Prod(lt, rt)
                 return self._expect(expected, ty, self._pair(lo, ro, ty), path)
             case InL(arg, other):
-                left, right = _parts(expected, Sum, "left", "right")
+                left, right = _parts(expected, Sum)
                 other = self._annot("injection", other, right, path,
                                     "left injection needs the right component type")
                 a, out = self.term(env, arg, left, f"{path}.arg")
                 ty = Sum(a, other)
                 return self._expect(expected, ty, self._as_value(out, a, lambda v: InL(v, other), ty), path)
             case InR(arg, other):
-                left, right = _parts(expected, Sum, "left", "right")
+                left, right = _parts(expected, Sum)
                 other = self._annot("injection", other, left, path,
                                     "right injection needs the left component type")
                 a, out = self.term(env, arg, right, f"{path}.arg")
@@ -255,7 +257,7 @@ class Elaborator:
                     raise TypeCheckError(
                         "Mismatch", path, "function used at a non-function type", expected=expected
                     )
-                arg, ret = _parts(expected, Fn, "arg", "ret")
+                arg, ret = _parts(expected, Fn)
                 annot = self._annot("binder", annot, arg, path, "function binder needs a type annotation")
                 b, out = self.term(env.bind_var(x, annot), body, ret, f"{path}.body")
                 return Fn(annot, b), Lam(x, out, annot)
@@ -263,7 +265,7 @@ class Elaborator:
                 annot = self._annot("mu", annot, expected, path, "mu binder needs a type annotation")
                 return annot, Mu(a, self.command(env.bind_covar(a, annot), body, f"{path}.body"), annot)
             case CoRec(elem_annot=ea):
-                (pushed,) = _parts(expected, Stream, "elem")
+                pushed = expected.elem if isinstance(expected, Stream) else None
                 elem = self._annot("corecursor", ea, pushed, path,
                                    "corecursor needs its element type annotation")
                 return self._expect(expected, *self._corec(env, t, elem, path), path)
@@ -299,19 +301,19 @@ class Elaborator:
                 annot = self._annot("comu", annot, expected, path, "comu binder needs a type annotation")
                 return annot, MuTilde(x, self.command(env.bind_var(x, annot), body, f"{path}.body"), annot)
             case Call(arg, rest):
-                arg_ty, ret_ty = _parts(expected, Fn, "arg", "ret")
+                arg_ty, ret_ty = _parts(expected, Fn)
                 a, aout = self.term(env, arg, arg_ty, f"{path}.arg")
                 b, rout = self.coterm(env, rest, ret_ty, f"{path}.rest")
                 return self._expect(expected, Fn(a, b), self._call(aout, a, rout, b), path)
             case RecNat():
                 return self._expect(expected, *self._rec(env, e, None, path), path)
             case RecNum(payload_annot=pa):
-                (pushed,) = _parts(expected, Numbered, "payload")
+                pushed = expected.payload if isinstance(expected, Numbered) else None
                 pa = self._annot("payload", pa, pushed, path,
                                  "numbered recursor needs its payload type annotation")
                 return self._expect(expected, *self._rec(env, e, pa, path), path)
             case Head(rest):
-                (elem,) = _parts(expected, Stream, "elem")
+                elem = expected.elem if isinstance(expected, Stream) else None
                 a, out = self.coterm(env, rest, elem, f"{path}.rest")
                 return self._expect(expected, Stream(a), self._as_covalue(out, a, Head, Stream(a)), path)
             case Tail(rest):
@@ -322,21 +324,21 @@ class Elaborator:
                                          expected=Stream(st), found=st)
                 return self._expect(expected, st, self._as_covalue(out, st, Tail, st), path)
             case Fst(rest, other):
-                left, right = _parts(expected, Prod, "left", "right")
+                left, right = _parts(expected, Prod)
                 other = self._annot("projection", other, right, path,
                                     "first projection needs the right component type")
                 a, out = self.coterm(env, rest, left, f"{path}.rest")
                 ty = Prod(a, other)
                 return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Fst(E, other), ty), path)
             case Snd(rest, other):
-                left, right = _parts(expected, Prod, "left", "right")
+                left, right = _parts(expected, Prod)
                 other = self._annot("projection", other, left, path,
                                     "second projection needs the left component type")
                 a, out = self.coterm(env, rest, right, f"{path}.rest")
                 ty = Prod(other, a)
                 return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Snd(E, other), ty), path)
             case SumCase(l, r):
-                left, right = _parts(expected, Sum, "left", "right")
+                left, right = _parts(expected, Sum)
                 lt, lo = self.coterm(env, l, left, f"{path}.left")
                 rt, ro = self.coterm(env, r, right, f"{path}.right")
                 return self._expect(expected, Sum(lt, rt), SumCase(lo, ro), path)

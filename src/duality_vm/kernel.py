@@ -207,12 +207,13 @@ class Shape:
     bit is None, and the traversals reject it.  ``bit_from`` names the
     children whose bits a node's own bit is the ``and`` of (their grammar
     demands it be of the node's sort); it is None when the class fixes its
-    bit, or has none (``Command``).  ``syntax`` is the print template
-    compiled for ``pretty``; ``atomic`` classes never need parentheses.
+    bit, or has none (``Command``).  ``text`` is the template as declared,
+    which the parser reads; ``syntax`` is that template compiled for
+    ``pretty``; ``atomic`` classes never need parentheses.
     """
 
     __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "kids", "bit",
-                 "bit_from", "syntax", "atomic")
+                 "bit_from", "text", "syntax", "atomic")
 
     def __init__(self, cls: type, children, side, data, ignore, grammar, syntax, atomic):
         self.children = children
@@ -222,6 +223,7 @@ class Shape:
         self.grammar = grammar
         self.atomic = atomic
         self.names = tuple(f.name for f in fields(cls))
+        self.text = syntax
         self.syntax = _template(syntax, self.names, {c.field for c in children}, ignore)
         pos = self.names.index
         # (child index, its binder indices) in field order, for rebuilding.

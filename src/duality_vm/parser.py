@@ -14,7 +14,8 @@ the type checker decides where they are required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from string import Formatter
 
 from . import kernel
 from .kernel import (
@@ -199,6 +200,10 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# The term forms that stand only at term level; every other keyword form may
+# also stand where an atom may.
+TERM_LEVEL = {"fun", "mu", "corec", "rec"}
+
 
 class Parser:
     def __init__(self, text: str, def_names=()):
@@ -209,8 +214,8 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -233,10 +238,26 @@ class Parser:
 
     def binder(self) -> str:
         tok = self.peek()
-        if tok.kind == "ident" or tok.text == "_":
+        if tok.kind == "ident":
             self.next()
             return tok.text
         raise self.fail("expected a binder name")
+
+    def first(self, forms):
+        """Read the first of forms (readers taking the parser) that parses
+        here; if none does, raise the error that got furthest."""
+
+        if len(forms) == 1:
+            return forms[0](self)
+        pos, depth, errors = self.pos, len(self.bound), []
+        for read in forms:
+            try:
+                return read(self)
+            except ParseError as ex:
+                errors.append(ex)
+                self.pos = pos
+                del self.bound[depth:]
+        raise max(errors, key=lambda ex: (ex.line, ex.col))
 
     # -- types
 
@@ -288,68 +309,10 @@ class Parser:
     # -- terms
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.text == "fun":
-            self.next()
-            x = self.binder()
-            annot = self.opt_annot()
-            self.eat("=>")
-            self.bound.append(x)
-            body = self.term()
-            self.bound.pop()
-            return Lam(x, body, annot)
-        if tok.text == "mu":
-            self.next()
-            a = self.binder()
-            annot = self.opt_annot()
-            self.eat(".")
-            return Mu(a, self.command(), annot)
-        if tok.text == "corec":
-            return self.corec()
-        if tok.text == "rec" and self.peek(1).text not in ("{", ":"):
-            return self.rec_term()
+        lead = self.peek().text
+        if lead in TERM_LEVEL:
+            return self.first(TERMS[lead])
         return self.app_term()
-
-    def rec_term(self) -> Term:
-        self.eat("rec")
-        scrut = self.app_term()
-        self.eat("as")
-        self.eat("{")
-        self.eat("Z")
-        self.eat("->")
-        zero = self.term()
-        self.eat("|")
-        self.eat("S")
-        x = self.binder()
-        self.eat("->")
-        y = self.binder()
-        self.eat(".")
-        self.bound.extend((x, y))
-        succ = self.term()
-        self.bound.pop()
-        self.bound.pop()
-        self.eat("}")
-        return RecTerm(scrut, zero, x, y, succ)
-
-    def corec(self) -> Term:
-        self.eat("corec")
-        annot = self.opt_annot()
-        self.eat("{")
-        self.eat("head")
-        ha = self.binder()
-        self.eat("->")
-        he = self.coterm()
-        self.eat("|")
-        self.eat("tail")
-        ta = self.binder()
-        self.eat("->")
-        tg = self.binder()
-        self.eat(".")
-        te = self.coterm()
-        self.eat("}")
-        self.eat("with")
-        seed = self.atom()
-        return CoRec(ha, he, ta, tg, te, seed, elem_annot=annot)
 
     def app_term(self) -> Term:
         t = self.atom()
@@ -359,12 +322,12 @@ class Parser:
 
     def atom_starts_here(self) -> bool:
         tok = self.peek()
-        if tok.kind in ("ident", "number"):
-            return True
-        return tok.text in ("Z", "S", "numZ", "numS", "inl", "inr", "pair", "(")
+        return tok.kind in ("ident", "number") or tok.text == "(" or tok.text in ATOMS
 
     def atom(self) -> Term:
         tok = self.peek()
+        if tok.text in ATOMS:
+            return self.first(ATOMS[tok.text])
         if tok.kind == "number":
             self.next()
             return kernel.numeral(int(tok.text))
@@ -376,34 +339,6 @@ class Parser:
             if name in self.def_names and name not in self.bound:
                 return Ref(name)
             return Var(name)
-        if tok.text == "Z":
-            self.next()
-            return Zero()
-        if tok.text == "S":
-            self.next()
-            return Succ(self.atom())
-        if tok.text == "numZ":
-            self.next()
-            return NumZero(self.atom())
-        if tok.text == "numS":
-            self.next()
-            return NumSucc(self.atom())
-        if tok.text == "inl":
-            self.next()
-            annot = self.opt_annot()
-            return InL(self.atom(), annot)
-        if tok.text == "inr":
-            self.next()
-            annot = self.opt_annot()
-            return InR(self.atom(), annot)
-        if tok.text == "pair":
-            self.next()
-            self.eat("(")
-            left = self.term()
-            self.eat(",")
-            right = self.term()
-            self.eat(")")
-            return Pair(left, right)
         if tok.text == "(":
             self.next()
             t = self.term()
@@ -414,57 +349,28 @@ class Parser:
     # -- coterms
 
     def coterm(self) -> CoTerm:
-        tok = self.peek()
-        if tok.text == "comu":
-            self.next()
-            x = self.binder()
-            annot = self.opt_annot()
-            self.eat(".")
-            self.bound.append(x)
-            body = self.command()
-            self.bound.pop()
-            return MuTilde(x, body, annot)
-        if tok.text in ("head", "tail", "fst", "snd", "case"):
-            return self.co_atom()
-        if tok.text == "rec" and self.peek(1).text in ("{", ":"):
-            return self.rec_coterm()
-        # A call stack "t . e", or a bare name standing for a covariable.
+        lead = self.peek().text
+        forms = COTERMS.get(lead, ())
+        if not forms or lead in TERMS:
+            # A keyword shared with a term form may begin a call stack too.
+            forms += (Parser.call_stack,)
+        return self.first(forms)
+
+    def call_stack(self) -> CoTerm:
+        """A call stack "t . e", or a bare name standing for a covariable."""
+
         t = self.term()
         if self.at("."):
             self.eat(".")
             return Call(t, self.coterm())
-        if isinstance(t, Var):
-            return CoVar(t.name)
-        if isinstance(t, Ref):
+        if isinstance(t, (Var, Ref)):
             return CoVar(t.name)
         raise self.fail("expected '.' to continue a call stack, or a covariable")
 
     def co_atom(self) -> CoTerm:
         tok = self.peek()
-        if tok.text == "head":
-            self.next()
-            return Head(self.co_atom())
-        if tok.text == "tail":
-            self.next()
-            return Tail(self.co_atom())
-        if tok.text == "fst":
-            self.next()
-            annot = self.opt_annot()
-            return Fst(self.co_atom(), annot)
-        if tok.text == "snd":
-            self.next()
-            annot = self.opt_annot()
-            return Snd(self.co_atom(), annot)
-        if tok.text == "case":
-            self.next()
-            self.eat("[")
-            left = self.coterm()
-            self.eat(",")
-            right = self.coterm()
-            self.eat("]")
-            return SumCase(left, right)
-        if tok.text == "comu" or (tok.text == "rec" and self.peek(1).text in ("{", ":")):
-            return self.coterm()
+        if tok.text in COTERMS:
+            return self.first(COTERMS[tok.text])
         if tok.text == "(":
             self.next()
             e = self.coterm()
@@ -475,48 +381,10 @@ class Parser:
             return CoVar(tok.text)
         raise self.fail("expected a continuation")
 
-    def rec_coterm(self) -> CoTerm:
-        self.eat("rec")
-        annot = self.opt_annot()
-        self.eat("{")
-        self.eat("Z")
-        payload = None
-        if self.peek().kind == "ident" or self.at("_"):
-            payload = self.binder()
-        self.eat("->")
-        if payload is not None:
-            self.bound.append(payload)
-        zero = self.term()
-        if payload is not None:
-            self.bound.pop()
-        self.eat("|")
-        self.eat("S")
-        x = self.binder()
-        self.eat("->")
-        y = self.binder()
-        self.eat(".")
-        self.bound.extend((x, y))
-        succ = self.term()
-        self.bound.pop()
-        self.bound.pop()
-        self.eat("}")
-        self.eat("with")
-        ret = self.coterm()
-        if payload is None:
-            if annot is not None:
-                raise self.fail("a plain recursor takes no payload annotation")
-            return RecNat(zero, x, y, succ, ret)
-        return RecNum(payload, zero, x, y, succ, ret, payload_annot=annot)
-
     # -- commands and programs
 
     def command(self) -> Command:
-        self.eat("<")
-        v = self.term()
-        self.eat("|")
-        e = self.coterm()
-        self.eat(">")
-        return Command(v, e)
+        return COMMAND(self)
 
     def program(self) -> Program:
         defs: dict[str, Definition] = {}
@@ -553,6 +421,78 @@ class Parser:
 
     def at_eof(self) -> bool:
         return self.peek().kind == "eof"
+
+
+# ---------------------------------------------------------------------------
+# Keyword forms, read from their print templates
+
+_WHOLE = {"Term": Parser.term, "CoTerm": Parser.coterm, "Command": Parser.command}
+
+
+def _reader(cls):
+    """A function reading a node of cls, lead token included, by its shape's
+    print template.
+
+    Literal text reads as the tokens it spells.  A child slot reads by its
+    field's declared sort: a ``Term``, ``CoTerm`` or ``Command`` whole, or
+    with ``!a`` an atom (a term atom that more text follows reads an
+    application, which that text delimits); ``!t`` reads an optional
+    annotation and any other slot a binder.  The binders of a ``vars``-side
+    shape shadow definition names in the child they scope over.
+    """
+
+    sh = cls._shape
+    sorts = {f.name: f.type for f in fields(cls)}
+    scopes = {c.field: c.binds for c in sh.children} if sh.var_side else {}
+    pieces = list(Formatter().parse(sh.text))
+    steps = []
+    for i, (lit, field, _, conv) in enumerate(pieces):
+        steps += [(None, tok.text, ()) for tok in tokenize(lit)[:-1]]
+        if field is None:
+            continue
+        sort = sorts[field]
+        if conv == "t":
+            read = Parser.opt_annot
+        elif conv == "a":
+            read = Parser.co_atom if sort == "CoTerm" else Parser.app_term if i + 1 < len(pieces) else Parser.atom
+        else:
+            read = _WHOLE.get(sort, Parser.binder)
+        steps.append((field, read, scopes.get(field, ())))
+
+    def read(p: Parser):
+        vals = {}
+        for field, step, scope in steps:
+            if field is None:
+                p.eat(step)
+            elif scope:
+                p.bound.extend(vals[b] for b in scope)
+                vals[field] = step(p)
+                del p.bound[-len(scope):]
+            else:
+                vals[field] = step(p)
+        return cls(**vals)
+
+    return read
+
+
+def _forms(sort: type) -> dict[str, tuple]:
+    """Readers of the node classes of a sort whose template starts with a
+    keyword, by that keyword, in declaration order."""
+
+    table: dict[str, tuple] = {}
+    # dataclass(slots=True) leaves the class it replaced, shapeless, among
+    # the subclasses.
+    for cls in filter(lambda c: hasattr(c, "_shape"), sort.__subclasses__()):
+        lead = tokenize(next(Formatter().parse(cls._shape.text))[0])[0].text
+        if lead in KEYWORDS:
+            table[lead] = (*table.get(lead, ()), _reader(cls))
+    return table
+
+
+TERMS = _forms(Term)
+ATOMS = {lead: forms for lead, forms in TERMS.items() if lead not in TERM_LEVEL}
+COTERMS = _forms(CoTerm)
+COMMAND = _reader(Command)
 
 
 def parse(text: str) -> Program:

@@ -14,8 +14,10 @@ the type checker decides where they are required.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from string import Formatter
+from typing import NamedTuple
 
 from . import kernel
 from .kernel import (
@@ -139,61 +141,39 @@ KEYWORDS = {
 SYMBOLS = ["=>", "->", "<", ">", "|", ".", ":", ";", "=", "{", "}", "(", ")", "[", "]", ",", "*", "+"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "number" | "symbol" | "keyword" | "eof"
     text: str
     line: int
     col: int
 
 
+# One token of a line, after any blanks: a numeral (Unicode decimal digits,
+# all of which int() reads), a word, a symbol (longest first), a comment,
+# which has no group, or any other character.
+_TOKEN = re.compile(
+    r"[ \t\r]*+(?:(?P<number>\d+)|(?P<word>[^\W\d]\w*)|(?P<symbol>"
+    + "|".join(map(re.escape, SYMBOLS))
+    + r")|--.*|(?P<other>.))"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            out.append(Token("keyword" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                out.append(Token("symbol", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    for line, src in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(src):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word, col = m.group(kind), m.start(kind) + 1
+            # A word may also start with a digit that is not decimal (²) or
+            # another numeric character; only a letter or "_" begins a name.
+            if kind == "word" and (word[0].isalpha() or word[0] == "_"):
+                kind = "keyword" if word in KEYWORDS else "ident"
+            elif kind in ("word", "other"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            out.append(Token(kind, word, line, col))
+    out.append(Token("eof", "", line, len(src) + 1))
     return out
 
 

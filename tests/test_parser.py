@@ -2,6 +2,7 @@
 scoping of definition names, and the position and message of errors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duality_vm.kernel import (
     Call,
@@ -35,6 +36,8 @@ from duality_vm.kernel import (
     pretty,
 )
 from duality_vm.parser import (
+    KEYWORDS,
+    SYMBOLS,
     App,
     ParseError,
     RecTerm,
@@ -272,3 +275,28 @@ def test_error_position_and_message(parse_fn, text, line, col, message):
         parse_fn(text)
     assert (exc.value.line, exc.value.col, exc.value.reason) == (line, col, message)
     assert str(exc.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("text, col", [("main = <² | a0>;", 9), ("main = <3² | a0>;", 10), ("f ½", 3)])
+def test_non_decimal_digits_are_unexpected_characters(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col, exc.value.reason) == (1, col, f"unexpected character {text[col - 1]!r}")
+
+
+def test_eof_after_a_trailing_comment_is_at_the_end_of_the_text():
+    assert tokenize("x -- note")[-1] == Token("eof", "", 1, 10)
+
+
+PIECES = sorted(KEYWORDS) + SYMBOLS + ["x", "f", "a0", "0", "12", "_", "-- note", "\n", "é", "٣", "²"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " "])), max_size=40))
+def test_fuzzed_text_raises_nothing_but_parse_errors(pieces):
+    text = "".join(piece + sep for piece, sep in pieces)
+    for parse_fn in (parse, parse_term, parse_coterm, parse_command):
+        try:
+            parse_fn(text)
+        except ParseError:
+            pass

@@ -510,6 +510,10 @@ def encode_rec_via_iter(rec: RecNat, s: Strategy, result_type: TypeExpr | None =
         return comp._as_covalue(E, result, lambda F: Snd(F, Nat()), pt)
 
     x, y = rec.pred_var, rec.result_var
+    if x == "_":
+        # The pair rebuilds the predecessor, so it needs a name: "S _"
+        # would not print as a term.
+        x = fresh_name(rec.succ_body.free_vars | {y}, "n")
     zpair = comp._pair(Zero(), rec.zero_body, pt)
     spair = comp._pair(Succ(Var(x)), rec.succ_body, pt)
     z = fresh_name(rec.succ_body.free_vars | {x, y}, "p")

@@ -34,7 +34,7 @@ from duality_vm.kernel import (
     well_formed,
 )
 from duality_vm.machine import RuleTag, force_numeral, observe_stream, run, run_to_numeral
-from duality_vm.parser import App, NumLit, ParseError, Ref, RecTerm, parse, parse_command, parse_term
+from duality_vm.parser import App, NumLit, ParseError, Ref, RecTerm, parse, parse_command, parse_coterm, parse_term
 from duality_vm.surface import (
     Compiler,
     OracleError,
@@ -402,6 +402,25 @@ def test_encoded_times_and_fact_agree_with_native(compilers, name, s):
         assert got == run_to_numeral(Command(native, stack), s)[0]
         totals.append(stats.total)
     assert totals == ENCODED_TOTALS[name, s]
+
+
+def subterms(node):
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [getattr(node, c.field) for c in type(node)._shape.children]
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_encoded_prelude_recursors_parse_back(compilers, s):
+    # A wildcard predecessor (times) must not be rebuilt as the term "S _".
+    defs = prelude().defs
+    recs = [n for name in defs for n in subterms(compilers[s].lookup_def(name, name)[1]) if isinstance(n, RecNat)]
+    assert len(recs) >= 4
+    for rec in recs:
+        enc = encode_rec_via_iter(rec, s)
+        assert alpha_eq(parse_coterm(pretty(enc), defs), enc)
 
 
 def encoded_scons(comp, s):

@@ -89,12 +89,9 @@ class _Experiments:
         self.s = strategy
         self.fuel = fuel
         self.comp = Compiler(prelude(), strategy)
-        self._cache: dict[str, Term] = {}
 
     def term(self, name: str) -> Term:
-        if name not in self._cache:
-            self._cache[name] = self.comp.lookup_def(name, name)[1]
-        return self._cache[name]
+        return self.comp.lookup_def(name, name)[1]
 
     def _run(self, cmd: Command) -> RunStats:
         res = run(cmd, self.s, self.fuel)

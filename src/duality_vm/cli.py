@@ -16,8 +16,6 @@ import sys
 from .bench import EXPERIMENTS, UnknownExperiment, report, run_experiment
 from .duality import NotDualizable, dual_command
 from .kernel import (
-    CBN,
-    CBV,
     Command,
     CoVar,
     Nat,
@@ -44,10 +42,6 @@ EXIT_OK = 0
 EXIT_TYPE = 1
 EXIT_RUNTIME = 2
 EXIT_USAGE = 3
-
-
-def _strategy(name: str) -> Strategy:
-    return CBV if name == "cbv" else CBN
 
 
 def _default_fuel() -> int:
@@ -90,7 +84,7 @@ class _Reporter:
 
 def _cmd_check(args, rep: _Reporter) -> int:
     prog = _read_program(args.file)
-    comp = Compiler(prog, _strategy(args.strategy))
+    comp = Compiler(prog, Strategy(args.strategy))
     types = {}
     for name in prog.defs:
         types[name] = comp.lookup_def(name, f"def {name}")[0]
@@ -116,7 +110,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
 
 def _cmd_run(args, rep: _Reporter) -> int:
     prog = _read_program(args.file)
-    s = _strategy(args.strategy)
+    s = Strategy(args.strategy)
     comp = Compiler(prog, s)
     if prog.main is None:
         return rep.error("program has no main", EXIT_USAGE)
@@ -157,7 +151,7 @@ def _cmd_run(args, rep: _Reporter) -> int:
 
 def _cmd_observe(args, rep: _Reporter) -> int:
     prog = _read_program(args.file) if args.file else prelude()
-    s = _strategy(args.strategy)
+    s = Strategy(args.strategy)
     comp = Compiler(prog, s)
     if args.name not in prog.defs:
         return rep.error(f"no definition named {args.name!r}", EXIT_USAGE)
@@ -173,7 +167,7 @@ def _cmd_observe(args, rep: _Reporter) -> int:
 
 def _cmd_expand(args, rep: _Reporter) -> int:
     prog = _read_program(args.file)
-    s = _strategy(args.strategy)
+    s = Strategy(args.strategy)
     comp = Compiler(prog, s)
     lines = []
     for name in prog.defs:
@@ -209,7 +203,7 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _cmd_bench(args, rep: _Reporter) -> int:
     sizes = _parse_sizes(args.sizes)
-    curves = [run_experiment(args.experiment, _strategy(args.strategy), sizes, args.fuel)]
+    curves = [run_experiment(args.experiment, Strategy(args.strategy), sizes, args.fuel)]
     fmt = "json" if rep.as_json else ("csv" if args.csv else "table")
     print(report(curves, fmt))
     return EXIT_OK

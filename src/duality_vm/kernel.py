@@ -26,7 +26,9 @@ substitution, alpha-equivalence, the grammar check, the node named by a
 classification error and the printer are all derived from the shapes, in
 the manner of Curien and Herbelin's "The duality of computation", where
 substitution and alpha-equivalence are defined once over binders.  The
-duality reads the same shapes (``duality.py``).
+duality reads the same shapes (``duality.py``), and the parser reads each
+template that starts with a keyword forward (``parser.py``), so concrete
+syntax is declared once.
 """
 
 from __future__ import annotations
@@ -244,12 +246,18 @@ def shape(*children: Child, side: str | None = None, data: tuple[str, ...] = (),
     strategy bit.
 
     The template is literal text with a ``{field}`` slot per printed field
-    (``{{`` and ``}}`` are braces).  A child slot prints the child whole;
-    ``{f!a}`` prints it as an atom, in parentheses unless its class is
-    ``atomic``; ``{f!s}`` (an application's function) prints it bare if it
-    is of the node's own class, else as an atom; ``{f!t}`` prints an
-    optional type annotation as `` : T``.  Any other slot prints the
-    field's value (a binder name, a number)."""
+    (``{{`` and ``}}`` are braces).  It is read both ways: ``pretty``
+    prints by it, and the parser reads by it each form whose template
+    starts with a keyword, literal text as the tokens it spells.  A child
+    slot prints the child whole and reads one of its field's declared sort
+    (term, coterm or command); ``{f!a}`` prints it as an atom, in
+    parentheses unless its class is ``atomic``, and reads an atom, except
+    that a term atom slot followed by more template text reads a whole
+    application, which that text delimits; ``{f!s}`` (an application's
+    function) prints it bare if it is of the node's own class, else as an
+    atom; ``{f!t}`` prints an optional type annotation as `` : T`` and
+    reads one if ``:`` comes next.  Any other slot prints the field's
+    value (a binder name, a number) and reads a binder name."""
 
     def declare(cls):
         if not grammar:
@@ -870,7 +878,7 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Printing (parseable; the parser lives in the surface layer)
+# Printing (parseable; the parser reads the same templates)
 
 
 def pretty(node) -> str:

@@ -8,6 +8,13 @@ call stacks ``t . e``, ``corec``, projections), so machine-level programs
 can be written directly.  Front-end-only constructs are the four node
 classes defined here; everything else parses straight to kernel nodes.
 
+Every form that starts with a keyword, and ``Command``, is read from the
+print template its class's shape declares (see ``kernel.shape``), so its
+concrete syntax is written once, for the printer and the parser alike.
+Written by hand are only what no template spells out: names and the
+wildcard, numerals, parentheses, application by juxtaposition, call
+stacks ``t . e``, types and program structure.
+
 Binder annotations are optional in the grammar (``mu a : Nat. <...>``);
 the type checker decides where they are required.
 """
@@ -411,17 +418,12 @@ _WHOLE = {"Term": Parser.term, "CoTerm": Parser.coterm, "Command": Parser.comman
 
 def _reader(cls):
     """A function reading a node of cls, lead token included, by its shape's
-    print template.
-
-    Literal text reads as the tokens it spells.  A child slot reads by its
-    field's declared sort: a ``Term``, ``CoTerm`` or ``Command`` whole, or
-    with ``!a`` an atom (a term atom that more text follows reads an
-    application, which that text delimits); ``!t`` reads an optional
-    annotation and any other slot a binder.  The binders of a ``vars``-side
-    shape shadow definition names in the child they scope over.
-    """
+    print template, as ``kernel.shape`` describes.  The binders of a
+    ``vars``-side shape shadow definition names in the child they scope
+    over."""
 
     sh = cls._shape
+    # The declared sorts are strings: node modules postpone annotations.
     sorts = {f.name: f.type for f in fields(cls)}
     scopes = {c.field: c.binds for c in sh.children} if sh.var_side else {}
     pieces = list(Formatter().parse(sh.text))

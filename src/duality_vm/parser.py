@@ -31,35 +31,17 @@ from .kernel import (
     Call,
     Child,
     Command,
-    CoRec,
     CoTerm,
     CoVar,
     Fn,
-    Fst,
-    Head,
-    InL,
-    InR,
-    Lam,
-    Mu,
-    MuTilde,
     Nat,
     Numbered,
-    NumSucc,
-    NumZero,
-    Pair,
     Prod,
-    RecNat,
-    RecNum,
-    Snd,
     Stream,
-    Succ,
     Sum,
-    SumCase,
-    Tail,
     Term,
     TypeExpr,
     Var,
-    Zero,
     shape,
 )
 

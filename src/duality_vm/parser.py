@@ -138,12 +138,13 @@ class Token(NamedTuple):
 
 
 # One token of a line, after any blanks: a numeral (Unicode decimal digits,
-# all of which int() reads), a word, a symbol (longest first), a comment,
-# which has no group, or any other character.
+# all of which int() reads), a word, a symbol (longest first), a comment or
+# the end of the line, neither of which has a group, or any other character.
+# Some branch matches wherever the blanks end, so they never backtrack.
 _TOKEN = re.compile(
-    r"[ \t\r]*+(?:(?P<number>\d+)|(?P<word>[^\W\d]\w*)|(?P<symbol>"
+    r"[ \t\r]*(?:(?P<number>\d+)|(?P<word>[^\W\d]\w*)|(?P<symbol>"
     + "|".join(map(re.escape, SYMBOLS))
-    + r")|--.*|(?P<other>.))"
+    + r")|--.*|$|(?P<other>.))"
 )
 
 

@@ -288,6 +288,12 @@ def test_eof_after_a_trailing_comment_is_at_the_end_of_the_text():
     assert tokenize("x -- note")[-1] == Token("eof", "", 1, 10)
 
 
+def test_blanks_at_the_end_of_a_line_or_of_the_text_give_no_token():
+    assert tokenize("x \t\r\n  y  ") == [Token("ident", "x", 1, 1), Token("ident", "y", 2, 3), Token("eof", "", 2, 6)]
+    assert tokenize("x" + " " * 5000) == [Token("ident", "x", 1, 1), Token("eof", "", 1, 5002)]
+    assert parse("main = <Z | a0>; \t\n   ").main == Command(Zero(), CoVar("a0"))
+
+
 PIECES = sorted(KEYWORDS) + SYMBOLS + ["x", "f", "a0", "0", "12", "_", "-- note", "\n", "é", "٣", "²"]
 
 

@@ -10,10 +10,11 @@ classes defined here; everything else parses straight to kernel nodes.
 
 Every form that starts with a keyword, and ``Command``, is read from the
 print template its class's shape declares (see ``kernel.shape``), so its
-concrete syntax is written once, for the printer and the parser alike.
-Written by hand are only what no template spells out: names and the
-wildcard, numerals, parentheses, application by juxtaposition, call
-stacks ``t . e``, types and program structure.
+concrete syntax is written once, for the printer and the parser alike;
+chains of such forms, like call stacks, are read in a loop.  Written by
+hand are only what no template spells out: names and the wildcard,
+numerals, parentheses, application by juxtaposition, call stacks, types
+and program structure.
 
 Binder annotations are optional in the grammar (``mu a : Nat. <...>``);
 the type checker decides where they are required.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import partial
 from string import Formatter
 from typing import NamedTuple
 
@@ -174,6 +176,48 @@ def tokenize(text: str) -> list[Token]:
 # also stand where an atom may.
 TERM_LEVEL = {"fun", "mu", "corec", "rec"}
 
+# The keyword forms each production reads, by their lead token; filled from
+# the shapes below the Parser.
+TERMS, ATOMS, COTERMS, CO_ATOMS, COMMANDS = {}, {}, {}, {}, {}
+
+
+def _production(forms: dict, other):
+    """A production reading the form of forms (see ``_form``) that the next
+    token leads, or else other; a function there reads a choice of forms
+    whole.  Where the slot that closes a form's template is read by this
+    production again ("S S Z", "fun x => fun y => x", "tail head a0"), the
+    form stays open while the next one is read, so such a chain costs no
+    stack depth."""
+
+    def read(p: Parser):
+        opened = []
+        while (form := forms.get(p.peek().text)) is not None:
+            if callable(form):
+                node = form(p)
+                break
+            cls, steps, (field, tail, binders) = form
+            vals = {}
+            for name, step, scope in steps:
+                if name is None:
+                    p.eat(step)
+                else:
+                    p.bound += map(vals.get, scope)
+                    vals[name] = step(p)
+                    del p.bound[len(p.bound) - len(scope):]
+            p.bound += map(vals.get, binders)
+            opened.append((cls, vals, field, len(binders)))
+            if tail is not read:
+                node = tail and tail(p)
+                break
+        else:
+            node = other(p)
+        for cls, vals, field, scoped in reversed(opened):
+            del p.bound[len(p.bound) - scoped:]
+            node = cls(**vals, **{field: node} if field else {})
+        return node
+
+    return read
+
 
 class Parser:
     def __init__(self, text: str, def_names=()):
@@ -213,14 +257,12 @@ class Parser:
             return tok.text
         raise self.fail("expected a binder name")
 
-    def first(self, forms):
-        """Read the first of forms (readers taking the parser) that parses
-        here; if none does, raise the error that got furthest."""
+    def first(self, readers):
+        """Read by the first of readers that parses here; if none does,
+        raise the error that got furthest."""
 
-        if len(forms) == 1:
-            return forms[0](self)
         pos, depth, errors = self.pos, len(self.bound), []
-        for read in forms:
+        for read in readers:
             try:
                 return read(self)
             except ParseError as ex:
@@ -278,37 +320,22 @@ class Parser:
 
     # -- terms
 
-    def term(self) -> Term:
-        lead = self.peek().text
-        if lead in TERM_LEVEL:
-            return self.first(TERMS[lead])
-        return self.app_term()
-
     def app_term(self) -> Term:
         t = self.atom()
-        while self.atom_starts_here():
+        while (tok := self.peek()).kind in ("ident", "number") or tok.text == "(" or tok.text in ATOMS:
             t = App(t, self.atom())
         return t
 
-    def atom_starts_here(self) -> bool:
+    def name_or_group(self) -> Term:
         tok = self.peek()
-        return tok.kind in ("ident", "number") or tok.text == "(" or tok.text in ATOMS
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.text in ATOMS:
-            return self.first(ATOMS[tok.text])
         if tok.kind == "number":
             self.next()
             return kernel.numeral(int(tok.text))
         if tok.kind == "ident":
             self.next()
-            name = tok.text
-            if name == "_":
+            if tok.text == "_":
                 raise ParseError("wildcard may only appear as a binder", tok.line, tok.col)
-            if name in self.def_names and name not in self.bound:
-                return Ref(name)
-            return Var(name)
+            return Ref(tok.text) if tok.text in self.def_names and tok.text not in self.bound else Var(tok.text)
         if tok.text == "(":
             self.next()
             t = self.term()
@@ -316,31 +343,33 @@ class Parser:
             return t
         raise self.fail("expected a term")
 
+    term = _production(TERMS, app_term)
+    atom = _production(ATOMS, name_or_group)
+
     # -- coterms
 
-    def coterm(self) -> CoTerm:
-        lead = self.peek().text
-        forms = COTERMS.get(lead, ())
-        if not forms or lead in TERMS:
-            # A keyword shared with a term form may begin a call stack too.
-            forms += (Parser.call_stack,)
-        return self.first(forms)
-
     def call_stack(self) -> CoTerm:
-        """A call stack "t . e", or a bare name standing for a covariable."""
+        """A call stack "t . ... . t . e", read in a loop, whose last part
+        is a keyword form or a bare name standing for a covariable."""
 
-        t = self.term()
-        if self.at("."):
+        args = [self.term()]
+        while self.at("."):
             self.eat(".")
-            return Call(t, self.coterm())
-        if isinstance(t, (Var, Ref)):
-            return CoVar(t.name)
-        raise self.fail("expected '.' to continue a call stack, or a covariable")
+            if self.peek().text in COTERMS:
+                e = self.coterm()
+                break
+            args.append(self.term())
+        else:
+            t = args.pop()
+            if not isinstance(t, (Var, Ref)):
+                raise self.fail("expected '.' to continue a call stack, or a covariable")
+            e = CoVar(t.name)
+        for t in reversed(args):
+            e = Call(t, e)
+        return e
 
-    def co_atom(self) -> CoTerm:
+    def co_name_or_group(self) -> CoTerm:
         tok = self.peek()
-        if tok.text in COTERMS:
-            return self.first(COTERMS[tok.text])
         if tok.text == "(":
             self.next()
             e = self.coterm()
@@ -351,10 +380,13 @@ class Parser:
             return CoVar(tok.text)
         raise self.fail("expected a continuation")
 
+    coterm = _production(COTERMS, call_stack)
+    co_atom = _production(CO_ATOMS, co_name_or_group)
+
     # -- commands and programs
 
-    def command(self) -> Command:
-        return COMMAND(self)
+    # A text not led by '<' fails as eat reports it.
+    command = _production(COMMANDS, lambda p: p.eat("<"))
 
     def program(self) -> Program:
         defs: dict[str, Definition] = {}
@@ -380,10 +412,7 @@ class Parser:
                     raise ParseError("duplicate main", tok.line, tok.col)
                 self.next()
                 self.eat("=")
-                if self.at("<"):
-                    main = self.command()
-                else:
-                    main = self.term()
+                main = self.command() if self.at("<") else self.term()
                 self.eat(";")
             else:
                 raise self.fail("expected 'def' or 'main'")
@@ -399,9 +428,11 @@ class Parser:
 _WHOLE = {"Term": Parser.term, "CoTerm": Parser.coterm, "Command": Parser.command}
 
 
-def _reader(cls):
-    """A function reading a node of cls, lead token included, by its shape's
-    print template, as ``kernel.shape`` describes.  The binders of a
+def _form(cls) -> tuple:
+    """cls as its shape's print template reads (see ``kernel.shape``):
+    (cls, steps, closing slot).  A step is (None, token) for literal text
+    or (field, reader, binders in scope) for a slot; the closing slot is a
+    step that ends the template, or (None, None, ()).  The binders of a
     ``vars``-side shape shadow definition names in the child they scope
     over."""
 
@@ -423,41 +454,40 @@ def _reader(cls):
         else:
             read = _WHOLE.get(sort, Parser.binder)
         steps.append((field, read, scopes.get(field, ())))
-
-    def read(p: Parser):
-        vals = {}
-        for field, step, scope in steps:
-            if field is None:
-                p.eat(step)
-            elif scope:
-                p.bound.extend(vals[b] for b in scope)
-                vals[field] = step(p)
-                del p.bound[-len(scope):]
-            else:
-                vals[field] = step(p)
-        return cls(**vals)
-
-    return read
+    if steps[-1][0] is None:
+        return cls, steps, (None, None, ())
+    return cls, steps[:-1], steps[-1]
 
 
-def _forms(sort: type) -> dict[str, tuple]:
-    """Readers of the node classes of a sort whose template starts with a
-    keyword, by that keyword, in declaration order."""
+def _forms(sort: type) -> dict[str, list]:
+    """The node classes of a sort whose template starts with a keyword, read
+    by their templates, by that keyword, in declaration order."""
 
-    table: dict[str, tuple] = {}
+    table: dict[str, list] = {}
     # dataclass(slots=True) leaves the class it replaced, shapeless, among
     # the subclasses.
     for cls in filter(lambda c: hasattr(c, "_shape"), sort.__subclasses__()):
         lead = tokenize(next(Formatter().parse(cls._shape.text))[0])[0].text
         if lead in KEYWORDS:
-            table[lead] = (*table.get(lead, ()), _reader(cls))
+            table.setdefault(lead, []).append(_form(cls))
     return table
 
 
-TERMS = _forms(Term)
-ATOMS = {lead: forms for lead, forms in TERMS.items() if lead not in TERM_LEVEL}
-COTERMS = _forms(CoTerm)
-COMMAND = _reader(Command)
+def _choice(lead: str, readers: list):
+    """The one form led by lead, or a choice of readers tried in order."""
+
+    if len(readers) == 1:
+        return readers[0]
+    return partial(Parser.first, readers=[r if callable(r) else _production({lead: r}, None) for r in readers])
+
+
+_TERM_FORMS, _COTERM_FORMS = _forms(Term), _forms(CoTerm)
+TERMS.update((k, _choice(k, f)) for k, f in _TERM_FORMS.items() if k in TERM_LEVEL)
+ATOMS.update((k, _choice(k, f)) for k, f in _TERM_FORMS.items() if k not in TERM_LEVEL)
+CO_ATOMS.update((k, _choice(k, f)) for k, f in _COTERM_FORMS.items())
+# A keyword that also leads a term form may begin a call stack.
+COTERMS.update((k, _choice(k, f + [Parser.call_stack] * (k in _TERM_FORMS))) for k, f in _COTERM_FORMS.items())
+COMMANDS["<"] = _form(Command)
 
 
 def parse(text: str) -> Program:

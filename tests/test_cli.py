@@ -237,6 +237,21 @@ def test_deeply_nested_successors_exit_three_without_traceback(tmp_path):
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "main = <" + "S " * 19900 + "Z | a0>;",
+        "main = <" + "S (" * 4990 + "Z" + ")" * 4990 + " | a0>;",
+        "main = " + "<mu a. " * 9900 + "<Z | a>" + " | a>" * 9899 + " | a0>;",
+    ],
+    ids=["successor chain", "nested successors", "mu chain"],
+)
+def test_deep_input_within_the_recursion_limit_checks(tmp_path, text):
+    proc = _entry(tmp_path, "deep.ct", text, "check")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("main : command")
+
+
 def test_huge_numeral_literal_exits_three_without_traceback(tmp_path):
     text = (Path(__file__).resolve().parents[1] / "programs" / "plus23.ct").read_text()
     assert "<plus | 2 . 3 . a0>" in text

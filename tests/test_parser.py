@@ -105,6 +105,11 @@ REC_BRANCHES = "{ Z -> Z | S _ -> z. z }"
         (parse_term, "f S x", App(Var("f"), Succ(Var("x")))),
         (parse_term, "f inl Z numZ Z", App(App(Var("f"), InL(Zero())), NumZero(Zero()))),
         (parse_term, "S S Z", numeral(2)),
+        # Chains of forms ending in a slot of their own production, and call
+        # stacks, nest to the right.
+        (parse_term, "fun x => fun y : Nat => x", Lam("x", Lam("y", Var("x"), Nat()))),
+        (parse_coterm, "tail tail head a0", Tail(Tail(Head(CoVar("a0"))))),
+        (parse_coterm, "1 . x . head a0", Call(numeral(1), Call(Var("x"), Head(CoVar("a0"))))),
         # A call stack's argument is any term, a recursor included.
         (parse_coterm, f"rec x as {REC_BRANCHES} . a0",
          Call(RecTerm(Var("x"), Zero(), "_", "z", Var("z")), CoVar("a0"))),
@@ -141,6 +146,8 @@ def test_liberal_spots(parse_fn, text, expected):
         (parse_term, "corec { head f -> f | tail f -> g. g } with f",
          CoRec("f", CoVar("f"), "f", "g", CoVar("g"), Ref("f"))),
         (parse_coterm, "f", CoVar("f")),
+        # A binder's scope ends with the form that binds it.
+        (parse_term, "(fun f => fun x => x f) f", App(Lam("f", Lam("x", App(Var("x"), Var("f")))), Ref("f"))),
     ],
 )
 def test_binders_shadow_definition_names(parse_fn, text, expected):

@@ -377,6 +377,8 @@ class Parser:
             return e
         if tok.kind == "ident":
             self.next()
+            if tok.text == "_":
+                raise ParseError("wildcard may only appear as a binder", tok.line, tok.col)
             return CoVar(tok.text)
         raise self.fail("expected a continuation")
 

@@ -249,6 +249,10 @@ ERRORS = [
     (parse_term, "f _", 1, 3, "wildcard may only appear as a binder"),
     (parse_command, "<_ | a0>", 1, 2, "wildcard may only appear as a binder"),
     (parse_coterm, "_", 1, 1, "wildcard may only appear as a binder"),
+    (parse_coterm, "head _", 1, 6, "wildcard may only appear as a binder"),
+    (parse_coterm, "tail (head _)", 1, 12, "wildcard may only appear as a binder"),
+    (parse_coterm, "fst _", 1, 5, "wildcard may only appear as a binder"),
+    (parse, "main = <Z | head _>;", 1, 18, "wildcard may only appear as a binder"),
     # a bare term where a continuation is expected
     (parse_command, "<Z | S Z>", 1, 9, "expected '.' to continue a call stack, or a covariable (found '>')"),
     (parse_coterm, "Z", 1, 2, "expected '.' to continue a call stack, or a covariable (found '')"),

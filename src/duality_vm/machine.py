@@ -1,4 +1,4 @@
-"""Deterministic small-step execution of commands.
+"""Deterministic small-step execution of commands, on closures.
 
 Each step fires the unique applicable rule; value/covalue side conditions
 make the rules mutually exclusive, so no rule ordering is needed.  A run
@@ -8,12 +8,46 @@ counters the whole way.  Streams are observed by cutting them against a
 tower of tail projections over a head projection; call-by-name results
 may park thunks under successors, so numeral forcing restarts the machine
 on demand.
+
+The machine runs closures, not substitutions: it is the environment
+machine that Ariola, Bohannon and Sabry derive for this calculus
+("Sequent calculi and abstract machines", TOPLAS 2009).
+
+* Closures.  A state is a producer closure cut against a consumer
+  closure.  A closure pairs code (a term or coterm node) with two
+  environments, which map its free variables and its free covariables
+  to closures.  A rule that binds a name copies one environment with the
+  name added, so a step costs the same whatever the size of the command
+  it stands for.  A name is looked up when a closure is made for it; an
+  unbound covariable is the top-level continuation, and an unbound
+  variable is stuck.
+* Classification reads the code's cached bit through ``is_value`` and
+  ``is_covalue``.  That is sound because call-by-value binds variables
+  only to values and call-by-name binds covariables only to covalues,
+  and ``Var`` and ``CoVar`` carry the bit True.
+* Frames.  BetaSucc and BetaNumSucc leave a mu cut against a comu over
+  (predecessor, recursor), and BetaTail one over (corecursor, rest).  The
+  two halves stay unbuilt until one fires as the mu or comu it stands
+  for.  The recursor rebuilt on its new return, and the corecursor on its
+  new seed, bind it under a name no program can spell.
+* Read-back turns a closure into the term it stands for: its code with
+  the read-back images of its bound free names substituted in, or for a
+  half, ``_beta_succ`` or ``_beta_tail`` on the read-back parts, so the
+  names those invent come out as before.  It walks the closures with an
+  explicit stack and keeps each result on its closure.  ``step`` injects
+  a command, takes one step and reads back; traces print read-back
+  states, and ``RunResult.final`` is read back when first asked for.
+* Forcing starts from the final producer closure without reading it
+  back.  It counts the successors in the code and restarts ``run`` on a
+  suspended one, against a continuation that reads back as the fresh
+  covariable the term would get.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .kernel import (
     CBN,
@@ -48,6 +82,7 @@ from .kernel import (
     is_value,
     pretty,
     subst,
+    # Not called here; perfbench/spans.py rebinds both names in this module.
     subst_covar,
     subst_var,
 )
@@ -115,50 +150,276 @@ class ElementNotNatError(MachineError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# Closures
+
+
+# Names no program can spell: _HOLE binds a rebuilt recursor return or
+# corecursor seed, _TOP is the continuation a forcing restart runs against.
+_HOLE = "\x00"
+_HOLE_VAR, _HOLE_COVAR = Var(_HOLE), CoVar(_HOLE)
+_TOP = CoVar("\x00a0")
+_NO: dict = {}  # the empty environment; environments are copied, never changed
+
+
+class Clo:
+    """A term or coterm's code with the closures its free variables (vs) and
+    covariables (cs) are bound to; ``back`` keeps its read-back."""
+
+    __slots__ = ("code", "vs", "cs", "back")
+
+    def __init__(self, code, vs: dict, cs: dict):
+        self.code = code
+        self.vs = vs
+        self.cs = cs
+        self.back = None
+
+    def parts(self) -> list[Clo]:
+        code, vs, cs = self.code, self.vs, self.cs
+        return [vs[x] for x in code.free_vars if x in vs] + [cs[a] for a in code.free_covars if a in cs]
+
+    def build(self):
+        code, vs, cs = self.code, self.vs, self.cs
+        vm = {x: vs[x].back for x in code.free_vars if x in vs}
+        cm = {a: cs[a].back for a in code.free_covars if a in cs}
+        return subst(code, vm, cm) if vm or cm else code
+
+
+def _close(code, vs: dict, cs: dict) -> Clo:
+    """The closure of code, or the closure its name is bound to."""
+
+    cls = type(code)
+    if cls is Var:
+        got = vs.get(code.name)
+        if got is not None:
+            return got
+    elif cls is CoVar:
+        got = cs.get(code.name)
+        if got is not None:
+            return got
+    return Clo(code, vs, cs)
+
+
+class _Top(Clo):
+    """The unbound covariable a forcing restart of ``src`` runs against.  It
+    reads back as the name a substitution machine would pick for it."""
+
+    __slots__ = ("src",)
+
+    def __init__(self, src: Clo):
+        Clo.__init__(self, _TOP, _NO, _NO)
+        self.src = src
+
+    def parts(self) -> list[Clo]:
+        return [self.src]
+
+    def build(self):
+        return CoVar(fresh_name(self.src.back.free_covars, "a0"))
+
+
+class _Frame:
+    """What BetaSucc and BetaNumSucc leave, over (predecessor, recursor), or
+    BetaTail, over (corecursor, rest): a mu cut against a comu, as two
+    halves that fire without being built."""
+
+    __slots__ = ("x", "y", "succ", "back")
+
+    def __init__(self, x: Clo, y: Clo, succ: bool):
+        self.x = x
+        self.y = y
+        self.succ = succ
+        self.back = None
+
+    def command(self) -> Command:
+        if self.back is None:
+            rule = _beta_succ if self.succ else _beta_tail
+            self.back = rule(self.x.back, self.y.back)
+        return self.back
+
+
+# What the halves classify as: a mu, never a call-by-value value, and a
+# comu, never a call-by-name covalue.
+_PENDING_MU = Mu(_HOLE, Command(Zero(), _TOP))
+_PENDING_COMU = MuTilde(_HOLE, Command(Zero(), _TOP))
+
+
+class _Half(Clo):
+    __slots__ = ("frame",)
+
+    def __init__(self, code, frame: _Frame):
+        Clo.__init__(self, code, _NO, _NO)
+        self.frame = frame
+
+    def parts(self) -> list[Clo]:
+        return [self.frame.x, self.frame.y]
+
+
+class _PendingMu(_Half):
+    __slots__ = ()
+
+    def build(self):
+        return self.frame.command().producer
+
+    def fire(self, e: Clo) -> tuple[Clo, Clo]:
+        """The mu half cut against e."""
+
+        f = self.frame
+        if f.succ:  # <pred | the recursor returning to e>
+            rec = f.y
+            return f.x, Clo(_rebuilt(rec.code, "ret", _HOLE_COVAR), rec.vs, {**rec.cs, _HOLE: e})
+        cr, code = f.x, f.x.code  # <seed | tail body, the new seed going to e>
+        cs = {**cr.cs, code.tail_seed_covar: e, code.tail_covar: f.y}
+        return _close(code.seed, cr.vs, cr.cs), _close(code.tail_body, cr.vs, cs)
+
+
+class _PendingComu(_Half):
+    __slots__ = ()
+
+    def build(self):
+        return self.frame.command().consumer
+
+    def fire(self, v: Clo) -> tuple[Clo, Clo]:
+        """The comu half taking v."""
+
+        f = self.frame
+        if f.succ:  # <succ body, v the recursive result | return>
+            rec, code = f.y, f.y.code
+            vs = {**rec.vs, code.result_var: v, code.pred_var: f.x}
+            return _close(code.succ_body, vs, rec.cs), _close(code.ret, rec.vs, rec.cs)
+        cr = f.x  # <the corecursor seeded with v | rest>
+        return Clo(_rebuilt(cr.code, "seed", _HOLE_VAR), {**cr.vs, _HOLE: v}, cr.cs), f.y
+
+
+_REBUILT: dict[int, tuple] = {}
+
+
+def _rebuilt(node, field: str, hole):
+    """node with hole (the name _HOLE) for its field, cached by identity; the
+    cache holds node, so an identity is not reused while it is cached."""
+
+    if getattr(node, field) is hole:
+        return node
+    hit = _REBUILT.get(id(node))
+    if hit is None:
+        if len(_REBUILT) >= 4096:
+            _REBUILT.clear()
+        hit = _REBUILT[id(node)] = (node, replace(node, **{field: hole}))
+    return hit[1]
+
+
+def readback(c: Clo):
+    """The term or coterm c stands for: its code with the read-back of each
+    closure its free names are bound to substituted in; for a half, today's
+    rule (_beta_succ, _beta_tail) on the read-back parts.  An explicit stack
+    walks the closures, and each keeps its result."""
+
+    todo = [c]
+    while todo:
+        top = todo[-1]
+        if top.back is not None:
+            todo.pop()
+            continue
+        missing = [d for d in top.parts() if d.back is None]
+        if missing:
+            todo.extend(missing)
+        else:
+            todo.pop()
+            top.back = top.build()
+    return c.back
+
+
+State = tuple[Clo, Clo]
+
+
+def _inject(c: Command) -> State:
+    return _close(c.producer, _NO, _NO), _close(c.consumer, _NO, _NO)
+
+
+def _command(state: State) -> Command:
+    return Command(readback(state[0]), readback(state[1]))
+
+
+def _step(p: Clo, e: Clo, s: Strategy):
+    """(rule, producer, consumer) after the rule enabled on the state, or
+    None if there is none."""
+
+    v, k = p.code, e.code
+    tv, tk = type(v), type(k)
+    if tv is Mu and is_covalue(k, s):
+        if type(p) is Clo:
+            cs = {**p.cs, v.covar: e}
+            return RuleTag.MU, _close(v.body.producer, p.vs, cs), _close(v.body.consumer, p.vs, cs)
+        return (RuleTag.MU, *p.fire(e))
+    if tk is MuTilde and is_value(v, s):
+        if type(e) is Clo:
+            vs = {**e.vs, k.var: p}
+            return RuleTag.MU_TILDE, _close(k.body.producer, vs, e.cs), _close(k.body.consumer, vs, e.cs)
+        return (RuleTag.MU_TILDE, *e.fire(p))
+
+    if tv is Lam:
+        if tk is Call and is_value(k.arg, s) and is_covalue(k.rest, s):
+            vs = {**p.vs, v.var: _close(k.arg, e.vs, e.cs)}
+            return RuleTag.BETA_ARROW, _close(v.body, vs, p.cs), _close(k.rest, e.vs, e.cs)
+    elif tv is Zero:
+        if tk is RecNat and is_covalue(k.ret, s):
+            return RuleTag.BETA_ZERO, _close(k.zero_body, e.vs, e.cs), _close(k.ret, e.vs, e.cs)
+    elif tv is Succ:
+        if tk is RecNat and is_value(v.arg, s) and is_covalue(k.ret, s):
+            f = _Frame(_close(v.arg, p.vs, p.cs), e, True)
+            return RuleTag.BETA_SUCC, _PendingMu(_PENDING_MU, f), _PendingComu(_PENDING_COMU, f)
+    elif tv is NumZero:
+        if tk is RecNum and is_value(v.arg, s) and is_covalue(k.ret, s):
+            vs = {**e.vs, k.payload_var: _close(v.arg, p.vs, p.cs)}
+            return RuleTag.BETA_NUM_ZERO, _close(k.zero_body, vs, e.cs), _close(k.ret, e.vs, e.cs)
+    elif tv is NumSucc:
+        if tk is RecNum and is_value(v.arg, s) and is_covalue(k.ret, s):
+            f = _Frame(_close(v.arg, p.vs, p.cs), e, True)
+            return RuleTag.BETA_NUM_SUCC, _PendingMu(_PENDING_MU, f), _PendingComu(_PENDING_COMU, f)
+    elif tv is CoRec:
+        if tk is Head and is_value(v.seed, s) and is_covalue(k.rest, s):
+            cs = {**p.cs, v.head_covar: _close(k.rest, e.vs, e.cs)}
+            return RuleTag.BETA_HEAD, _close(v.seed, p.vs, p.cs), _close(v.head_body, p.vs, cs)
+        if tk is Tail and is_value(v.seed, s) and is_covalue(k.rest, s):
+            f = _Frame(p, _close(k.rest, e.vs, e.cs), False)
+            return RuleTag.BETA_TAIL, _PendingMu(_PENDING_MU, f), _PendingComu(_PENDING_COMU, f)
+    elif tv is Pair:
+        if tk is Fst and is_covalue(k.rest, s):
+            return RuleTag.BETA_FST, _close(v.left, p.vs, p.cs), _close(k.rest, e.vs, e.cs)
+        if tk is Snd and is_covalue(k.rest, s):
+            return RuleTag.BETA_SND, _close(v.right, p.vs, p.cs), _close(k.rest, e.vs, e.cs)
+    elif tv is InL:
+        if tk is SumCase:
+            return RuleTag.BETA_INL, _close(v.arg, p.vs, p.cs), _close(k.left, e.vs, e.cs)
+    elif tv is InR:
+        if tk is SumCase:
+            return RuleTag.BETA_INR, _close(v.arg, p.vs, p.cs), _close(k.right, e.vs, e.cs)
+    return None
+
+
+def _final_shape(p: Clo, e: Clo, s: Strategy) -> str | None:
+    """"Zero" or "Succ" if a number meets the top-level continuation (a
+    covariable no binder has bound), else None."""
+
+    if type(e.code) is CoVar:
+        v = p.code
+        if type(v) is Zero:
+            return "Zero"
+        if type(v) is Succ and is_value(v, s):
+            return "Succ"
+    return None
+
+
 def step(c: Command, s: Strategy) -> StepOutcome:
     """Apply the unique rule enabled on c under s, or report Final/Stuck."""
 
-    v = c.producer
-    e = c.consumer
-
-    if isinstance(v, Mu) and is_covalue(e, s):
-        return Stepped(subst_covar(v.body, v.covar, e), RuleTag.MU)
-    if isinstance(e, MuTilde) and is_value(v, s):
-        return Stepped(subst_var(e.body, e.var, v), RuleTag.MU_TILDE)
-
-    match (v, e):
-        case (Lam(), Call(arg, rest)) if is_value(arg, s) and is_covalue(rest, s):
-            return Stepped(Command(subst(v.body, {v.var: arg}, None), rest), RuleTag.BETA_ARROW)
-        case (Zero(), RecNat(ret=ret)) if is_covalue(ret, s):
-            return Stepped(Command(e.zero_body, ret), RuleTag.BETA_ZERO)
-        case (Succ(arg), RecNat(ret=ret)) if is_value(arg, s) and is_covalue(ret, s):
-            return Stepped(_beta_succ(arg, e), RuleTag.BETA_SUCC)
-        case (NumZero(arg), RecNum(ret=ret)) if is_value(arg, s) and is_covalue(ret, s):
-            out = Command(subst(e.zero_body, {e.payload_var: arg}, None), ret)
-            return Stepped(out, RuleTag.BETA_NUM_ZERO)
-        case (NumSucc(arg), RecNum(ret=ret)) if is_value(arg, s) and is_covalue(ret, s):
-            return Stepped(_beta_succ(arg, e), RuleTag.BETA_NUM_SUCC)
-        case (CoRec(), Head(rest)) if is_value(v.seed, s) and is_covalue(rest, s):
-            out = Command(v.seed, subst(v.head_body, None, {v.head_covar: rest}))
-            return Stepped(out, RuleTag.BETA_HEAD)
-        case (CoRec(), Tail(rest)) if is_value(v.seed, s) and is_covalue(rest, s):
-            return Stepped(_beta_tail(v, rest), RuleTag.BETA_TAIL)
-        case (Pair(l, _), Fst(rest)) if is_covalue(rest, s):
-            return Stepped(Command(l, rest), RuleTag.BETA_FST)
-        case (Pair(_, r), Snd(rest)) if is_covalue(rest, s):
-            return Stepped(Command(r, rest), RuleTag.BETA_SND)
-        case (InL(arg), SumCase(left, _)):
-            return Stepped(Command(arg, left), RuleTag.BETA_INL)
-        case (InR(arg), SumCase(_, right)):
-            return Stepped(Command(arg, right), RuleTag.BETA_INR)
-
-    if isinstance(e, CoVar):
-        if isinstance(v, Zero):
-            return Final("Zero", e.name, c)
-        if isinstance(v, Succ) and is_value(v, s):
-            return Final("Succ", e.name, c)
-
-    return Stuck(_stuck_reason(c, s), c)
+    p, e = _inject(c)
+    out = _step(p, e, s)
+    if out is not None:
+        return Stepped(_command(out[1:]), out[0])
+    shape = _final_shape(p, e, s)
+    if shape is not None:
+        return Final(shape, e.code.name, c)
+    return Stuck(_stuck_reason(p, e, s), c)
 
 
 def _beta_succ(pred: Term, r: RecNat | RecNum) -> Command:
@@ -195,17 +456,18 @@ def _beta_tail(cr: CoRec, rest: CoTerm) -> Command:
     return Command(left, right)
 
 
-def _stuck_reason(c: Command, s: Strategy) -> str:
-    v, e = c.producer, c.consumer
+def _stuck_reason(p: Clo, e: Clo, s: Strategy) -> str:
+    v, k = p.code, e.code
     if isinstance(v, Var):
         return f"free variable {v.name!r} in producer position"
-    if isinstance(e, CoVar):
-        return f"producer {type(v).__name__} delivered to covariable {e.name!r} is not a number"
+    if isinstance(k, CoVar):
+        name = readback(e).name
+        return f"producer {type(v).__name__} delivered to covariable {name!r} is not a number"
     if isinstance(v, Mu):
         return f"mu against a non-covalue consumer under {s.value}"
-    if isinstance(e, MuTilde):
+    if isinstance(k, MuTilde):
         return f"comu against a non-value producer under {s.value}"
-    return f"no rule for {type(v).__name__} against {type(e).__name__}"
+    return f"no rule for {type(v).__name__} against {type(k).__name__}"
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +510,7 @@ class RunStats:
 @dataclass
 class RunResult:
     stats: RunStats
-    final: Command | None
+    state: State | None  # the state the run halted in; None when fuel ran out
     trace: list[TraceEntry] | None = None
     trace_truncated: bool = False
 
@@ -256,81 +518,90 @@ class RunResult:
     def outcome(self) -> str:
         return self.stats.outcome
 
+    @cached_property
+    def final(self) -> Command | None:
+        """The halted state, read back the first time it is asked for."""
+
+        return None if self.state is None else _command(self.state)
+
 
 def run(
-    c: Command,
+    c: Command | State,
     s: Strategy,
     fuel: int = DEFAULT_FUEL,
     trace: bool = False,
 ) -> RunResult:
-    """Iterate step until Final, Stuck, or the fuel is spent."""
+    """Step from a command, or a machine state, until Final, Stuck, or the
+    fuel is spent."""
 
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
     stats = RunStats()
+    per_rule = stats.per_rule
     entries: list[TraceEntry] | None = [] if trace else None
     truncated = False
-    cur = c
+    p, e = _inject(c) if isinstance(c, Command) else c
     for i in range(fuel + 1):
-        out = step(cur, s)
-        if isinstance(out, Final):
-            stats.outcome = "Final"
-            stats.final_shape = out.shape
-            return RunResult(stats, cur, entries, truncated)
-        if isinstance(out, Stuck):
-            stats.outcome = "Stuck"
-            stats.stuck_reason = out.reason
-            return RunResult(stats, cur, entries, truncated)
-        if i == fuel:  # fuel spent: this step() only looked for a final or stuck state
+        out = _step(p, e, s)
+        if out is None:
+            stats.total = stats.fuel_used = i
+            stats.final_shape = _final_shape(p, e, s)
+            if stats.final_shape is not None:
+                stats.outcome = "Final"
+            else:
+                stats.outcome = "Stuck"
+                stats.stuck_reason = _stuck_reason(p, e, s)
+            return RunResult(stats, (p, e), entries, truncated)
+        if i == fuel:  # fuel spent: this step only looked for a final or stuck state
             break
-        cur = out.next
-        stats.per_rule[out.rule] = stats.per_rule.get(out.rule, 0) + 1
-        stats.total += 1
-        stats.fuel_used += 1
+        rule, p, e = out
+        per_rule[rule] = per_rule.get(rule, 0) + 1
         if entries is not None:
             if len(entries) < TRACE_LIMIT:
-                entries.append(TraceEntry(stats.total, out.rule, pretty(cur)))
+                entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e)))))
             else:
                 truncated = True
+    stats.total = stats.fuel_used = fuel
     stats.outcome = "OutOfFuel"
     return RunResult(stats, None, entries, truncated)
 
 
-def force_numeral(v: Term, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStats | None = None) -> int:
+def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStats | None = None) -> int:
     """Count successors down to Zero, restarting suspended computations.
 
     Under call-by-name a successor's argument may be a mu-abstraction; it
     is run against a fresh covariable and the count continues from the
-    resulting constructor.  When a stats record is given, the steps taken
-    by those restarts are added to it, so the full cost of producing the
-    observable number is accounted for.
+    resulting constructor.  A closure is forced as it stands: the restart
+    runs from it, and the count walks the successors in its code.  When a
+    stats record is given, the steps taken by those restarts are added to
+    it, so the full cost of producing the observable number is accounted
+    for.
     """
 
     budget = fuel
     n = 0
-    t = v
+    t = v if isinstance(v, Clo) else _close(v, _NO, _NO)
     while True:
-        match t:
-            case Zero():
-                return n
-            case Succ(arg):
-                n += 1
-                t = arg
-            case Mu():
-                a = fresh_name(t.free_covars, "a0")
-                res = run(Command(t, CoVar(a)), s, budget)
-                if res.outcome == "OutOfFuel":
-                    raise OutOfFuelError(f"forcing ran out of fuel after {n} successors")
-                if res.outcome == "Stuck":
-                    raise StuckError(res.stats.stuck_reason or "stuck while forcing")
-                budget -= res.stats.fuel_used
-                if stats is not None:
-                    stats.absorb(res.stats)
-                t = res.final.producer
-            case _:
-                raise ElementNotNatError(
-                    f"cannot force {type(t).__name__} to a numeral"
-                )
+        code = t.code
+        while type(code) is Succ:
+            n += 1
+            code = code.arg
+        if type(code) is Zero:
+            return n
+        if code is not t.code:
+            t = _close(code, t.vs, t.cs)
+        elif type(code) is Mu:
+            res = run((t, _Top(t)), s, budget)
+            if res.outcome == "OutOfFuel":
+                raise OutOfFuelError(f"forcing ran out of fuel after {n} successors")
+            if res.outcome == "Stuck":
+                raise StuckError(res.stats.stuck_reason or "stuck while forcing")
+            budget -= res.stats.fuel_used
+            if stats is not None:
+                stats.absorb(res.stats)
+            t = res.state[0]
+        else:
+            raise ElementNotNatError(f"cannot force {type(code).__name__} to a numeral")
 
 
 def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[int, RunStats]:
@@ -342,7 +613,7 @@ def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[i
         raise OutOfFuelError("run out of fuel")
     if res.outcome == "Stuck":
         raise StuckError(res.stats.stuck_reason or "stuck")
-    value = force_numeral(res.final.producer, s, fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(res.state[0], s, fuel - res.stats.fuel_used, res.stats)
     return value, res.stats
 
 
@@ -357,7 +628,7 @@ def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -
         raise OutOfFuelError(f"stream observation at depth {depth} ran out of fuel")
     if res.outcome == "Stuck":
         raise StuckError(res.stats.stuck_reason or "stuck while observing")
-    return force_numeral(res.final.producer, s, fuel - res.stats.fuel_used)
+    return force_numeral(res.state[0], s, fuel - res.stats.fuel_used)
 
 
 def tails(depth: int, inner: CoTerm) -> CoTerm:

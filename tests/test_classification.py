@@ -43,6 +43,7 @@ from duality_vm.kernel import (
     Term,
     Var,
     Zero,
+    fresh_name,
     is_covalue,
     is_value,
     well_formed,
@@ -224,24 +225,45 @@ def _apply(name: str, *args) -> Term:
     return t
 
 
+def _stepped_states(c: Command, s) -> list[Command]:
+    """Every state machine.step reads back from c to a final state, then,
+    as forcing does, from each suspended successor argument of the answer
+    run against a fresh covariable."""
+
+    out = []
+    while True:
+        out.append(c)
+        o = machine.step(c, s)
+        if isinstance(o, machine.Stepped):
+            c = o.next
+            continue
+        assert isinstance(o, machine.Final), o
+        t = c.producer
+        while isinstance(t, Succ):
+            t = t.arg
+        if not isinstance(t, Mu):
+            return out
+        c = Command(t, CoVar(fresh_name(t.free_covars, "a0")))
+
+
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)
 def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
-    """Every command step() is handed, forcing restarts included, so nodes
-    built by substitution and by the recursor/corecursor rules are covered."""
+    """Every node the machine classifies while it runs, forcing restarts
+    included, and every state machine.step reads back on the same
+    programs, so nodes built by the recursor/corecursor rules and by
+    read-back are covered."""
 
     comp = compilers[s]
-    states = []
-    real_step = machine.step
-
-    def recording_step(c, strat):
-        states.append(c)
-        return real_step(c, strat)
-
-    monkeypatch.setattr(machine, "step", recording_step)
+    handed, states = [], []
+    for name in ("is_value", "is_covalue"):
+        real = getattr(machine, name)
+        monkeypatch.setattr(machine, name, lambda n, strat, real=real: handed.append(n) or real(n, strat))
     compiled = lambda t: comp.term(EMPTY_ENV, t, None, "t")[1]
     nums = [_apply("plus", 2, 3), _apply("times", 2, 2), _apply("pred", 3), _apply("fact", 3)]
     for t in nums:
-        machine.run_to_numeral(Command(compiled(t), CoVar("a0")), s)
+        cmd = Command(compiled(t), CoVar("a0"))
+        machine.run_to_numeral(cmd, s)
+        states += _stepped_states(cmd, s)
     streams = [
         _apply("nats"),
         _apply("zeroes"),
@@ -254,9 +276,10 @@ def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
     for t in streams:
         for depth in (0, 2, 3):
             machine.observe_stream(compiled(t), depth, s)
-    assert len(states) > 500
+            states += _stepped_states(Command(compiled(t), machine.tails(depth, Head(CoVar("a0")))), s)
+    assert len(states) > 500 and handed
     seen: set[int] = set()
-    assert sum(assert_bits_agree(c, seen) for c in states) > 2000
+    assert sum(assert_bits_agree(c, seen) for c in [*handed, *states]) > 2000
 
 
 # ---------------------------------------------------------------------------

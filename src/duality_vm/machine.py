@@ -245,9 +245,10 @@ _PENDING_COMU = MuTilde(_HOLE, Command(Zero(), _TOP))
 
 class _Half(Clo):
     __slots__ = ("frame",)
+    mark: Term | CoTerm  # the code it classifies as
 
-    def __init__(self, code, frame: _Frame):
-        Clo.__init__(self, code, _NO, _NO)
+    def __init__(self, frame: _Frame):
+        Clo.__init__(self, self.mark, _NO, _NO)
         self.frame = frame
 
     def parts(self) -> list[Clo]:
@@ -256,6 +257,7 @@ class _Half(Clo):
 
 class _PendingMu(_Half):
     __slots__ = ()
+    mark = _PENDING_MU
 
     def build(self):
         return self.frame.command().producer
@@ -268,12 +270,14 @@ class _PendingMu(_Half):
             rec = f.y
             return f.x, Clo(_rebuilt(rec.code, "ret", _HOLE_COVAR), rec.vs, {**rec.cs, _HOLE: e})
         cr, code = f.x, f.x.code  # <seed | tail body, the new seed going to e>
+        # Where both binders have one name, it is bound to the rest, as _beta_tail binds it.
         cs = {**cr.cs, code.tail_seed_covar: e, code.tail_covar: f.y}
         return _close(code.seed, cr.vs, cr.cs), _close(code.tail_body, cr.vs, cs)
 
 
 class _PendingComu(_Half):
     __slots__ = ()
+    mark = _PENDING_COMU
 
     def build(self):
         return self.frame.command().consumer
@@ -284,24 +288,29 @@ class _PendingComu(_Half):
         f = self.frame
         if f.succ:  # <succ body, v the recursive result | return>
             rec, code = f.y, f.y.code
+            # Where both binders have one name, it is bound to the predecessor, as _beta_succ binds it.
             vs = {**rec.vs, code.result_var: v, code.pred_var: f.x}
             return _close(code.succ_body, vs, rec.cs), _close(code.ret, rec.vs, rec.cs)
         cr = f.x  # <the corecursor seeded with v | rest>
         return Clo(_rebuilt(cr.code, "seed", _HOLE_VAR), {**cr.vs, _HOLE: v}, cr.cs), f.y
 
 
+# A memo: a hit is the node a miss would build, so callers cannot tell it is
+# shared.  Each entry keeps its node alive, so it is kept small; a run uses
+# a few recursor and corecursor codes at a time.
 _REBUILT: dict[int, tuple] = {}
+_REBUILT_MAX = 64
 
 
 def _rebuilt(node, field: str, hole):
-    """node with hole (the name _HOLE) for its field, cached by identity; the
-    cache holds node, so an identity is not reused while it is cached."""
+    """node with hole (the name _HOLE) for its field, kept by the identity of
+    node; the entry holds node, so its identity is not reused while kept."""
 
     if getattr(node, field) is hole:
         return node
     hit = _REBUILT.get(id(node))
     if hit is None:
-        if len(_REBUILT) >= 4096:
+        if len(_REBUILT) >= _REBUILT_MAX:
             _REBUILT.clear()
         hit = _REBUILT[id(node)] = (node, replace(node, **{field: hole}))
     return hit[1]
@@ -366,7 +375,7 @@ def _step(p: Clo, e: Clo, s: Strategy):
     elif tv is Succ:
         if tk is RecNat and is_value(v.arg, s) and is_covalue(k.ret, s):
             f = _Frame(_close(v.arg, p.vs, p.cs), e, True)
-            return RuleTag.BETA_SUCC, _PendingMu(_PENDING_MU, f), _PendingComu(_PENDING_COMU, f)
+            return RuleTag.BETA_SUCC, _PendingMu(f), _PendingComu(f)
     elif tv is NumZero:
         if tk is RecNum and is_value(v.arg, s) and is_covalue(k.ret, s):
             vs = {**e.vs, k.payload_var: _close(v.arg, p.vs, p.cs)}
@@ -374,14 +383,14 @@ def _step(p: Clo, e: Clo, s: Strategy):
     elif tv is NumSucc:
         if tk is RecNum and is_value(v.arg, s) and is_covalue(k.ret, s):
             f = _Frame(_close(v.arg, p.vs, p.cs), e, True)
-            return RuleTag.BETA_NUM_SUCC, _PendingMu(_PENDING_MU, f), _PendingComu(_PENDING_COMU, f)
+            return RuleTag.BETA_NUM_SUCC, _PendingMu(f), _PendingComu(f)
     elif tv is CoRec:
         if tk is Head and is_value(v.seed, s) and is_covalue(k.rest, s):
             cs = {**p.cs, v.head_covar: _close(k.rest, e.vs, e.cs)}
             return RuleTag.BETA_HEAD, _close(v.seed, p.vs, p.cs), _close(v.head_body, p.vs, cs)
         if tk is Tail and is_value(v.seed, s) and is_covalue(k.rest, s):
             f = _Frame(p, _close(k.rest, e.vs, e.cs), False)
-            return RuleTag.BETA_TAIL, _PendingMu(_PENDING_MU, f), _PendingComu(_PENDING_COMU, f)
+            return RuleTag.BETA_TAIL, _PendingMu(f), _PendingComu(f)
     elif tv is Pair:
         if tk is Fst and is_covalue(k.rest, s):
             return RuleTag.BETA_FST, _close(v.left, p.vs, p.cs), _close(k.rest, e.vs, e.cs)

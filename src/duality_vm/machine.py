@@ -270,8 +270,10 @@ class _PendingMu(_Half):
             rec = f.y
             return f.x, Clo(_rebuilt(rec.code, "ret", _HOLE_COVAR), rec.vs, {**rec.cs, _HOLE: e})
         cr, code = f.x, f.x.code  # <seed | tail body, the new seed going to e>
-        # Where both binders have one name, it is bound to the rest, as _beta_tail binds it.
-        cs = {**cr.cs, code.tail_seed_covar: e, code.tail_covar: f.y}
+        b, g = code.tail_covar, code.tail_seed_covar
+        cs = {**cr.cs, g: e, b: f.y}
+        if b == g and readback(self).covar != g:
+            cs[g] = e  # one name for both binders: bind it as _beta_tail did
         return _close(code.seed, cr.vs, cr.cs), _close(code.tail_body, cr.vs, cs)
 
 
@@ -288,8 +290,10 @@ class _PendingComu(_Half):
         f = self.frame
         if f.succ:  # <succ body, v the recursive result | return>
             rec, code = f.y, f.y.code
-            # Where both binders have one name, it is bound to the predecessor, as _beta_succ binds it.
-            vs = {**rec.vs, code.result_var: v, code.pred_var: f.x}
+            x, y = code.pred_var, code.result_var
+            vs = {**rec.vs, y: v, x: f.x}
+            if x == y and readback(self).var != y:
+                vs[y] = v  # one name for both binders: bind it as _beta_succ did
             return _close(code.succ_body, vs, rec.cs), _close(code.ret, rec.vs, rec.cs)
         cr = f.x  # <the corecursor seeded with v | rest>
         return Clo(_rebuilt(cr.code, "seed", _HOLE_VAR), {**cr.vs, _HOLE: v}, cr.cs), f.y

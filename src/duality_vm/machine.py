@@ -39,8 +39,8 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   states, and ``RunResult.final`` is read back when first asked for.
 * Forcing starts from the final producer closure without reading it
   back.  It counts the successors in the code and restarts ``run`` on a
-  suspended one, against a continuation that reads back as the fresh
-  covariable the term would get.
+  suspended one.  Only a stuck restart, whose reason may name the
+  restart's covariable, is run again from read-back terms, for the name.
 """
 
 from __future__ import annotations
@@ -198,23 +198,6 @@ def _close(code, vs: dict, cs: dict) -> Clo:
         if got is not None:
             return got
     return Clo(code, vs, cs)
-
-
-class _Top(Clo):
-    """The unbound covariable a forcing restart of ``src`` runs against.  It
-    reads back as the name a substitution machine would pick for it."""
-
-    __slots__ = ("src",)
-
-    def __init__(self, src: Clo):
-        Clo.__init__(self, _TOP, _NO, _NO)
-        self.src = src
-
-    def parts(self) -> list[Clo]:
-        return [self.src]
-
-    def build(self):
-        return CoVar(fresh_name(self.src.back.free_covars, "a0"))
 
 
 class _Frame:
@@ -474,8 +457,7 @@ def _stuck_reason(p: Clo, e: Clo, s: Strategy) -> str:
     if isinstance(v, Var):
         return f"free variable {v.name!r} in producer position"
     if isinstance(k, CoVar):
-        name = readback(e).name
-        return f"producer {type(v).__name__} delivered to covariable {name!r} is not a number"
+        return f"producer {type(v).__name__} delivered to covariable {k.name!r} is not a number"
     if isinstance(v, Mu):
         return f"mu against a non-covalue consumer under {s.value}"
     if isinstance(k, MuTilde):
@@ -591,6 +573,18 @@ def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: R
     for.
     """
 
+    return _force(v, s, fuel, stats, False)
+
+
+_RESTART = Clo(_TOP, _NO, _NO)
+
+
+def _force(v: Term | Clo, s: Strategy, fuel: int, stats: RunStats | None, named: bool) -> int:
+    """force_numeral.  A restart runs against _RESTART, so nothing is read
+    back, unless named: then against the covariable fresh for the read-back
+    term, as a substitution machine names it.  A stuck reason may name that
+    covariable, so a stuck forcing is forced again, named, for its message."""
+
     budget = fuel
     n = 0
     t = v if isinstance(v, Clo) else _close(v, _NO, _NO)
@@ -604,10 +598,16 @@ def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: R
         if code is not t.code:
             t = _close(code, t.vs, t.cs)
         elif type(code) is Mu:
-            res = run((t, _Top(t)), s, budget)
+            if named:
+                term = readback(t)
+                res = run(Command(term, CoVar(fresh_name(term.free_covars, "a0"))), s, budget)
+            else:
+                res = run((t, _RESTART), s, budget)
             if res.outcome == "OutOfFuel":
                 raise OutOfFuelError(f"forcing ran out of fuel after {n} successors")
             if res.outcome == "Stuck":
+                if not named:
+                    return _force(v, s, fuel, None, True)
                 raise StuckError(res.stats.stuck_reason or "stuck while forcing")
             budget -= res.stats.fuel_used
             if stats is not None:

@@ -234,17 +234,25 @@ def test_fuel_runs_out_at_the_same_step(compilers):
     ("S (mu a. <fun x => x | a>)", "a0"),
     # a0 is free in the suspended term, so the restart covariable is a01
     ("S (mu a. <mu b. <fun x => x | a> | a0>)", "a01"),
+    # stuck in the second restart, on the first restart's covariable
+    ("S (mu a. <S (mu b. <fun x => x | a>) | a>)", "a0"),
+    # stuck in the second restart, whose covariable is a01: the first one's is free
+    ("S (mu a. <S (mu b. <mu c. <fun x => x | b> | a>) | a>)", "a01"),
 ])
 def test_stuck_while_forcing_names_the_restart_covariable(text, name):
     t = parse_term(text)
-    assert name == fresh_name(t.arg.free_covars, "a0")
     want = f"producer Lam delivered to covariable {name!r} is not a number"
-    with pytest.raises(StuckError) as ex:
-        force_numeral(t, CBN)
-    assert str(ex.value) == want
-    with pytest.raises(StuckError) as ex:
-        ref.force_numeral(t, CBN)
-    assert str(ex.value) == want
+    for force in (force_numeral, ref.force_numeral):
+        with pytest.raises(StuckError) as ex:
+            force(t, CBN)
+        assert str(ex.value) == want
+    stats = machine.RunStats()
+    with pytest.raises(StuckError):
+        force_numeral(t, CBN, 100, stats)
+    ref_stats = machine.RunStats()
+    with pytest.raises(StuckError):
+        ref.force_numeral(t, CBN, 100, ref_stats)
+    assert stats == ref_stats  # restarts before the stuck one are counted once
 
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)

@@ -305,9 +305,9 @@ def _rebuilt(node, field: str, hole):
 
 def readback(c: Clo):
     """The term or coterm c stands for: its code with the read-back of each
-    closure its free names are bound to substituted in; for a half, today's
-    rule (_beta_succ, _beta_tail) on the read-back parts.  An explicit stack
-    walks the closures, and each keeps its result."""
+    closure its free names are bound to substituted in; for a half, the
+    substitution rule (_beta_succ, _beta_tail) on the read-back parts.  An
+    explicit stack walks the closures, and each keeps its result."""
 
     todo = [c]
     while todo:

@@ -37,6 +37,14 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   explicit stack and keeps each result on its closure.  ``step`` injects
   a command, takes one step and reads back; traces print read-back
   states, and ``RunResult.final`` is read back when first asked for.
+* A read-back state is the command a substitution machine reaches, up to
+  the names of bound (co)variables.  It is that command byte for byte
+  unless substitution renamed a binder, which needs a binder named like a
+  free name of the command (``a0`` in a program answering on ``a0``):
+  substitution renames one binding at a time and read-back all of a
+  closure's at once, so they can pick other fresh names.  Free names,
+  rule counts, stuck reasons and forced numbers never differ, and neither
+  does ``step``, whose states bind one name each.
 * Forcing starts from the final producer closure without reading it
   back.  It counts the successors in the code and restarts ``run`` on a
   suspended one.  Only a stuck restart, whose reason may name the
@@ -282,16 +290,18 @@ class _PendingComu(_Half):
         return Clo(_rebuilt(cr.code, "seed", _HOLE_VAR), {**cr.vs, _HOLE: v}, cr.cs), f.y
 
 
-# A memo: a hit is the node a miss would build, so callers cannot tell it is
-# shared.  Each entry keeps its node alive, so it is kept small; a run uses
-# a few recursor and corecursor codes at a time.
+# A memo: a recursor or corecursor code is rebuilt on each entry, once per
+# call of the function it recurses in, while a run enters only a few codes.
+# A hit is the node a miss would build, so callers cannot tell it is shared.
+# Each entry keeps its node alive, so it is kept small.
 _REBUILT: dict[int, tuple] = {}
 _REBUILT_MAX = 64
 
 
 def _rebuilt(node, field: str, hole):
     """node with hole (the name _HOLE) for its field, kept by the identity of
-    node; the entry holds node, so its identity is not reused while kept."""
+    node; the entry holds node, so its identity is not reused while kept.  A
+    code rebuilt once already is its own rebuild."""
 
     if getattr(node, field) is hole:
         return node

@@ -9,6 +9,11 @@ stuck reason, and force the same number; ``step`` must give the same
 successor state, rule, final covariable or stuck reason.  Forcing is
 checked both from the printed final producer and through
 ``run_to_numeral`` and ``observe_stream``.
+
+Where the substitution machine renames a binder (one named like a free
+name of the command), it renames one substitution at a time and read-back
+all at once, so they may pick other fresh names.  Such commands are
+checked up to renaming: every state alpha-equivalent, all else the same.
 """
 
 import sys
@@ -18,7 +23,9 @@ import pytest
 
 import substitution_machine as ref
 from duality_vm import machine
-from duality_vm.kernel import CBN, CBV, Call, Command, CoVar, Head, Mu, Succ, fresh_name, numeral, pretty, well_formed
+from duality_vm.kernel import (
+    CBN, CBV, Call, Command, CoVar, Head, Mu, Succ, alpha_eq, fresh_name, numeral, pretty, well_formed,
+)
 from duality_vm.machine import MachineError, StuckError, force_numeral, tails
 from duality_vm.parser import App, NumLit, Ref, parse, parse_command, parse_term
 from duality_vm.surface import Compiler
@@ -113,6 +120,23 @@ def assert_agree(cmd, s, fuel=FUEL) -> None:
     assert_steps_agree(cmd, s)
 
 
+def assert_agree_up_to_renaming(cmd, s, fuel=FUEL) -> None:
+    """Each traced state and the final command alpha-equivalent; stats,
+    outcome, stuck reason, forced value and single steps the same."""
+
+    got, want = machine.run(cmd, s, fuel, trace=True), ref.run(cmd, s, fuel, trace=True)
+    assert got.stats == want.stats and got.trace_truncated == want.trace_truncated
+    assert [e.rule for e in got.trace] == [e.rule for e in want.trace]
+    for a, b in zip(got.trace, want.trace):
+        assert alpha_eq(parse_command(a.command_text), parse_command(b.command_text))
+    assert (got.final is None) == (want.final is None)
+    if got.final is not None:
+        assert alpha_eq(got.final, want.final)
+        assert _outcome(force_numeral, got.final.producer, s) == _outcome(ref.force_numeral, want.final.producer, s)
+    assert _machine_to_numeral(cmd, s, fuel) == _ref_to_numeral(cmd, s, fuel)
+    assert_steps_agree(cmd, s)
+
+
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)
 def test_numeral_functions(s, compilers):
     for name, *args in NUMS:
@@ -171,11 +195,12 @@ class _Pooled:
     binders shadow one another and substitution renames binders."""
 
     COVAR_HINTS = {"a", "b", "g", "fc", "mc", "hc", "tc", "gc"}
+    COVARS, VARS = ("a", "a0", "a1"), ("x", "x1", "y")
 
     def fresh(self, hint: str) -> str:
         super().fresh(hint)
-        pool = ("a", "a0", "a1") if hint in self.COVAR_HINTS else ("x", "x1", "y")
-        return pool[self.counter % 3]
+        pool = self.COVARS if hint in self.COVAR_HINTS else self.VARS
+        return pool[self.counter % len(pool)]
 
 
 class _PooledTypedGen(_Pooled, TypedGen):
@@ -210,6 +235,46 @@ def test_generated_commands_with_reused_names(s):
 ])
 def test_one_name_for_both_binders(text, s):
     assert_agree(parse_command(text), s)
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+@pytest.mark.parametrize("text", [
+    # Free x and x1: substitution renames the innermost binder x to x1, then
+    # x1 to x11; read-back avoids both at once and names it x2.
+    "<fun p => mu k. <fun q => mu j. <fun x => mu r. <p | q . r> | j> | x1 . k> | x . a0>",
+    # Free x alone: x1 is substituted away before x is renamed, so
+    # substitution may reuse x1, which read-back still avoids.
+    "<fun x1 => mu k. <fun y => mu j. <fun x => mu r. <x1 | y . r> | j> | x . k> | 3 . a0>",
+    # Closed: a binder named a0 is renamed to a01, and so the binder a01 in
+    # its scope to a011; substitution keeps a011 once a0 is bound, read-back
+    # has no reason to rename a01.
+    "<mu a. <mu a0. <mu a01. <mu a02. <mu a1. <Z | comu x. <Z | a0>> | a02> | a> | Z . a> | a> | 3 . a0>",
+])
+def test_renamed_binders_agree_up_to_renaming(text, s):
+    assert_agree_up_to_renaming(parse_command(text), s)
+
+
+class _WidePooled(_Pooled):
+    """Five names per side, among them the names substitution renames a0 and
+    x to, and renames of those, so renamings cascade."""
+
+    COVARS, VARS = ("a", "a0", "a01", "a02", "a1"), ("x", "x1", "x2", "x11", "y")
+
+
+class _WideTypedGen(_WidePooled, TypedGen):
+    pass
+
+
+class _WideDualGen(_WidePooled, DualGen):
+    pass
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_generated_commands_with_renamed_binders(s):
+    tg, dg = _WideTypedGen(913), _WideDualGen(914)
+    for _ in range(100):
+        assert_agree_up_to_renaming(tg.command(depth=4), s)
+        assert_agree_up_to_renaming(dg.command(depth=4)[0], s)
 
 
 def test_trace_limit_marks_truncation(compilers, monkeypatch):

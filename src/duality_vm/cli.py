@@ -136,7 +136,7 @@ def _cmd_run(args, rep: _Reporter) -> int:
             print(json.dumps(res.stats.to_json()))
         return rep.error(reason, EXIT_RUNTIME)
     # The forcing phase spends the same budget and is counted in the same stats.
-    value = force_numeral(res.final.producer, s, args.fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(res.state[0], s, args.fuel - res.stats.fuel_used, res.stats)
     if rep.as_json:
         rep.emit({"value": value, "final": pretty(res.final)})
         print(json.dumps(res.stats.to_json()))

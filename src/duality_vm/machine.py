@@ -29,7 +29,9 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   (predecessor, recursor), and BetaTail one over (corecursor, rest).  The
   two halves stay unbuilt until one fires as the mu or comu it stands
   for.  The recursor rebuilt on its new return, and the corecursor on its
-  new seed, bind it under a name no program can spell.
+  new seed, bind it under a name no program can spell.  Where a branch
+  binds one name twice, the later binder (the result, the new seed)
+  shadows the earlier, as in typing, ``alpha_eq`` and substitution.
 * Read-back turns a closure into the term it stands for: its code with
   the read-back images of its bound free names substituted in, or for a
   half, ``_beta_succ`` or ``_beta_tail`` on the read-back parts, so the
@@ -37,6 +39,7 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   explicit stack and keeps each result on its closure.  ``step`` injects
   a command, takes one step and reads back; traces print read-back
   states, and ``RunResult.final`` is read back when first asked for.
+  ``run``, ``run_to_numeral`` and ``observe_stream`` read nothing back.
 * A read-back state is the command a substitution machine reaches, up to
   the names of bound (co)variables.  It is that command byte for byte
   unless substitution renamed a binder, which needs a binder named like a
@@ -261,10 +264,7 @@ class _PendingMu(_Half):
             rec = f.y
             return f.x, Clo(_rebuilt(rec.code, "ret", _HOLE_COVAR), rec.vs, {**rec.cs, _HOLE: e})
         cr, code = f.x, f.x.code  # <seed | tail body, the new seed going to e>
-        b, g = code.tail_covar, code.tail_seed_covar
-        cs = {**cr.cs, g: e, b: f.y}
-        if b == g and readback(self).covar != g:
-            cs[g] = e  # one name for both binders: bind it as _beta_tail did
+        cs = {**cr.cs, code.tail_covar: f.y, code.tail_seed_covar: e}
         return _close(code.seed, cr.vs, cr.cs), _close(code.tail_body, cr.vs, cs)
 
 
@@ -281,10 +281,7 @@ class _PendingComu(_Half):
         f = self.frame
         if f.succ:  # <succ body, v the recursive result | return>
             rec, code = f.y, f.y.code
-            x, y = code.pred_var, code.result_var
-            vs = {**rec.vs, y: v, x: f.x}
-            if x == y and readback(self).var != y:
-                vs[y] = v  # one name for both binders: bind it as _beta_succ did
+            vs = {**rec.vs, code.pred_var: f.x, code.result_var: v}
             return _close(code.succ_body, vs, rec.cs), _close(code.ret, rec.vs, rec.cs)
         cr = f.x  # <the corecursor seeded with v | rest>
         return Clo(_rebuilt(cr.code, "seed", _HOLE_VAR), {**cr.vs, _HOLE: v}, cr.cs), f.y
@@ -437,7 +434,7 @@ def _beta_succ(pred: Term, r: RecNat | RecNum) -> Command:
     restarted = replace(r, ret=CoVar(a))
     left = Mu(a, Command(pred, restarted), r.annot)
     y = r.result_var
-    vmap: dict[str, Term] = {r.pred_var: pred}
+    vmap: dict[str, Term] = {} if r.pred_var == y else {r.pred_var: pred}
     if y in pred.free_vars or y in r.ret.free_vars:
         y = fresh_name(pred.free_vars | r.ret.free_vars | r.succ_body.free_vars, y)
         vmap[r.result_var] = Var(y)
@@ -451,7 +448,7 @@ def _beta_tail(cr: CoRec, rest: CoTerm) -> Command:
     on the rest of the projection, dual to the successor case."""
 
     g = cr.tail_seed_covar
-    cmap: dict[str, CoTerm] = {cr.tail_covar: rest}
+    cmap: dict[str, CoTerm] = {} if cr.tail_covar == g else {cr.tail_covar: rest}
     if g in rest.free_covars or g in cr.seed.free_covars:
         g = fresh_name(rest.free_covars | cr.seed.free_covars | cr.tail_body.free_covars, g)
         cmap[cr.tail_seed_covar] = CoVar(g)
@@ -618,7 +615,7 @@ def _force(v: Term | Clo, s: Strategy, fuel: int, stats: RunStats | None, named:
             if res.outcome == "Stuck":
                 if not named:
                     return _force(v, s, fuel, None, True)
-                raise StuckError(res.stats.stuck_reason or "stuck while forcing")
+                raise StuckError(res.stats.stuck_reason)
             budget -= res.stats.fuel_used
             if stats is not None:
                 stats.absorb(res.stats)
@@ -635,7 +632,7 @@ def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[i
     if res.outcome == "OutOfFuel":
         raise OutOfFuelError("run out of fuel")
     if res.outcome == "Stuck":
-        raise StuckError(res.stats.stuck_reason or "stuck")
+        raise StuckError(res.stats.stuck_reason)
     value = force_numeral(res.state[0], s, fuel - res.stats.fuel_used, res.stats)
     return value, res.stats
 
@@ -650,7 +647,7 @@ def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -
     if res.outcome == "OutOfFuel":
         raise OutOfFuelError(f"stream observation at depth {depth} ran out of fuel")
     if res.outcome == "Stuck":
-        raise StuckError(res.stats.stuck_reason or "stuck while observing")
+        raise StuckError(res.stats.stuck_reason)
     return force_numeral(res.state[0], s, fuel - res.stats.fuel_used)
 
 

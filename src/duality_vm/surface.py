@@ -356,10 +356,13 @@ def _ssubst(t: Term, x: str, v: Term) -> Term:
             if x in (p, r):
                 return RecTerm(scrut2, zb2, p, r, sb)
             if p in v.free_vars or r in v.free_vars:
-                avoid = v.free_vars | sb.free_vars
+                # The new names avoid x and both binders, so no rename meets a
+                # name still to be replaced; r shadows p if they are one name,
+                # so r is renamed first.
+                avoid = v.free_vars | sb.free_vars | {x, p, r}
                 p2 = fresh_name(avoid, p)
                 r2 = fresh_name(avoid | {p2}, r)
-                sb = _ssubst(_ssubst(sb, p, Var(p2)), r, Var(r2))
+                sb = _ssubst(_ssubst(sb, r, Var(r2)), p, Var(p2))
                 p, r = p2, r2
             return RecTerm(scrut2, zb2, p, r, _ssubst(sb, x, v))
     raise OracleError(f"cannot substitute into {type(t).__name__}")
@@ -399,7 +402,7 @@ def _sstep(t: Term, s: Strategy):
             if isinstance(scrut, Succ) and (s is CBN or _svalue(scrut.arg, s)):
                 pred = scrut.arg
                 rec = RecTerm(pred, zb, x, y, sb)
-                return App(Lam(y, _ssubst(sb, x, pred)), rec), "BetaSucc"
+                return App(_ssubst(Lam(y, sb), x, pred), rec), "BetaSucc"
             r = _sstep(scrut, s)
             return (RecTerm(r[0], zb, x, y, sb), r[1]) if r else None
         case Succ(arg) if s is CBV:

@@ -3,7 +3,9 @@
 This is the machine as it stood before it ran closures: each rule
 rewrites the whole command with ``kernel.subst``, a run iterates ``step``
 on commands, and forcing restarts a run on each suspended successor
-argument.  ``tests/test_machine_lockstep.py`` checks that
+argument.  Where a branch binds one name twice, its successor and tail
+rules let the later binder shadow the earlier, as the machine does.
+``tests/test_machine_lockstep.py`` checks that
 ``duality_vm.machine`` prints, counts and answers exactly as this does.
 """
 
@@ -109,7 +111,7 @@ def beta_succ(pred: Term, r: RecNat | RecNum) -> Command:
     restarted = replace(r, ret=CoVar(a))
     left = Mu(a, Command(pred, restarted), r.annot)
     y = r.result_var
-    vmap: dict[str, Term] = {r.pred_var: pred}
+    vmap: dict[str, Term] = {} if r.pred_var == y else {r.pred_var: pred}
     if y in pred.free_vars or y in r.ret.free_vars:
         y = fresh_name(pred.free_vars | r.ret.free_vars | r.succ_body.free_vars, y)
         vmap[r.result_var] = Var(y)
@@ -120,7 +122,7 @@ def beta_succ(pred: Term, r: RecNat | RecNum) -> Command:
 
 def beta_tail(cr: CoRec, rest: CoTerm) -> Command:
     g = cr.tail_seed_covar
-    cmap: dict[str, CoTerm] = {cr.tail_covar: rest}
+    cmap: dict[str, CoTerm] = {} if cr.tail_covar == g else {cr.tail_covar: rest}
     if g in rest.free_covars or g in cr.seed.free_covars:
         g = fresh_name(rest.free_covars | cr.seed.free_covars | cr.tail_body.free_covars, g)
         cmap[cr.tail_seed_covar] = CoVar(g)

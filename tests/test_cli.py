@@ -185,6 +185,15 @@ def test_observe_from_program_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("strategy", ["cbv", "cbn"])
+def test_branch_binding_one_name_twice_means_the_later_binder(strategy, capsys):
+    shadow = str(Path(__file__).resolve().parents[1] / "programs" / "shadow.ct")
+    assert main(["run", "--strategy", strategy, shadow]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["5", "final: <5 | a0>"]
+    assert main(["observe", "--depth", "2", "--strategy", strategy, "s", shadow]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
 PLUS_200_3 = PLUS23.replace("2 . 3 . a0", "200 . 3 . a0")
 
 

@@ -22,6 +22,7 @@ from duality_vm.kernel import (
     numeral,
     pretty,
 )
+from duality_vm import machine
 from duality_vm.machine import (
     ElementNotNatError,
     Final,
@@ -29,6 +30,7 @@ from duality_vm.machine import (
     RuleTag,
     Stepped,
     Stuck,
+    StuckError,
     force_numeral,
     observe_stream,
     run,
@@ -346,3 +348,60 @@ def test_trace_is_bounded_with_marker(compilers, monkeypatch):
     assert res.stats.total > 16
     assert len(res.trace) == 16
     assert res.trace_truncated
+
+
+# ---------------------------------------------------------------------------
+# Messages
+
+
+@pytest.mark.parametrize("text,s,reason", [
+    ("<mu a. <Z | a> | head (comu x. <x | a0>)>", CBN, "mu against a non-covalue consumer under cbn"),
+    ("<S (mu a. <Z | a>) | comu x. <x | a0>>", CBV, "comu against a non-value producer under cbv"),
+])
+def test_stuck_on_a_cut_the_strategy_forbids(text, s, reason):
+    res = run(parse_command(text), s)
+    assert res.outcome == "Stuck" and res.stats.stuck_reason == reason
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_observing_a_free_stream_variable_is_stuck(s):
+    with pytest.raises(StuckError) as ex:
+        observe_stream(Var("s"), 2, s)
+    assert str(ex.value) == "free variable 's' in producer position"
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_run_to_numeral_out_of_fuel(s):
+    with pytest.raises(OutOfFuelError) as ex:
+        run_to_numeral(parse_command("<mu a. <mu b. <Z | b> | a> | a0>"), s, fuel=1)
+    assert str(ex.value) == "run out of fuel"
+
+
+# ---------------------------------------------------------------------------
+# Running and forcing read no state back
+
+
+# Branches that bind one name twice, and their twins with the first binder renamed.
+SHADOWING = [
+    "<2 | rec { Z -> Z | S x -> x. x } with a0>",
+    "<2 | rec { Z -> Z | S p -> x. x } with a0>",
+    "<corec { head h -> h | tail b -> b. b } with 3 | tail (tail (head a0))>",
+    "<corec { head h -> h | tail q -> b. b } with 3 | tail (tail (head a0))>",
+]
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_running_and_forcing_read_nothing_back(s, compilers, monkeypatch):
+    calls = []
+    real = machine.readback
+    monkeypatch.setattr(machine, "readback", lambda c: calls.append(c) or real(c))
+    got = [run_to_numeral(parse_command(text), s)[0] for text in SHADOWING]
+    assert got == [0, 0, 3, 3]
+    fact = gt(compilers[s], "fact")
+    assert run_to_numeral(Command(fact, Call(numeral(3), CoVar("a0"))), s)[0] == 6
+    assert observe_stream(gt(compilers[s], "nats"), 3, s) == 3
+    corec = parse_term("corec { head h -> h | tail b -> b. b } with 3")
+    assert observe_stream(corec, 2, s) == 3
+    assert calls == []
+    for half in (machine._PendingMu, machine._PendingComu):
+        assert "readback" not in half.fire.__code__.co_names

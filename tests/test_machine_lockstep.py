@@ -16,6 +16,7 @@ all at once, so they may pick other fresh names.  Such commands are
 checked up to renaming: every state alpha-equivalent, all else the same.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -24,7 +25,8 @@ import pytest
 import substitution_machine as ref
 from duality_vm import machine
 from duality_vm.kernel import (
-    CBN, CBV, Call, Command, CoVar, Head, Mu, Succ, alpha_eq, fresh_name, numeral, pretty, well_formed,
+    CBN, CBV, Call, Command, CoVar, Head, Mu, Succ, Var, alpha_eq, fresh_name, numeral, pretty, subst,
+    well_formed,
 )
 from duality_vm.machine import MachineError, StuckError, force_numeral, tails
 from duality_vm.parser import App, NumLit, Ref, parse, parse_command, parse_term
@@ -222,10 +224,9 @@ def test_generated_commands_with_reused_names(s):
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)
 @pytest.mark.parametrize("text", [
-    # One name for both binders of a successor or tail branch: the rules bind
-    # it to the predecessor (the rest) unless they rename the result binder
-    # (the new seed binder), which they do when the predecessor (the rest or
-    # the seed) has the name free.
+    # One name for both binders of a successor or tail branch: the later
+    # binder shadows the earlier, so the name means the recursive result
+    # (the new seed), as in typing, alpha_eq and substitution.
     "<2 | rec { Z -> Z | S x -> x. x } with a0>",
     "<S x | rec { Z -> Z | S x -> x. x } with a0>",
     "<S (S x) | rec { Z -> Z | S x -> x. S x } with a0>",
@@ -235,6 +236,76 @@ def test_generated_commands_with_reused_names(s):
 ])
 def test_one_name_for_both_binders(text, s):
     assert_agree(parse_command(text), s)
+
+
+def rename_apart(node, names=None):
+    """node with every binder named apart, v<n> or c<n>: where a branch binds
+    one name twice, the later binder keeps its occurrences."""
+
+    names = itertools.count() if names is None else names
+    if type(node) in (Var, CoVar):
+        return node
+    sh = node._shape
+    vals = [getattr(node, f) for f in sh.names]
+    for i, bound in sh.kids:
+        child = vals[i]
+        if bound:
+            new = {}
+            for j in bound:
+                vals[j] = f"{'v' if sh.var_side else 'c'}{next(names)}"
+                new[getattr(node, sh.names[j])] = (Var if sh.var_side else CoVar)(vals[j])
+            child = subst(child, new, None) if sh.var_side else subst(child, None, new)
+        vals[i] = rename_apart(child, names)
+    return type(node)(*vals)
+
+
+def _answers(cmd, s):
+    """Stats, final command and forced number of a run."""
+
+    res = machine.run(cmd, s, FUEL)
+    value = None
+    if res.outcome == "Final":
+        value = _outcome(force_numeral, res.state[0], s, FUEL - res.stats.fuel_used, res.stats)
+    return res.stats, res.final, value
+
+
+def assert_renaming_changes_nothing(cmd, s) -> None:
+    renamed = rename_apart(cmd)
+    assert alpha_eq(cmd, renamed)
+    (stats, final, value), (stats2, final2, value2) = _answers(cmd, s), _answers(renamed, s)
+    assert stats == stats2 and value == value2
+    assert (final is None) == (final2 is None)
+    assert final is None or alpha_eq(final, final2)
+
+
+class _Shadowing(_Pooled):
+    """Pooled names drawn at random, so the two binders of a branch often
+    share a name."""
+
+    def fresh(self, hint: str) -> str:
+        return self.rng.choice(self.COVARS if hint in self.COVAR_HINTS else self.VARS)
+
+
+class _ShadowingTypedGen(_Shadowing, _PooledTypedGen):
+    pass
+
+
+class _ShadowingDualGen(_Shadowing, _PooledDualGen):
+    pass
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_renaming_binders_apart_changes_no_answer(s):
+    for text in ["<2 | rec { Z -> Z | S x -> x. x } with a0>",
+                 "<2 | rec { Z -> Z | S p -> x. x } with a0>",
+                 "<corec { head h -> h | tail b -> b. b } with 3 | tail (tail (head a0))>",
+                 "<corec { head h -> h | tail q -> b. b } with 3 | tail (tail (head a0))>"]:
+        assert_renaming_changes_nothing(parse_command(text), s)
+    tg, dg = _ShadowingTypedGen(915), _ShadowingDualGen(916)
+    for _ in range(100):
+        for cmd in (tg.command(depth=4), dg.command(depth=4)[0]):
+            assert_renaming_changes_nothing(cmd, s)
+            assert_agree_up_to_renaming(cmd, s)
 
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)

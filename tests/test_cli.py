@@ -22,6 +22,8 @@ def id : Nat -> Nat = fun x : Nat => x;
 main = <id | a0>;
 """
 
+PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
+
 NUMMAIN = "main = <numS (numS (numZ x)) | rec : Nat { Z p -> p | S y -> z. z } with a0>;"
 
 
@@ -144,6 +146,14 @@ def test_fuel_env_override(plus_file, capsys, monkeypatch):
     assert main(["run", plus_file]) == 2  # out of fuel
     err = capsys.readouterr().err
     assert "fuel" in err.lower() or "out of" in err.lower()
+    # The parser is built once per process, and the variable read per call.
+    monkeypatch.setenv("DUALITY_VM_FUEL", "10")
+    assert main(["run", plus_file]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "5"
+    monkeypatch.setenv("DUALITY_VM_FUEL", "ten")
+    assert main(["run", plus_file]) == 3
+    assert capsys.readouterr().err == "error: DUALITY_VM_FUEL must be a positive integer, got 'ten'\n"
+    assert main(["run", "--fuel", "10", plus_file]) == 0
 
 
 def test_run_stdin(capsys, monkeypatch):
@@ -268,3 +278,20 @@ def test_huge_numeral_literal_exits_three_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == "error: input nested too deeply\n"
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["run", "--trace", str(PROGRAMS / "plus23.ct")], ["observe", "--depth", "3", "nats"]])
+def test_closed_output_pipe_ends_without_a_traceback(argv):
+    # As `duality-vm run --trace f | head -1` does: the reader is gone
+    # before the command writes.
+    src = str(Path(duality_vm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run([sys.executable, "-c", "from duality_vm.cli import entry; entry()", *argv],
+                             stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert out.returncode == 0
+    assert out.stderr == "duality-vm: output closed early, stopped\n"

@@ -1,6 +1,8 @@
 """Small-step machine: rule firing, runs, traces, observation, forcing."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +40,8 @@ from duality_vm.machine import (
     step,
     tails,
 )
-from duality_vm.parser import parse_command, parse_term
-from duality_vm.surface import prelude
+from duality_vm.parser import Parser, Program, parse_command, parse_term
+from duality_vm.surface import Compiler, prelude
 from duality_vm.typechecker import TypeEnv, elaborate_command
 
 ENV = TypeEnv.make(covars={"a0": Nat()})
@@ -348,6 +350,56 @@ def test_trace_is_bounded_with_marker(compilers, monkeypatch):
     assert res.stats.total > 16
     assert len(res.trace) == 16
     assert res.trace_truncated
+
+
+# ---------------------------------------------------------------------------
+# Forcing is one run
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _main(text, s):
+    """A program's main compiled against the prelude, as perfbench compiles it."""
+
+    pre = prelude()
+    return Compiler(Program(pre.defs, Parser(text, pre.defs).program().main), s).main()[1]
+
+
+def test_forcing_is_one_run_whose_stats_perfbench_counts(monkeypatch):
+    # perfbench/spans.py takes a program's steps from the stats of each call
+    # of machine.run, so forcing must return its steps through one such call.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pins
+
+    table = pins.load()
+    calls = []  # the steps of each run, taken as it returns, as spans.py takes them
+    real = machine.run
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(Counter({t.value: n for t, n in res.stats.per_rule.items()}))
+        return res
+
+    monkeypatch.setattr(machine, "run", counted)
+
+    def steps():
+        return dict(sum(calls, Counter()))
+
+    for s, forcings in ((CBV, 0), (CBN, 1)):
+        cmd = _main("main = <plus | 5 . 5 . a0>;", s)
+        calls.clear()
+        res = machine.run(cmd, s)
+        assert force_numeral(res.state[0], s) == 10 and len(calls) == 1 + forcings
+        pinned = pins.expected_steps(table, "plus", s.value, {"n": 5, "m": 5})
+        assert steps() == pinned
+        calls.clear()  # run_to_numeral, as bench runs it, counts the same steps in one record
+        value, stats = run_to_numeral(cmd, s)
+        assert value == 10 and len(calls) == 1 + forcings and steps() == pinned
+        assert {t.value: n for t, n in stats.per_rule.items()} == pinned
+    calls.clear()
+    assert observe_stream(_main("main = nats;", CBN), 5, CBN) == 5 and len(calls) == 2
+    assert steps() == pins.expected_steps(table, "nats", "cbn", {"d": 5})
 
 
 # ---------------------------------------------------------------------------

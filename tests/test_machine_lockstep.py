@@ -413,3 +413,27 @@ def test_deep_numerals_at_the_default_recursion_limit(s, compilers):
         assert isinstance(res.final.producer, Succ) and isinstance(res.final.producer.arg, Mu)
     # Call-by-name forces one suspended successor per restart.
     assert value == 10000 and stats.total >= res.stats.total + (10000 if s is CBN else 0)
+
+
+def _forced_at(impl, cmd, s, fuel):
+    """The number or error of a run then a forcing on one fuel budget, and
+    the stats record both phases were counted in."""
+
+    res = impl.run(cmd, s, fuel)
+    value = None
+    if res.outcome == "Final":
+        start = res.state[0] if impl is machine else res.final.producer
+        value = _outcome(impl.force_numeral, start, s, fuel - res.stats.fuel_used, res.stats)
+    return value, res.stats
+
+
+def test_forcing_agrees_at_every_fuel(compilers):
+    # Fuel can run out in the run, in any restart of the forcing run or at a
+    # restart boundary; a forcing that fails counts only completed restarts.
+    comp = compilers[CBN]
+    for cmd in (Command(_apply(comp, "times", 3, 3), CoVar("a0")),
+                Command(_apply(comp, "fact", 3), CoVar("a0")),
+                Command(_apply(comp, "nats"), tails(3, Head(CoVar("a0"))))):
+        total = machine.run_to_numeral(cmd, CBN)[1].total
+        for fuel in range(total + 1):
+            assert _forced_at(machine, cmd, CBN, fuel) == _forced_at(ref, cmd, CBN, fuel), fuel

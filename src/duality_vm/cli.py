@@ -5,7 +5,8 @@ parse error, or input nested deeper than the recursion limit allows.  When
 standard output is closed early (``duality-vm run --trace f | head -1``),
 the command stops with one line on standard error and exit code 0: the
 reader asked for no more.  ``--json`` wraps failures as
-{"error": ...} objects.  The environment variable DUALITY_VM_FUEL
+{"error": ...} objects; a failed run (in ``run``, ``observe`` or ``bench``)
+prints the stats it spent first.  The environment variable DUALITY_VM_FUEL
 overrides the default step budget; ``main`` reads it on every call.
 
 ``main`` builds its argument parser once per process and reuses it, which
@@ -33,15 +34,7 @@ from .kernel import (
     type_str,
     well_formed,
 )
-from .machine import (
-    DEFAULT_FUEL,
-    ElementNotNatError,
-    OutOfFuelError,
-    StuckError,
-    force_numeral,
-    observe_stream,
-    run,
-)
+from .machine import DEFAULT_FUEL, MachineError, force_numeral, observe_stream, run
 from .parser import ParseError, parse
 from .surface import Compiler, OracleError, prelude
 from .typechecker import TypeCheckError
@@ -140,13 +133,8 @@ def _cmd_run(args, rep: _Reporter) -> int:
             print(json.dumps(entry.to_json()))
         if res.trace_truncated:
             print(json.dumps({"truncated": True}))
-    if res.outcome != "Final":
-        reason = res.stats.stuck_reason or "out of fuel"
-        if rep.as_json:
-            print(json.dumps(res.stats.to_json()))
-        return rep.error(reason, EXIT_RUNTIME)
     # The forcing phase spends the same budget and is counted in the same stats.
-    value = force_numeral(res.state[0], s, args.fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(res.answer("out of fuel"), s, args.fuel - res.stats.fuel_used, res.stats)
     if rep.as_json:
         rep.emit({"value": value, "final": pretty(res.final)})
         print(json.dumps(res.stats.to_json()))
@@ -283,7 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         return rep.error(f"parse error at {ex}", EXIT_USAGE)
     except TypeCheckError as ex:
         return rep.error(str(ex), EXIT_TYPE)
-    except (OutOfFuelError, StuckError, ElementNotNatError) as ex:
+    except MachineError as ex:
+        if rep.as_json and ex.stats is not None:
+            print(json.dumps(ex.stats.to_json()))
         return rep.error(str(ex), EXIT_RUNTIME)
     except (NotDualizable, UnknownExperiment, OracleError, ValueError) as ex:
         return rep.error(str(ex), EXIT_USAGE)

@@ -307,23 +307,6 @@ def _cache(sh: Shape):
             set_bit(self, bit(c))
 
         return cache
-    if len(kids) == 1 and len(kids[0].binds) == 1 and not set_bit:
-        binder = attrgetter(kids[0].binds[0])
-        if sh.var_side:
-
-            def cache(self) -> None:
-                c = one(self)
-                _set_fv(self, c.free_vars - {binder(self)})
-                _set_fcv(self, c.free_covars)
-
-        else:
-
-            def cache(self) -> None:
-                c = one(self)
-                _set_fv(self, c.free_vars)
-                _set_fcv(self, c.free_covars - {binder(self)})
-
-        return cache
     # A binder getter returns a tuple of names, even for one binder.
     parts = tuple((attrgetter(c.field), c.binds and attrgetter(*c.binds, c.binds[0])) for c in kids)
     var_side = sh.var_side
@@ -830,6 +813,26 @@ def _alpha(a, b, va, vb, ca, cb, ctr) -> bool:
 # Well-formedness: the strategy-indexed grammar
 
 
+# A position in a node: a root label, or a (parent position, label) link.
+Position = str | tuple
+
+
+def spell(at: Position) -> str:
+    """The text of a position: a root label as it stands, a (parent, label)
+    link as its parent's text, a dot and the label.
+
+    The typing rules and ``well_formed`` build a link per child, in O(1),
+    and spell one only where an error is read, so deep nesting costs no
+    quadratic string building."""
+
+    labels = []
+    while type(at) is tuple:
+        at, label = at
+        labels.append(label)
+    labels.append(at)
+    return ".".join(reversed(labels))
+
+
 @dataclass(frozen=True)
 class Violation:
     path: str
@@ -848,18 +851,8 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
     trivial under one of the two strategies and real under the other.
     """
 
-    # A path is "command" or a (parent path, field) link, spelled out only
-    # for a violation, so deep nesting costs no quadratic string building.
     out: list[Violation] = []
-    todo: list[tuple[Node, object]] = [(c, "command")]
-
-    def spell(path) -> str:
-        fields = []
-        while isinstance(path, tuple):
-            path, field = path
-            fields.append(field)
-        return ".".join([path, *reversed(fields)])
-
+    todo: list[tuple[Node, Position]] = [(c, "command")]
     while todo:
         node, path = todo.pop()
         sh = getattr(type(node), "_shape", None)

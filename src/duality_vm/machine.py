@@ -120,7 +120,13 @@ StepOutcome = Stepped | Final | Stuck
 
 
 class MachineError(Exception):
-    pass
+    """A failed run or forcing.  ``stats`` holds what it spent, with the
+    failure's outcome: the run's steps and those of the forcing restarts
+    that completed.  It is None where no run failed."""
+
+    def __init__(self, message: str, stats: RunStats | None = None):
+        super().__init__(message)
+        self.stats = stats
 
 
 class OutOfFuelError(MachineError):
@@ -515,6 +521,21 @@ class RunResult:
     def trace_truncated(self) -> bool:
         return self.trace is not None and len(self.trace) < self.stats.total
 
+    def answer(self, out_of_fuel: str, spent: RunStats | None = None) -> Clo:
+        """The producer the run halted on, or, if it failed, the error: an
+        OutOfFuelError with message out_of_fuel, or a StuckError.  The error
+        carries the steps of spent (the run's own stats when None) with this
+        run's outcome and stuck reason."""
+
+        stats = self.stats
+        if stats.outcome == "Final":
+            return self.state[0]
+        if spent is not None:
+            stats = replace(spent, outcome=stats.outcome, final_shape=None, stuck_reason=stats.stuck_reason)
+        if stats.outcome == "Stuck":
+            raise StuckError(stats.stuck_reason, stats)
+        raise OutOfFuelError(out_of_fuel, stats)
+
     @cached_property
     def final(self) -> Command | None:
         """The halted state, read back the first time it is asked for."""
@@ -609,20 +630,10 @@ def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: R
         if stats is not None:
             stats.absorb(res.stats)
         n += res.forced
-        t = _answer(res, f"forcing ran out of fuel after {n} successors")
+        t = res.answer(f"forcing ran out of fuel after {n} successors", stats)
     if type(t.code) is not Zero:
         raise ElementNotNatError(f"cannot force {type(t.code).__name__} to a numeral")
     return n
-
-
-def _answer(res: RunResult, out_of_fuel: str) -> Clo:
-    """The producer res halted on, or the error for its failure."""
-
-    if res.outcome == "OutOfFuel":
-        raise OutOfFuelError(out_of_fuel)
-    if res.outcome == "Stuck":
-        raise StuckError(res.stats.stuck_reason)
-    return res.state[0]
 
 
 def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[int, RunStats]:
@@ -630,7 +641,7 @@ def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[i
     the returned stats cover both phases."""
 
     res = run(c, s, fuel)
-    value = force_numeral(_answer(res, "run out of fuel"), s, fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(res.answer("run out of fuel"), s, fuel - res.stats.fuel_used, res.stats)
     return value, res.stats
 
 
@@ -641,8 +652,8 @@ def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -
         raise ValueError("depth must be nonnegative")
     a = fresh_name(v.free_covars, "a0")
     res = run(Command(v, tails(depth, Head(CoVar(a)))), s, fuel)
-    p = _answer(res, f"stream observation at depth {depth} ran out of fuel")
-    return force_numeral(p, s, fuel - res.stats.fuel_used)
+    p = res.answer(f"stream observation at depth {depth} ran out of fuel")
+    return force_numeral(p, s, fuel - res.stats.fuel_used, res.stats)
 
 
 def tails(depth: int, inner: CoTerm) -> CoTerm:

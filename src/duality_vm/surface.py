@@ -45,6 +45,7 @@ from .kernel import (
     Mu,
     MuTilde,
     Nat,
+    Position,
     Prod,
     RecNat,
     Snd,
@@ -106,7 +107,7 @@ class Compiler(Elaborator):
 
     # -- definitions
 
-    def lookup_def(self, name: str, path: str) -> tuple[TypeExpr, Term]:
+    def lookup_def(self, name: str, path: Position) -> tuple[TypeExpr, Term]:
         if name in self._done:
             return self._done[name]
         if name not in self.program.defs:
@@ -158,7 +159,7 @@ class Compiler(Elaborator):
     # -- the front-end forms
 
     def _other_term(self, env: TypeEnv, t: Term, expected: TypeExpr | None,
-                    path: str) -> tuple[TypeExpr, Term]:
+                    path: Position) -> tuple[TypeExpr, Term]:
         match t:
             case NumLit(n):
                 ty, out = Nat(), numeral(n)
@@ -170,19 +171,19 @@ class Compiler(Elaborator):
                 spine, head, hpath = [], t, path
                 while isinstance(head, App):
                     spine.append((head.arg, hpath))
-                    head, hpath = head.fn, f"{hpath}.fn"
+                    head, hpath = head.fn, (hpath, "fn")
                 ty, out = self.term(env, head, None, hpath)
                 for arg, p in reversed(spine):
                     if not isinstance(ty, Fn):
-                        raise TypeCheckError("Mismatch", f"{p}.fn", "applied a non-function", found=ty)
-                    _, aout = self.term(env, arg, ty.arg, f"{p}.arg")
+                        raise TypeCheckError("Mismatch", (p, "fn"), "applied a non-function", found=ty)
+                    _, aout = self.term(env, arg, ty.arg, (p, "arg"))
                     ty, out = ty.ret, self._app(out, ty, aout)
             case RecTerm():
-                ty, zout = self.term(env, t.zero_body, expected, f"{path}.zero")
+                ty, zout = self.term(env, t.zero_body, expected, (path, "zero"))
                 senv = env.bind_var(t.pred_var, Nat()).bind_var(t.result_var, ty)
-                _, sout = self.term(senv, t.succ_body, ty, f"{path}.succ")
-                _, mout = self.term(env, t.scrut, Nat(), f"{path}.scrut")
-                k = fresh_name(self._fcv(zout, sout, mout), "a")
+                _, sout = self.term(senv, t.succ_body, ty, (path, "succ"))
+                _, mout = self.term(env, t.scrut, Nat(), (path, "scrut"))
+                k = fresh_name(zout.free_covars | sout.free_covars | mout.free_covars, "a")
                 rec = RecNat(zout, t.pred_var, t.result_var, sout, CoVar(k), annot=ty)
                 out = Mu(k, Command(mout, rec), ty)
             case _:
@@ -193,9 +194,10 @@ class Compiler(Elaborator):
         """Compile an application: bind the function value, then the
         argument value, then cut the function against a call stack."""
 
-        k = fresh_name(self._fcv(fout, aout), "a")
-        f = fresh_name(self._fv(fout, aout), "f")
-        x = fresh_name(self._fv(fout, aout) | {f}, "x")
+        k = fresh_name(fout.free_covars | aout.free_covars, "a")
+        fv = fout.free_vars | aout.free_vars
+        f = fresh_name(fv, "f")
+        x = fresh_name(fv | {f}, "x")
         body = Command(
             fout,
             MuTilde(
@@ -205,20 +207,6 @@ class Compiler(Elaborator):
             ),
         )
         return Mu(k, body, fty.ret)
-
-    # -- fresh-name helpers
-
-    def _fv(self, *nodes) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for n in nodes:
-            out |= n.free_vars
-        return out
-
-    def _fcv(self, *nodes) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for n in nodes:
-            out |= n.free_covars
-        return out
 
     # -- staging: force a translated subtree into the strategy's grammar
 
@@ -260,8 +248,9 @@ class Compiler(Elaborator):
             if is_value(aout, self.s):
                 return Call(aout, E)
             # Name the function value, compute the argument, then call.
-            f = fresh_name(self._fv(aout) | E.free_vars, "f")
-            x = fresh_name(self._fv(aout) | E.free_vars | {f}, "x")
+            fv = aout.free_vars | E.free_vars
+            f = fresh_name(fv, "f")
+            x = fresh_name(fv | {f}, "x")
             inner = MuTilde(x, Command(Var(f), Call(Var(x), E)), aty)
             return MuTilde(f, Command(aout, inner), fty)
 

@@ -48,6 +48,7 @@ from .kernel import (
     NumSucc,
     NumZero,
     Pair,
+    Position,
     Prod,
     RecNat,
     RecNum,
@@ -61,30 +62,39 @@ from .kernel import (
     TypeExpr,
     Var,
     Zero,
+    spell,
     type_str,
 )
 
 
 class TypeCheckError(Exception):
-    """A typing failure, pinned to a path into the checked node."""
+    """A typing failure, pinned to a position in the checked node: a root
+    label or a (parent, label) link, which ``path`` spells out when read."""
 
     def __init__(
         self,
         kind: str,
-        path: str,
+        at: Position,
         message: str,
         expected: TypeExpr | None = None,
         found: TypeExpr | None = None,
     ):
+        super().__init__(kind, message)
         self.kind = kind
-        self.path = path
+        self.at = at
         self.expected = expected
         self.found = found
         self.message = message
-        detail = message
-        if expected is not None and found is not None:
-            detail += f" (expected {type_str(expected)}, found {type_str(found)})"
-        super().__init__(f"{path}: {detail}")
+
+    @property
+    def path(self) -> str:
+        return spell(self.at)
+
+    def __str__(self) -> str:
+        detail = self.message
+        if self.expected is not None and self.found is not None:
+            detail += f" (expected {type_str(self.expected)}, found {type_str(self.found)})"
+        return f"{self.path}: {detail}"
 
 
 @dataclass(frozen=True)
@@ -113,13 +123,13 @@ class TypeEnv:
         d[name] = t
         return TypeEnv(self.vars, MappingProxyType(d))
 
-    def lookup_var(self, name: str, path: str) -> TypeExpr:
+    def lookup_var(self, name: str, path: Position) -> TypeExpr:
         try:
             return self.vars[name]
         except KeyError:
             raise TypeCheckError("UnboundName", path, f"unbound variable {name!r}") from None
 
-    def lookup_covar(self, name: str, path: str) -> TypeExpr:
+    def lookup_covar(self, name: str, path: Position) -> TypeExpr:
         try:
             return self.covars[name]
         except KeyError:
@@ -129,11 +139,11 @@ class TypeEnv:
 EMPTY_ENV = TypeEnv.make()
 
 
-def _mismatch(path: str, expected: TypeExpr, found: TypeExpr) -> TypeCheckError:
+def _mismatch(path: Position, expected: TypeExpr, found: TypeExpr) -> TypeCheckError:
     return TypeCheckError("Mismatch", path, "type mismatch", expected=expected, found=found)
 
 
-def _disagrees(what: str, path: str, expected: TypeExpr, found: TypeExpr) -> TypeCheckError:
+def _disagrees(what: str, path: Position, expected: TypeExpr, found: TypeExpr) -> TypeCheckError:
     return TypeCheckError("Mismatch", path, f"{what} annotation disagrees", expected=expected, found=found)
 
 
@@ -155,7 +165,8 @@ class Elaborator:
     expected type infers and compares.  ``command`` checks a cut.  A subclass
     changes only the staging hooks and ``_other_term``: every rule hands each
     child that the grammar constrains to a hook instead of building its
-    parent directly.
+    parent directly.  Each rule's ``path`` is its node's ``Position``,
+    which ``kernel.spell`` spells only when an error is read.
     """
 
     # -- hooks
@@ -179,20 +190,20 @@ class Elaborator:
         return Call(arg, rest)
 
     def _other_term(self, env: TypeEnv, t: Term, expected: TypeExpr | None,
-                    path: str) -> tuple[TypeExpr, Term]:
+                    path: Position) -> tuple[TypeExpr, Term]:
         """A term that is not a machine term, to check against expected or,
         when that is None, to infer."""
 
         raise TypeCheckError("Mismatch", path, f"not a machine term: {type(t).__name__} (translate first)")
 
     @staticmethod
-    def _expect(expected: TypeExpr | None, found: TypeExpr, out, path: str):
+    def _expect(expected: TypeExpr | None, found: TypeExpr, out, path: Position):
         if expected is not None and found != expected:
             raise _mismatch(path, expected, found)
         return found, out
 
     @staticmethod
-    def _annot(what: str, annot: TypeExpr | None, pushed: TypeExpr | None, path: str,
+    def _annot(what: str, annot: TypeExpr | None, pushed: TypeExpr | None, path: Position,
                needs: str) -> TypeExpr:
         """The type a binder or type field stands for: the pushed type, which
         the annotation must agree with, else the annotation, which is then
@@ -209,47 +220,47 @@ class Elaborator:
     # -- terms
 
     def term(self, env: TypeEnv, t: Term, expected: TypeExpr | None,
-             path: str) -> tuple[TypeExpr, Term]:
+             path: Position) -> tuple[TypeExpr, Term]:
         match t:
             case Var(name):
                 return self._expect(expected, env.lookup_var(name, path), t, path)
             case Zero():
                 return self._expect(expected, Nat(), t, path)
             case Succ(arg):
-                _, out = self.term(env, arg, Nat(), f"{path}.arg")
+                _, out = self.term(env, arg, Nat(), (path, "arg"))
                 return self._expect(expected, Nat(), self._as_value(out, Nat(), Succ, Nat()), path)
             case NumZero(arg):
                 payload = expected.payload if isinstance(expected, Numbered) else None
-                a, out = self.term(env, arg, payload, f"{path}.arg")
+                a, out = self.term(env, arg, payload, (path, "arg"))
                 ty = Numbered(a)
                 return self._expect(expected, ty, self._as_value(out, a, NumZero, ty), path)
             case NumSucc(arg):
                 pushed = expected if isinstance(expected, Numbered) else None
-                a, out = self.term(env, arg, pushed, f"{path}.arg")
+                a, out = self.term(env, arg, pushed, (path, "arg"))
                 if not isinstance(a, Numbered):
                     raise TypeCheckError(
-                        "Mismatch", f"{path}.arg", "numbered successor of a non-Numbered value",
+                        "Mismatch", (path, "arg"), "numbered successor of a non-Numbered value",
                         expected=Numbered(a), found=a,
                     )
                 return self._expect(expected, a, self._as_value(out, a, NumSucc, a), path)
             case Pair(l, r):
                 left, right = _parts(expected, Prod)
-                lt, lo = self.term(env, l, left, f"{path}.left")
-                rt, ro = self.term(env, r, right, f"{path}.right")
+                lt, lo = self.term(env, l, left, (path, "left"))
+                rt, ro = self.term(env, r, right, (path, "right"))
                 ty = Prod(lt, rt)
                 return self._expect(expected, ty, self._pair(lo, ro, ty), path)
             case InL(arg, other):
                 left, right = _parts(expected, Sum)
                 other = self._annot("injection", other, right, path,
                                     "left injection needs the right component type")
-                a, out = self.term(env, arg, left, f"{path}.arg")
+                a, out = self.term(env, arg, left, (path, "arg"))
                 ty = Sum(a, other)
                 return self._expect(expected, ty, self._as_value(out, a, lambda v: InL(v, other), ty), path)
             case InR(arg, other):
                 left, right = _parts(expected, Sum)
                 other = self._annot("injection", other, left, path,
                                     "right injection needs the left component type")
-                a, out = self.term(env, arg, right, f"{path}.arg")
+                a, out = self.term(env, arg, right, (path, "arg"))
                 ty = Sum(other, a)
                 return self._expect(expected, ty, self._as_value(out, a, lambda v: InR(v, other), ty), path)
             case Lam(x, body, annot):
@@ -259,11 +270,11 @@ class Elaborator:
                     )
                 arg, ret = _parts(expected, Fn)
                 annot = self._annot("binder", annot, arg, path, "function binder needs a type annotation")
-                b, out = self.term(env.bind_var(x, annot), body, ret, f"{path}.body")
+                b, out = self.term(env.bind_var(x, annot), body, ret, (path, "body"))
                 return Fn(annot, b), Lam(x, out, annot)
             case Mu(a, body, annot):
                 annot = self._annot("mu", annot, expected, path, "mu binder needs a type annotation")
-                return annot, Mu(a, self.command(env.bind_covar(a, annot), body, f"{path}.body"), annot)
+                return annot, Mu(a, self.command(env.bind_covar(a, annot), body, (path, "body")), annot)
             case CoRec(elem_annot=ea):
                 pushed = expected.elem if isinstance(expected, Stream) else None
                 elem = self._annot("corecursor", ea, pushed, path,
@@ -279,11 +290,11 @@ class Elaborator:
 
         return self._as_value(left, ty.left, with_left, ty)
 
-    def _corec(self, env: TypeEnv, t: CoRec, elem: TypeExpr, path: str) -> tuple[TypeExpr, Term]:
-        seed_ty, seed = self.term(env, t.seed, None, f"{path}.seed")
-        _, head = self.coterm(env.bind_covar(t.head_covar, elem), t.head_body, seed_ty, f"{path}.head")
+    def _corec(self, env: TypeEnv, t: CoRec, elem: TypeExpr, path: Position) -> tuple[TypeExpr, Term]:
+        seed_ty, seed = self.term(env, t.seed, None, (path, "seed"))
+        _, head = self.coterm(env.bind_covar(t.head_covar, elem), t.head_body, seed_ty, (path, "head"))
         tenv = env.bind_covar(t.tail_covar, Stream(elem)).bind_covar(t.tail_seed_covar, seed_ty)
-        _, tail = self.coterm(tenv, t.tail_body, seed_ty, f"{path}.tail")
+        _, tail = self.coterm(tenv, t.tail_body, seed_ty, (path, "tail"))
 
         def build(v: Term) -> Term:
             return replace(t, head_body=head, tail_body=tail, seed=v, elem_annot=elem, seed_annot=seed_ty)
@@ -293,17 +304,17 @@ class Elaborator:
     # -- coterms
 
     def coterm(self, env: TypeEnv, e: CoTerm, expected: TypeExpr | None,
-               path: str) -> tuple[TypeExpr, CoTerm]:
+               path: Position) -> tuple[TypeExpr, CoTerm]:
         match e:
             case CoVar(name):
                 return self._expect(expected, env.lookup_covar(name, path), e, path)
             case MuTilde(x, body, annot):
                 annot = self._annot("comu", annot, expected, path, "comu binder needs a type annotation")
-                return annot, MuTilde(x, self.command(env.bind_var(x, annot), body, f"{path}.body"), annot)
+                return annot, MuTilde(x, self.command(env.bind_var(x, annot), body, (path, "body")), annot)
             case Call(arg, rest):
                 arg_ty, ret_ty = _parts(expected, Fn)
-                a, aout = self.term(env, arg, arg_ty, f"{path}.arg")
-                b, rout = self.coterm(env, rest, ret_ty, f"{path}.rest")
+                a, aout = self.term(env, arg, arg_ty, (path, "arg"))
+                b, rout = self.coterm(env, rest, ret_ty, (path, "rest"))
                 return self._expect(expected, Fn(a, b), self._call(aout, a, rout, b), path)
             case RecNat():
                 return self._expect(expected, *self._rec(env, e, None, path), path)
@@ -314,38 +325,38 @@ class Elaborator:
                 return self._expect(expected, *self._rec(env, e, pa, path), path)
             case Head(rest):
                 elem = expected.elem if isinstance(expected, Stream) else None
-                a, out = self.coterm(env, rest, elem, f"{path}.rest")
+                a, out = self.coterm(env, rest, elem, (path, "rest"))
                 return self._expect(expected, Stream(a), self._as_covalue(out, a, Head, Stream(a)), path)
             case Tail(rest):
                 pushed = expected if isinstance(expected, Stream) else None
-                st, out = self.coterm(env, rest, pushed, f"{path}.rest")
+                st, out = self.coterm(env, rest, pushed, (path, "rest"))
                 if not isinstance(st, Stream):
-                    raise TypeCheckError("Mismatch", f"{path}.rest", "tail of a non-stream",
+                    raise TypeCheckError("Mismatch", (path, "rest"), "tail of a non-stream",
                                          expected=Stream(st), found=st)
                 return self._expect(expected, st, self._as_covalue(out, st, Tail, st), path)
             case Fst(rest, other):
                 left, right = _parts(expected, Prod)
                 other = self._annot("projection", other, right, path,
                                     "first projection needs the right component type")
-                a, out = self.coterm(env, rest, left, f"{path}.rest")
+                a, out = self.coterm(env, rest, left, (path, "rest"))
                 ty = Prod(a, other)
                 return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Fst(E, other), ty), path)
             case Snd(rest, other):
                 left, right = _parts(expected, Prod)
                 other = self._annot("projection", other, left, path,
                                     "second projection needs the left component type")
-                a, out = self.coterm(env, rest, right, f"{path}.rest")
+                a, out = self.coterm(env, rest, right, (path, "rest"))
                 ty = Prod(other, a)
                 return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Snd(E, other), ty), path)
             case SumCase(l, r):
                 left, right = _parts(expected, Sum)
-                lt, lo = self.coterm(env, l, left, f"{path}.left")
-                rt, ro = self.coterm(env, r, right, f"{path}.right")
+                lt, lo = self.coterm(env, l, left, (path, "left"))
+                rt, ro = self.coterm(env, r, right, (path, "right"))
                 return self._expect(expected, Sum(lt, rt), SumCase(lo, ro), path)
         raise TypeCheckError("Mismatch", path, f"not a machine coterm: {type(e).__name__} (translate first)")
 
     def _rec(self, env: TypeEnv, e: RecNat | RecNum, payload: TypeExpr | None,
-             path: str) -> tuple[TypeExpr, CoTerm]:
+             path: Position) -> tuple[TypeExpr, CoTerm]:
         """Both recursors; payload is the payload type of a numbered one.
 
         The result type is the annotation, else the zero branch's, else the
@@ -357,15 +368,15 @@ class Elaborator:
         scrut = Numbered(payload) if numbered else Nat()
         zenv = env.bind_var(e.payload_var, payload) if numbered else env
         try:
-            result, zout = self.term(zenv, e.zero_body, e.annot, f"{path}.zero")
+            result, zout = self.term(zenv, e.zero_body, e.annot, (path, "zero"))
         except TypeCheckError as ex:
             if ex.kind != "AnnotationRequired" or e.annot is not None:
                 raise
-            result, _ = self.coterm(env, e.ret, None, f"{path}.ret")
-            _, zout = self.term(zenv, e.zero_body, result, f"{path}.zero")
+            result, _ = self.coterm(env, e.ret, None, (path, "ret"))
+            _, zout = self.term(zenv, e.zero_body, result, (path, "zero"))
         senv = env.bind_var(e.pred_var, scrut).bind_var(e.result_var, result)
-        _, sout = self.term(senv, e.succ_body, result, f"{path}.succ")
-        _, rout = self.coterm(env, e.ret, result, f"{path}.ret")
+        _, sout = self.term(senv, e.succ_body, result, (path, "succ"))
+        _, rout = self.coterm(env, e.ret, result, (path, "ret"))
         annots = {"payload_annot": payload} if numbered else {}
 
         def build(E: CoTerm) -> CoTerm:
@@ -375,20 +386,20 @@ class Elaborator:
 
     # -- commands
 
-    def command(self, env: TypeEnv, c: Command, path: str) -> Command:
+    def command(self, env: TypeEnv, c: Command, path: Position) -> Command:
         try:
-            ty, vout = self.term(env, c.producer, None, f"{path}.producer")
+            ty, vout = self.term(env, c.producer, None, (path, "producer"))
         except TypeCheckError as first:
             if first.kind != "AnnotationRequired":
                 raise
             # Producer needs a type from the outside: infer the consumer instead.
-            ty, eout = self.coterm(env, c.consumer, None, f"{path}.consumer")
-            return Command(self.term(env, c.producer, ty, f"{path}.producer")[1], eout)
-        consumer_path = f"{path}.consumer"
+            ty, eout = self.coterm(env, c.consumer, None, (path, "consumer"))
+            return Command(self.term(env, c.producer, ty, (path, "producer"))[1], eout)
+        consumer_at = (path, "consumer")
         try:
-            _, eout = self.coterm(env, c.consumer, ty, consumer_path)
+            _, eout = self.coterm(env, c.consumer, ty, consumer_at)
         except TypeCheckError as ex:
-            if ex.kind == "Mismatch" and ex.path == consumer_path and ex.found is not None:
+            if ex.kind == "Mismatch" and ex.at is consumer_at and ex.found is not None:
                 raise TypeCheckError(
                     "CutMismatch", path, "producer and consumer disagree", expected=ty, found=ex.found
                 ) from None

@@ -234,6 +234,64 @@ def test_run_forcing_shares_the_fuel_budget(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "203"
 
 
+def test_run_json_prints_the_stats_of_a_failed_forcing(tmp_path, capsys):
+    from duality_vm.kernel import CBN
+    from duality_vm.machine import OutOfFuelError, run_to_numeral
+    from duality_vm.parser import parse
+    from duality_vm.surface import Compiler
+
+    p = tmp_path / "plus200.ct"
+    p.write_text(PLUS_200_3)
+    assert main(["run", "--json", "--strategy", "cbn", "--fuel", "600", str(p)]) == 2
+    stats, error = map(json.loads, capsys.readouterr().out.splitlines())
+    assert error == {"error": "forcing ran out of fuel after 199 successors"}
+    _, cmd = Compiler(parse(PLUS_200_3), CBN).main()
+    with pytest.raises(OutOfFuelError) as ex:
+        run_to_numeral(cmd, CBN, 600)
+    # The run's steps and the completed forcing restarts, as the library counts them.
+    assert stats == ex.value.stats.to_json()
+    assert stats["outcome"] == "OutOfFuel" and stats["total"] > 5
+
+
+@pytest.mark.parametrize("strategy", ["cbv", "cbn"])
+@pytest.mark.parametrize("experiment", ["count-now", "scons-overhead", "corec-via-coiter"])
+def test_bench_out_of_fuel_exits_two_with_one_line(experiment, strategy, capsys):
+    assert main(["bench", experiment, "--strategy", strategy, "--fuel", "10", "--sizes", "1..5"]) == 2
+    assert capsys.readouterr() == ("", "error: benchmark run ran out of fuel\n")
+    assert main(["bench", experiment, "--strategy", strategy, "--fuel", "10", "--sizes", "1..5", "--json"]) == 2
+    stats, error = map(json.loads, capsys.readouterr().out.splitlines())
+    assert stats["outcome"] == "OutOfFuel" and stats["total"] == 10
+    assert error == {"error": "benchmark run ran out of fuel"}
+
+
+def _edge_commands() -> list[list[str]]:
+    from duality_vm.bench import EXPERIMENTS
+
+    plus23, illtyped = str(PROGRAMS / "plus23.ct"), str(PROGRAMS / "illtyped.ct")
+    return [
+        ["check", plus23],
+        ["check", illtyped],
+        ["run", plus23],
+        ["run", "--trace", plus23],
+        ["run", illtyped],
+        ["observe", "--depth", "3", "nats"],
+        ["expand", plus23],
+        ["dualize", str(PROGRAMS / "numstream.ct")],
+        *(["bench", name, "--sizes", "1..5"] for name in sorted(EXPERIMENTS)),
+    ]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("strategy", ["cbv", "cbn"])
+@pytest.mark.parametrize("fuel", ["0", "1", "10"])
+@pytest.mark.parametrize("argv", _edge_commands(), ids=" ".join)
+def test_cli_failure_edges_end_in_an_exit_code_and_one_line(argv, fuel, strategy, as_json, capsys):
+    code = main([*argv, "--strategy", strategy, "--fuel", fuel, *(["--json"] if as_json else [])])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) <= 1
+
+
 def _entry(tmp_path, name: str, text: str, command: str):
     """Run ``cli.entry`` on a program file in a child process, so the CLI's
     own recursion limit holds rather than the test suite's."""

@@ -1,7 +1,10 @@
 """Machine type system: inference, cut checking, elaboration, weakening."""
 
+import sys
+
 import pytest
 
+from duality_vm import kernel
 from duality_vm.kernel import (
     CBN,
     CBV,
@@ -24,8 +27,8 @@ from duality_vm.kernel import (
     type_str,
 )
 from duality_vm.machine import Stepped, step
-from duality_vm.parser import parse_command, parse_coterm, parse_term, parse_type
-from duality_vm.surface import Compiler
+from duality_vm.parser import parse, parse_command, parse_coterm, parse_term, parse_type
+from duality_vm.surface import Compiler, prelude
 from duality_vm.typechecker import (
     EMPTY_ENV,
     Elaborator,
@@ -417,3 +420,33 @@ def test_typing_error_table_covers_every_message():
         "type mismatch",
     ):
         assert needed in messages, needed
+
+
+def _spell_calls(action) -> int:
+    """How often ``kernel.spell`` runs during action(), under any name it
+    is bound to."""
+
+    code, calls = kernel.spell.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_typing_spells_no_position_unless_an_error_is_read(s):
+    assert _spell_calls(lambda: Compiler(prelude(), s).check_program()) == 0
+    # Typing raises and catches AnnotationRequired at every unannotated mu.
+    chain = parse("main = " + "<mu a. " * 50 + "<Z | a>" + " | a>" * 49 + " | a0>;")
+    assert _spell_calls(lambda: Compiler(chain, s).main()) == 0
+    with pytest.raises(TypeCheckError) as exc:
+        Compiler(parse("main = <S (S x) | a0>;"), s).main()
+    assert _spell_calls(lambda: str(exc.value)) == 1
+    assert str(exc.value) == "main.producer.arg.arg: unbound variable 'x'"

@@ -58,6 +58,7 @@ from .kernel import (
     Var,
     Zero,
     fresh_name,
+    rebuild,
 )
 from .machine import RuleTag
 from .typechecker import TypeEnv
@@ -73,6 +74,10 @@ def dual_strategy(s: Strategy) -> Strategy:
     return CBN if s is CBV else CBV
 
 
+def _both_ways(pairs: list[tuple]) -> dict:
+    return dict(pairs) | {b: a for a, b in pairs}
+
+
 _RULE_PAIRS = [
     (RuleTag.MU, RuleTag.MU_TILDE),
     (RuleTag.BETA_NUM_ZERO, RuleTag.BETA_HEAD),
@@ -80,7 +85,7 @@ _RULE_PAIRS = [
     (RuleTag.BETA_FST, RuleTag.BETA_INL),
     (RuleTag.BETA_SND, RuleTag.BETA_INR),
 ]
-_RULE_DUAL = {a: b for a, b in _RULE_PAIRS} | {b: a for a, b in _RULE_PAIRS}
+_RULE_DUAL = _both_ways(_RULE_PAIRS)
 
 
 # Each pair's fields correspond one to one in declaration order: children to
@@ -94,7 +99,12 @@ _NODE_PAIRS = [
     (InR, Snd),
     (CoRec, RecNum),
 ]
-_NODE_DUAL = {a: b for a, b in _NODE_PAIRS} | {b: a for a, b in _NODE_PAIRS}
+_NODE_DUAL = _both_ways(_NODE_PAIRS)
+# The type annotation fields of each dualizable class, by index.
+_TYPED = {cls: [i for i, f in enumerate(cls._shape.names) if f in cls._shape.data + cls._shape.ignore]
+          for cls in _NODE_DUAL}
+# Nat is its own dual; function types have none.
+_TYPE_DUAL = _both_ways([(Numbered, Stream), (Prod, Sum)]) | {Nat: Nat}
 _NO_DUAL = {
     Zero: "plain number constructors have no dual",
     Succ: "plain number constructors have no dual",
@@ -114,20 +124,10 @@ def dual_rule(tag: RuleTag) -> RuleTag:
 def dual_type(t: TypeExpr | None) -> TypeExpr | None:
     if t is None:
         return None
-    match t:
-        case Nat():
-            return t
-        case Numbered(payload):
-            return Stream(dual_type(payload))
-        case Stream(elem):
-            return Numbered(dual_type(elem))
-        case Prod(l, r):
-            return Sum(dual_type(l), dual_type(r))
-        case Sum(l, r):
-            return Prod(dual_type(l), dual_type(r))
-        case Fn():
-            raise NotDualizable("function types have no dual")
-    raise NotDualizable(f"type {t!r} has no dual")
+    cls = type(t)
+    if cls not in _TYPE_DUAL:
+        raise NotDualizable("function types have no dual" if cls is Fn else f"type {t!r} has no dual")
+    return _TYPE_DUAL[cls](*(dual_type(getattr(t, f)) for f in cls.__match_args__))
 
 
 @dataclass(frozen=True)
@@ -178,66 +178,48 @@ def dual_command(c: Command, ctx: DualityContext = EMPTY_CTX) -> Command:
 
 
 def _dual(root, sort: type, ctx: DualityContext):
-    """Rebuild root with each node replaced by its dual, in one walk with an
-    explicit stack.  A node's fields map in place to its ``_NODE_DUAL``
-    partner's: children are dualized, binder names kept or renamed by
-    ``_scope``, type annotations mapped by ``dual_type``; a command swaps its
-    two sides.  A free name maps through the context; a binder changes the
-    pairing of its own namespace, and only that one."""
+    """Rebuild root with each node replaced by its dual, in one
+    ``kernel.rebuild`` walk."""
 
     if not isinstance(root, sort):
         raise NotDualizable(f"{sort.__name__.lower()} {type(root).__name__} has no dual")
-    done: list = []
-    # (node, var -> covar pairing, covar -> var pairing) to dualize, or
-    # (node, None, {binder field: new name}) to rebuild from its children's
-    # duals atop done.
-    todo: list = [(root, ctx.var_to_covar, ctx.covar_to_var)]
-    while todo:
-        node, v2c, c2v = todo.pop()
-        cls = type(node)
-        if v2c is None:
-            n = len(cls._shape.kids)
-            kids = done[-n:]
-            del done[-n:]
-            renames = c2v
-            done.append(Command(*kids) if cls is Command else _rebuild(node, kids, renames))
-        elif cls is Var:
-            done.append(CoVar(v2c.get(node.name, node.name)))
-        elif cls is CoVar:
-            done.append(Var(c2v.get(node.name, node.name)))
-        elif cls is Command:
-            todo += [(node, None, None), (node.producer, v2c, c2v), (node.consumer, v2c, c2v)]
-        elif cls in _NODE_DUAL:
-            sh = cls._shape
-            renames: dict[str, str] = {}
-            kids = []
-            for c in sh.children:
-                kid = getattr(node, c.field)
-                binders = [getattr(node, b) for b in c.binds]
-                pairing, names = _scope(v2c if sh.var_side else c2v, binders,
-                                        kid.free_vars if sh.var_side else kid.free_covars)
-                renames.update((f, new) for f, old, new in zip(c.binds, binders, names) if new != old)
-                kids.append((kid, pairing, c2v) if sh.var_side else (kid, v2c, pairing))
-            todo.append((node, None, renames))
-            todo += reversed(kids)
-        else:
-            kind = "term" if isinstance(node, Term) else "coterm"
-            raise NotDualizable(_NO_DUAL.get(cls) or f"{kind} {cls.__name__} has no dual")
-    return done[0]
+    return rebuild(root, (ctx.var_to_covar, ctx.covar_to_var), _dual_rule)
 
 
-def _rebuild(node, kids: list, renames: dict[str, str]):
-    """node's dual partner, with kids for its children in field order and
-    the binder fields in renames renamed."""
+def _dual_rule(node, pairings: tuple[dict[str, str], dict[str, str]]):
+    """The duality at one node, under the (var -> covar, covar -> var)
+    pairings.  A node's fields map in place to its ``_NODE_DUAL``
+    partner's: children are dualized, binder names kept or renamed by
+    ``_scope``, type annotations mapped by ``dual_type`` once the children
+    are done; a command swaps its two sides.  A free name maps through the
+    pairing; a binder changes the pairing of its own namespace, and only
+    that one."""
 
-    sh = type(node)._shape
-    vals = [renames.get(f, getattr(node, f)) for f in sh.names]
-    for (i, _), kid in zip(sh.kids, kids):
-        vals[i] = kid
-    for i, f in enumerate(sh.names):
-        if f in sh.data or f in sh.ignore:
-            vals[i] = dual_type(vals[i])
-    return _NODE_DUAL[type(node)](*vals)
+    v2c, c2v = pairings
+    cls = type(node)
+    if cls is Var:
+        return CoVar(v2c.get(node.name, node.name))
+    if cls is CoVar:
+        return Var(c2v.get(node.name, node.name))
+    if cls is Command:
+        return Command, [None, None], [(0, node.consumer, pairings), (1, node.producer, pairings)]
+    if isinstance(node, TypeExpr):
+        return dual_type(node)
+    if cls not in _NODE_DUAL:
+        kind = "term" if isinstance(node, Term) else "coterm"
+        raise NotDualizable(_NO_DUAL.get(cls) or f"{kind} {cls.__name__} has no dual")
+    sh = cls._shape
+    vals = [getattr(node, f) for f in sh.names]
+    kids = []
+    for i, bound in sh.kids:
+        kid = vals[i]
+        pairing, names = _scope(v2c if sh.var_side else c2v, [vals[j] for j in bound],
+                                kid.free_vars if sh.var_side else kid.free_covars)
+        for j, name in zip(bound, names):
+            vals[j] = name
+        kids.append((i, kid, (pairing, c2v) if sh.var_side else (v2c, pairing)))
+    kids += [(i, vals[i], pairings) for i in _TYPED[cls] if vals[i] is not None]
+    return _NODE_DUAL[cls], vals, kids
 
 
 def _scope(pairing: dict[str, str], binders: list[str],

@@ -26,9 +26,10 @@ substitution, alpha-equivalence, the grammar check, the node named by a
 classification error and the printer are all derived from the shapes, in
 the manner of Curien and Herbelin's "The duality of computation", where
 substitution and alpha-equivalence are defined once over binders.  The
-duality reads the same shapes (``duality.py``), and the parser reads each
-template that starts with a keyword forward (``parser.py``), so concrete
-syntax is declared once.
+duality reads the same shapes (``duality.py``); it and substitution are
+one rule each over ``rebuild``.  No walk of a term recurses on depth.  The
+parser reads each template that starts with a keyword forward
+(``parser.py``), so concrete syntax is declared once.
 """
 
 from __future__ import annotations
@@ -84,34 +85,33 @@ class Numbered(TypeExpr):
     payload: TypeExpr
 
 
-def type_str(t: TypeExpr) -> str:
-    """Concrete syntax of a type (parseable).
+# The type syntax, declared once for ``type_str`` and the parser: the binary
+# constructors, loosest first, with their symbols and whether they associate
+# to the right; and the types led by a word, whose arguments are atoms.
+TYPE_INFIX = ((Fn, "->", True), (Sum, "+", False), (Prod, "*", False))
+TYPE_WORDS = {"Nat": Nat, "Stream": Stream, "Num": Numbered}
+_INFIX = {c: (level, op, right, c.__match_args__) for level, (c, op, right) in enumerate(TYPE_INFIX)}
+_WORD = {c: (word, c.__match_args__) for word, c in TYPE_WORDS.items()}
 
-    Precedence, loosest first: ``->`` (right-assoc), ``+``, ``*``;
-    ``Nat``, ``Stream T`` and ``Num T`` are atoms with atomic arguments.
-    """
+
+def type_str(t: TypeExpr) -> str:
+    """Concrete syntax of a type (parseable), as TYPE_INFIX and TYPE_WORDS declare it."""
 
     return _type_str(t, 0)
 
 
 def _type_str(t: TypeExpr, level: int) -> str:
-    match t:
-        case Nat():
-            return "Nat"
-        case Stream(elem):
-            return f"Stream {_type_str(elem, 3)}"
-        case Numbered(payload):
-            return f"Num {_type_str(payload, 3)}"
-        case Fn(arg, ret):
-            s = f"{_type_str(arg, 1)} -> {_type_str(ret, 0)}"
-            return f"({s})" if level >= 1 else s
-        case Sum(left, right):
-            s = f"{_type_str(left, 1)} + {_type_str(right, 2)}"
-            return f"({s})" if level >= 2 else s
-        case Prod(left, right):
-            s = f"{_type_str(left, 2)} * {_type_str(right, 3)}"
-            return f"({s})" if level >= 3 else s
-    raise ValueError(f"unknown type node: {t!r}")
+    cls = type(t)
+    if cls in _WORD:
+        text, args = _WORD[cls]
+        for f in args:
+            text = f"{text} {_type_str(getattr(t, f), len(TYPE_INFIX))}"
+        return text
+    if cls not in _INFIX:
+        raise ValueError(f"unknown type node: {t!r}")
+    own, op, right, (a, b) = _INFIX[cls]
+    text = f"{_type_str(getattr(t, a), own + right)} {op} {_type_str(getattr(t, b), own + 1 - right)}"
+    return f"({text})" if level > own else text
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,8 @@ class Command(Node):
     consumer: CoTerm
 
 
-# _subst and _alpha treat Var and CoVar as base cases and never read this
-# shape; ``data`` is declared so that every field has a shape entry.
+# Substitution and alpha_eq treat Var and CoVar as base cases and never read
+# this shape; ``data`` is declared so that every field has a shape entry.
 @shape(data=("name",), syntax="{name}", atomic=True)
 @dataclass(frozen=True, slots=True)
 class Var(Term):
@@ -456,8 +456,8 @@ class CoRec(Term):
     seed_annot: TypeExpr | None = None  # filled in by elaboration
 
 
-# _subst and _alpha treat Var and CoVar as base cases and never read this
-# shape; ``data`` is declared so that every field has a shape entry.
+# Substitution and alpha_eq treat Var and CoVar as base cases and never read
+# this shape; ``data`` is declared so that every field has a shape entry.
 @shape(data=("name",), syntax="{name}", atomic=True)
 @dataclass(frozen=True, slots=True)
 class CoVar(CoTerm):
@@ -675,11 +675,35 @@ def fresh_name(avoid: frozenset[str] | set[str], hint: str = "x") -> str:
 
 
 def _relevant(mapping: dict[str, Node], free: frozenset[str]) -> dict[str, Node]:
-    if not mapping:
-        return mapping
-    if all(k in free for k in mapping):
+    if not mapping or mapping.keys() <= free:
         return mapping
     return {k: v for k, v in mapping.items() if k in free}
+
+
+def rebuild(root, ctx, rule):
+    """Rebuild root bottom-up on an explicit stack, so depth costs no Python
+    frames.  ``rule(node, ctx)`` returns the finished node, or ``(build,
+    vals, kids)``: the node is ``build(*vals)`` once each ``(index, child,
+    child ctx)`` in kids has been rebuilt, in that order, into
+    ``vals[index]``.  Substitution and the duality are each one rule."""
+
+    frames: list = []  # [build, vals, kids, index of the kid being rebuilt], innermost last
+    got = rule(root, ctx)
+    while True:
+        if type(got) is tuple:
+            frames.append([*got, 0])
+        elif not frames:
+            return got
+        else:
+            frame = frames[-1]
+            frame[1][frame[2][frame[3]][0]] = got
+            frame[3] += 1
+        build, vals, kids, k = frames[-1]
+        if k < len(kids):
+            got = rule(*kids[k][1:])
+        else:
+            frames.pop()
+            got = build(*vals)
 
 
 def subst(node, var_map: dict[str, Term] | None = None, covar_map: dict[str, CoTerm] | None = None):
@@ -690,46 +714,15 @@ def subst(node, var_map: dict[str, Term] | None = None, covar_map: dict[str, CoT
     cm = _relevant(covar_map or {}, node.free_covars)
     if not vm and not cm:
         return node
-    return _subst(node, vm, cm)
+    return rebuild(node, (vm, cm), _subst_rule)
 
 
-def _rebind(binders: list[str], body: Node, vm, cm, var_side: bool):
-    """Prepare substitution maps under binders of one side (variables if
-    var_side, else covariables), renaming a binder that would capture a
-    free name of an image.
+def _subst_rule(node, maps):
+    """Substitution at one node; maps is (variable map, covariable map),
+    holding only names free in node, so at least one child changes.  A
+    child that is a bare name is substituted in place, not rebuilt."""
 
-    Returns (new_binder_names, vm', cm', live) to apply to the body; live
-    is False when nothing is substituted in it.
-    """
-
-    side = attrgetter("free_vars" if var_side else "free_covars")
-    if var_side:
-        vm = {k: v for k, v in vm.items() if k not in binders and k in body.free_vars}
-        cm = _relevant(cm, body.free_covars)
-    else:
-        vm = _relevant(vm, body.free_vars)
-        cm = {k: v for k, v in cm.items() if k not in binders and k in body.free_covars}
-    if not vm and not cm:
-        return binders, vm, cm, False
-    images = [*vm.values(), *cm.values()]
-    clash = {b for b in binders if any(b in side(img) for img in images)}
-    if not clash:
-        return binders, vm, cm, True
-    own, make = (dict(vm), Var) if var_side else (dict(cm), CoVar)
-    avoid = set(side(body)).union(own, *map(side, images))
-    renamed = []
-    for b in binders:
-        if b in clash:
-            b2 = fresh_name(avoid, b)
-            avoid.add(b2)
-            own[b] = make(b2)
-            b = b2
-        renamed.append(b)
-    return (renamed, own, cm, True) if var_side else (renamed, vm, own, True)
-
-
-def _subst(node, vm: dict[str, Term], cm: dict[str, CoTerm]):
-    # vm and cm hold only names free in node, so at least one child changes.
+    vm, cm = maps
     cls = type(node)
     if cls is Var:
         return vm.get(node.name, node)
@@ -737,25 +730,51 @@ def _subst(node, vm: dict[str, Term], cm: dict[str, CoTerm]):
         return cm.get(node.name, node)
     sh = _grammar_shape(node, "substitution over unknown node")
     vals = [getattr(node, f) for f in sh.names]
-    if len(sh.kids) == 1 and not sh.kids[0][1]:
-        # The only child has the node's free names: no maps to narrow.
-        i = sh.kids[0][0]
-        vals[i] = _subst(vals[i], vm, cm)
-        return cls(*vals)
+    kids = []
     for i, bound in sh.kids:
         child = vals[i]
+        kind = type(child)
         if bound:
-            names, nvm, ncm, live = _rebind([vals[j] for j in bound], child, vm, cm, sh.var_side)
-            if live:
-                for j, name in zip(bound, names):
-                    vals[j] = name
-                vals[i] = _subst(child, nvm, ncm)
+            names, kvm, kcm = _rebind([vals[j] for j in bound], child, vm, cm, sh.var_side)
+            for j, name in zip(bound, names):
+                vals[j] = name
+        elif kind is Var or kind is CoVar:
+            kvm, kcm = vm, cm
         else:
-            lvm = _relevant(vm, child.free_vars)
-            lcm = _relevant(cm, child.free_covars)
-            if lvm or lcm:
-                vals[i] = _subst(child, lvm, lcm)
-    return cls(*vals)
+            kvm, kcm = _relevant(vm, child.free_vars), _relevant(cm, child.free_covars)
+        if kind is Var:
+            vals[i] = kvm.get(child.name, child)
+        elif kind is CoVar:
+            vals[i] = kcm.get(child.name, child)
+        elif kvm or kcm:
+            kids.append((i, child, (kvm, kcm)))
+    return (cls, vals, kids) if kids else cls(*vals)
+
+
+def _rebind(binders: list[str], body: Node, vm, cm, var_side: bool):
+    """The binders' names and the (variable, covariable) maps for a body
+    under binders of one side (variables if var_side, else covariables):
+    the maps lose the binders and names not free in the body, and a binder
+    that would capture a free name of an image is renamed."""
+
+    vm, cm = _relevant(vm, body.free_vars), _relevant(cm, body.free_covars)
+    own, other = (vm, cm) if var_side else (cm, vm)
+    own = {k: v for k, v in own.items() if k not in binders}
+    side = attrgetter("free_vars" if var_side else "free_covars")
+    images = [*own.values(), *other.values()]
+    clash = {b for b in binders if any(b in side(img) for img in images)}
+    if clash:
+        avoid = set(side(body)).union(own, *map(side, images))
+        make, renamed = Var if var_side else CoVar, []
+        for b in binders:
+            if b in clash:
+                b2 = fresh_name(avoid, b)
+                avoid.add(b2)
+                own[b] = make(b2)
+                b = b2
+            renamed.append(b)
+        binders = renamed
+    return (binders, own, other) if var_side else (binders, other, own)
 
 
 def _grammar_shape(node, error: str) -> Shape:
@@ -778,34 +797,38 @@ def subst_covar(c: Command, a: str, e: CoTerm) -> Command:
 
 
 def alpha_eq(a, b) -> bool:
-    """Equality up to consistent renaming of bound (co)variables."""
+    """Equality up to consistent renaming of bound (co)variables, walking
+    pairs of nodes on an explicit stack.  Each pair carries four maps (the
+    variables and covariables of either side) from a bound name to the
+    number of its binding site."""
 
-    return _alpha(a, b, {}, {}, {}, {}, [0])
-
-
-def _alpha(a, b, va, vb, ca, cb, ctr) -> bool:
-    cls = type(a)
-    if cls is not type(b):
-        return False
-    if cls is Var:
-        return va.get(a.name, a.name) == vb.get(b.name, b.name)
-    if cls is CoVar:
-        return ca.get(a.name, a.name) == cb.get(b.name, b.name)
-    sh = _grammar_shape(a, "alpha_eq over unknown node")
-    for f in sh.data:
-        if getattr(a, f) != getattr(b, f):
+    sites = 0
+    todo = [(a, b, {}, {}, {}, {})]
+    while todo:
+        a, b, va, vb, ca, cb = todo.pop()
+        cls = type(a)
+        if cls is not type(b):
             return False
-    for c in sh.children:
-        envs = [va, vb, ca, cb]
-        if c.binds:
-            # Bind each binder pair to one fresh number on the shape's side.
-            side = 0 if sh.var_side else 2
-            ea, eb = envs[side], envs[side + 1] = dict(envs[side]), dict(envs[side + 1])
-            for f in c.binds:
-                ctr[0] += 1
-                ea[getattr(a, f)] = eb[getattr(b, f)] = ctr[0]
-        if not _alpha(getattr(a, c.field), getattr(b, c.field), *envs, ctr):
-            return False
+        if cls is Var or cls is CoVar:
+            ea, eb = (va, vb) if cls is Var else (ca, cb)
+            if ea.get(a.name, a.name) != eb.get(b.name, b.name):
+                return False
+            continue
+        sh = _grammar_shape(a, "alpha_eq over unknown node")
+        for f in sh.data:
+            if getattr(a, f) != getattr(b, f):
+                return False
+        # Pushed last to first, so the first child is compared first.
+        for c in reversed(sh.children):
+            envs = [va, vb, ca, cb]
+            if c.binds:
+                # Bind each binder pair to one fresh number on the shape's side.
+                side = 0 if sh.var_side else 2
+                ea, eb = envs[side], envs[side + 1] = dict(envs[side]), dict(envs[side + 1])
+                for f in c.binds:
+                    sites += 1
+                    ea[getattr(a, f)] = eb[getattr(b, f)] = sites
+            todo.append((getattr(a, c.field), getattr(b, c.field), *envs))
     return True
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from string import Formatter
 from typing import NamedTuple
 
@@ -35,13 +35,9 @@ from .kernel import (
     Command,
     CoTerm,
     CoVar,
-    Fn,
-    Nat,
-    Numbered,
-    Prod,
-    Stream,
-    Sum,
     Term,
+    TYPE_INFIX,
+    TYPE_WORDS,
     TypeExpr,
     Var,
     shape,
@@ -126,7 +122,7 @@ class ParseError(Exception):
 KEYWORDS = {
     "def", "main", "fun", "mu", "comu", "rec", "corec", "as", "with",
     "head", "tail", "fst", "snd", "case", "pair", "inl", "inr",
-    "numZ", "numS", "Z", "S", "Nat", "Stream", "Num",
+    "numZ", "numS", "Z", "S", *TYPE_WORDS,
 }
 
 SYMBOLS = ["=>", "->", "<", ">", "|", ".", ":", ";", "=", "{", "}", "(", ")", "[", "]", ",", "*", "+"]
@@ -274,37 +270,29 @@ class Parser:
     # -- types
 
     def type_expr(self) -> TypeExpr:
-        left = self.type_sum()
-        if self.at("->"):
-            self.eat("->")
-            return Fn(left, self.type_expr())
-        return left
+        return self.type_infix(0)
 
-    def type_sum(self) -> TypeExpr:
-        left = self.type_prod()
-        while self.at("+"):
-            self.eat("+")
-            left = Sum(left, self.type_prod())
-        return left
+    def type_infix(self, level: int) -> TypeExpr:
+        """A type of ``kernel.TYPE_INFIX``'s operators from level on: operands
+        of the next level, joined by this level's symbol."""
 
-    def type_prod(self) -> TypeExpr:
-        left = self.type_atom()
-        while self.at("*"):
-            self.eat("*")
-            left = Prod(left, self.type_atom())
-        return left
+        if level == len(TYPE_INFIX):
+            return self.type_atom()
+        cls, symbol, right = TYPE_INFIX[level]
+        parts = [self.type_infix(level + 1)]
+        while self.at(symbol):
+            self.next()
+            parts.append(self.type_infix(level + 1))
+        if right:
+            return reduce(lambda r, l: cls(l, r), reversed(parts))
+        return reduce(cls, parts)
 
     def type_atom(self) -> TypeExpr:
         tok = self.peek()
-        if tok.text == "Nat":
+        if tok.text in TYPE_WORDS:
             self.next()
-            return Nat()
-        if tok.text == "Stream":
-            self.next()
-            return Stream(self.type_atom())
-        if tok.text == "Num":
-            self.next()
-            return Numbered(self.type_atom())
+            cls = TYPE_WORDS[tok.text]
+            return cls(*(self.type_atom() for _ in cls.__match_args__))
         if tok.text == "(":
             self.next()
             t = self.type_expr()

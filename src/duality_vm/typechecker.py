@@ -226,9 +226,15 @@ class Elaborator:
                 return self._expect(expected, env.lookup_var(name, path), t, path)
             case Zero():
                 return self._expect(expected, Nat(), t, path)
-            case Succ(arg):
-                _, out = self.term(env, arg, Nat(), (path, "arg"))
-                return self._expect(expected, Nat(), self._as_value(out, Nat(), Succ, Nat()), path)
+            case Succ():
+                # Down a successor chain and back up in loops: no stack depth.
+                k, at = 0, path
+                while type(t) is Succ:
+                    k, t, at = k + 1, t.arg, (at, "arg")
+                _, out = self.term(env, t, Nat(), at)
+                for _ in range(k):
+                    out = self._as_value(out, Nat(), Succ, Nat())
+                return self._expect(expected, Nat(), out, path)
             case NumZero(arg):
                 payload = expected.payload if isinstance(expected, Numbered) else None
                 a, out = self.term(env, arg, payload, (path, "arg"))

@@ -677,9 +677,15 @@ def test_pretty_of_deep_towers(make, base, text):
 def test_type_round_trips():
     for text in ["Nat", "Stream Nat", "Nat -> Nat -> Nat", "(Nat -> Nat) -> Nat",
                  "Nat * Nat + Nat", "Num (Stream Nat)", "Stream (Nat * Nat)",
-                 "Nat + Nat * Nat", "Num Nat -> Stream Nat"]:
+                 "Nat + Nat * Nat", "Num Nat -> Stream Nat",
+                 "Nat -> Nat + Nat * Nat -> Nat", "(Nat + Nat) * Nat", "Stream (Nat -> Nat)",
+                 "Nat + (Nat + Nat)", "Nat * (Nat * Nat) + Nat", "(Nat -> Nat) * Num (Nat + Nat)"]:
         t = parse_type(text)
         assert parse_type(type_str(t)) == t
+    # Printing puts parentheses exactly where precedence and associativity need them.
+    for text in ["Nat -> Nat + Nat * Nat -> Nat", "(Nat + Nat) * Nat", "Stream (Nat -> Nat)",
+                 "Nat + (Nat + Nat)", "Nat * (Nat * Nat) + Nat", "(Nat -> Nat) -> Nat"]:
+        assert type_str(parse_type(text)) == text
 
 
 ROUND_TRIP_TERMS = [

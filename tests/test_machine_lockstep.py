@@ -25,12 +25,12 @@ import pytest
 import substitution_machine as ref
 from duality_vm import machine
 from duality_vm.kernel import (
-    CBN, CBV, Call, Command, CoVar, Head, Mu, Succ, Var, alpha_eq, fresh_name, numeral, pretty, subst,
+    CBN, CBV, Call, Command, CoVar, Head, Mu, NumSucc, Succ, Var, alpha_eq, fresh_name, numeral, pretty, subst,
     well_formed,
 )
 from duality_vm.machine import MachineError, StuckError, force_numeral, tails
-from duality_vm.parser import App, NumLit, Ref, parse, parse_command, parse_term
-from duality_vm.surface import Compiler
+from duality_vm.parser import App, NumLit, Program, Ref, parse, parse_command, parse_term
+from duality_vm.surface import Compiler, prelude
 from duality_vm.typechecker import EMPTY_ENV, TypeEnv, elaborate_command
 from generators import DualGen, TypedGen
 
@@ -413,6 +413,34 @@ def test_deep_numerals_at_the_default_recursion_limit(s, compilers):
         assert isinstance(res.final.producer, Succ) and isinstance(res.final.producer.arg, Mu)
     # Call-by-name forces one suspended successor per restart.
     assert value == 10000 and stats.total >= res.stats.total + (10000 if s is CBN else 0)
+
+
+def test_deep_terms_at_the_default_recursion_limit(compilers):
+    # Substitution, alpha-equivalence and numeral elaboration walk on
+    # explicit stacks or in loops, so none of them recurses on depth.
+    c = parse_command("<fun x : Nat => " + "S " * 5000 + "x | 0 . a0>")
+    numbered = Var("x")
+    for _ in range(5000):
+        numbered = NumSucc(numbered)
+    plus = parse_command("<plus | 5000 . 3 . a0>", prelude().defs)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        final = pretty(machine.run(c, CBV).final)
+        traced = machine.run(c, CBV, trace=True)
+        stepped = machine.step(c, CBV)
+        same = alpha_eq(c, c)
+        image = subst(numbered, {"x": numeral(2)})
+        compiled = Compiler(Program(prelude().defs, plus), CBV).main()[1]
+        value = machine.run_to_numeral(compiled, CBV)[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert final == "<5000 | a0>"
+    assert len(traced.trace) == 1
+    assert isinstance(stepped, machine.Stepped)
+    assert same
+    assert image.free_vars == frozenset() and alpha_eq(image, subst(numbered, {"x": numeral(2)}))
+    assert value == 5003
 
 
 def _forced_at(impl, cmd, s, fuel):

@@ -45,9 +45,6 @@ class CostCurve:
     def totals(self) -> list[int]:
         return [stats.total for _, stats in self.points]
 
-    def sizes(self) -> list[int]:
-        return [n for n, _ in self.points]
-
 
 def classify(curve: CostCurve) -> GrowthClass:
     """Exact finite-difference classification of the curve's totals."""
@@ -77,7 +74,7 @@ def _stats_diff(a: RunStats, b: RunStats) -> RunStats:
     per = dict(a.per_rule)
     for tag, n in b.per_rule.items():
         per[tag] = per.get(tag, 0) - n
-    out = RunStats(per_rule=per, total=a.total - b.total, fuel_used=a.fuel_used - b.fuel_used)
+    out = RunStats(per_rule=per, total=a.total - b.total)
     out.outcome = a.outcome
     return out
 

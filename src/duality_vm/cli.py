@@ -1,13 +1,14 @@
 """Command-line interface: check, run, observe, expand, dualize, bench.
 
 Exit codes: 0 success, 1 type error, 2 stuck or out of fuel, 3 usage or
-parse error, or input nested deeper than the recursion limit allows.  When
-standard output is closed early (``duality-vm run --trace f | head -1``),
-the command stops with one line on standard error and exit code 0: the
-reader asked for no more.  ``--json`` wraps failures as
-{"error": ...} objects; a failed run (in ``run``, ``observe`` or ``bench``)
-prints the stats it spent first.  The environment variable DUALITY_VM_FUEL
-overrides the default step budget; ``main`` reads it on every call.
+parse error, an unreadable program file, or input nested deeper than the
+recursion limit allows.  When standard output is closed early
+(``duality-vm run --trace f | head -1``), the command stops with one line
+on standard error and exit code 0: the reader asked for no more.
+``--json`` wraps failures as {"error": ...} objects; a failed run (in
+``run``, ``observe`` or ``bench``) prints the stats it spent first.  The
+environment variable DUALITY_VM_FUEL overrides the default step budget;
+``main`` reads it on every call.
 
 ``main`` builds its argument parser once per process and reuses it, which
 saves an in-process caller about 2 ms a call; a one-shot CLI process
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 
-from .bench import EXPERIMENTS, UnknownExperiment, report, run_experiment
+from .bench import EXPERIMENTS, report, run_experiment
 from .duality import NotDualizable, dual_command
 from .kernel import (
     Command,
@@ -36,7 +37,7 @@ from .kernel import (
 )
 from .machine import DEFAULT_FUEL, MachineError, force_numeral, observe_stream, run
 from .parser import ParseError, parse
-from .surface import Compiler, OracleError, prelude
+from .surface import Compiler, prelude
 from .typechecker import TypeCheckError
 
 EXIT_OK = 0
@@ -60,11 +61,20 @@ def _default_fuel() -> int:
     return DEFAULT_FUEL
 
 
+class _Unreadable(Exception):
+    """The program file could not be read (missing, a directory, ...)."""
+
+
 def _read_program(path: str):
-    if path == "-":
-        return parse(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as ex:
+        raise _Unreadable(str(ex)) from None
+    return parse(text)
 
 
 class _Reporter:
@@ -86,26 +96,16 @@ class _Reporter:
 
 
 def _cmd_check(args, rep: _Reporter) -> int:
-    prog = _read_program(args.file)
-    comp = Compiler(prog, Strategy(args.strategy))
-    types = {}
-    for name in prog.defs:
-        types[name] = comp.lookup_def(name, f"def {name}")[0]
+    defs, main = Compiler(_read_program(args.file), Strategy(args.strategy)).check_program()
+    types = {name: type_str(ty) for name, (ty, _) in defs.items()}
     main_desc = None
-    if prog.main is not None:
-        ty, node = comp.main()
-        if isinstance(node, Command):
-            main_desc = "command (cut is consistent)"
-        else:
-            main_desc = type_str(ty)
+    if main is not None:
+        main_desc = "command (cut is consistent)" if isinstance(main[1], Command) else type_str(main[0])
     if rep.as_json:
-        rep.emit({
-            "defs": {n: type_str(t) for n, t in types.items()},
-            "main": main_desc,
-        })
+        rep.emit({"defs": types, "main": main_desc})
     else:
         for name, ty in types.items():
-            print(f"{name} : {type_str(ty)}")
+            print(f"{name} : {ty}")
         if main_desc is not None:
             print(f"main : {main_desc}")
     return EXIT_OK
@@ -134,7 +134,7 @@ def _cmd_run(args, rep: _Reporter) -> int:
         if res.trace_truncated:
             print(json.dumps({"truncated": True}))
     # The forcing phase spends the same budget and is counted in the same stats.
-    value = force_numeral(res.answer("out of fuel"), s, args.fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(res.answer("out of fuel"), s, args.fuel - res.stats.total, res.stats)
     if rep.as_json:
         rep.emit({"value": value, "final": pretty(res.final)})
         print(json.dumps(res.stats.to_json()))
@@ -164,16 +164,10 @@ def _cmd_observe(args, rep: _Reporter) -> int:
 
 
 def _cmd_expand(args, rep: _Reporter) -> int:
-    prog = _read_program(args.file)
-    s = Strategy(args.strategy)
-    comp = Compiler(prog, s)
-    lines = []
-    for name in prog.defs:
-        ty, term = comp.lookup_def(name, f"def {name}")
-        lines.append(f"def {name} : {type_str(ty)} = {pretty(term)};")
-    if prog.main is not None:
-        ty, node = comp.main()
-        lines.append(f"main = {pretty(node)};")
+    defs, main = Compiler(_read_program(args.file), Strategy(args.strategy)).check_program()
+    lines = [f"def {name} : {type_str(ty)} = {pretty(term)};" for name, (ty, term) in defs.items()]
+    if main is not None:
+        lines.append(f"main = {pretty(main[1])};")
     out = "\n".join(lines)
     rep.emit({"program": out}, out)
     return EXIT_OK
@@ -275,9 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         if rep.as_json and ex.stats is not None:
             print(json.dumps(ex.stats.to_json()))
         return rep.error(str(ex), EXIT_RUNTIME)
-    except (NotDualizable, UnknownExperiment, OracleError, ValueError) as ex:
-        return rep.error(str(ex), EXIT_USAGE)
-    except FileNotFoundError as ex:
+    except (NotDualizable, _Unreadable, ValueError) as ex:
         return rep.error(str(ex), EXIT_USAGE)
     except RecursionError:
         return rep.error("input nested too deeply", EXIT_USAGE)

@@ -487,9 +487,7 @@ class TraceEntry:
 class RunStats:
     per_rule: dict[RuleTag, int] = field(default_factory=dict)
     total: int = 0
-    fuel_used: int = 0
     outcome: str = "OutOfFuel"  # "Final" | "OutOfFuel" | "Stuck"
-    final_shape: str | None = None
     stuck_reason: str | None = None
 
     def count(self, tag: RuleTag) -> int:
@@ -499,7 +497,6 @@ class RunStats:
         for tag, n in other.per_rule.items():
             self.per_rule[tag] = self.per_rule.get(tag, 0) + n
         self.total += other.total
-        self.fuel_used += other.fuel_used
 
     def to_json(self) -> dict:
         per = {tag.value: n for tag, n in sorted(self.per_rule.items(), key=lambda kv: kv[0].value)}
@@ -531,7 +528,7 @@ class RunResult:
         if stats.outcome == "Final":
             return self.state[0]
         if spent is not None:
-            stats = replace(spent, outcome=stats.outcome, final_shape=None, stuck_reason=stats.stuck_reason)
+            stats = replace(spent, outcome=stats.outcome, stuck_reason=stats.stuck_reason)
         if stats.outcome == "Stuck":
             raise StuckError(stats.stuck_reason, stats)
         raise OutOfFuelError(out_of_fuel, stats)
@@ -588,10 +585,9 @@ def run(
             break
         done = (dict(per_rule), i)
         e = _Restart(p)
-    stats.total = stats.fuel_used = i
+    stats.total = i
     if out is not None:
         return RunResult(stats, None, entries, forced)
-    stats.final_shape = shape
     stats.outcome = "Final" if shape else "Stuck"
     stats.stuck_reason = None if shape else _stuck_reason(p, e, s)
     return RunResult(stats, (p, e), entries, forced)
@@ -641,7 +637,7 @@ def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[i
     the returned stats cover both phases."""
 
     res = run(c, s, fuel)
-    value = force_numeral(res.answer("run out of fuel"), s, fuel - res.stats.fuel_used, res.stats)
+    value = force_numeral(res.answer("run out of fuel"), s, fuel - res.stats.total, res.stats)
     return value, res.stats
 
 
@@ -653,7 +649,7 @@ def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -
     a = fresh_name(v.free_covars, "a0")
     res = run(Command(v, tails(depth, Head(CoVar(a)))), s, fuel)
     p = res.answer(f"stream observation at depth {depth} ran out of fuel")
-    return force_numeral(p, s, fuel - res.stats.fuel_used, res.stats)
+    return force_numeral(p, s, fuel - res.stats.total, res.stats)
 
 
 def tails(depth: int, inner: CoTerm) -> CoTerm:

@@ -128,15 +128,13 @@ class Compiler(Elaborator):
         finally:
             self._busy.discard(name)
 
-    def check_program(self) -> dict[str, TypeExpr]:
-        """Check every definition (and main, if present); return def types."""
+    def check_program(self) -> tuple[dict[str, tuple[TypeExpr, Term]],
+                                     tuple[TypeExpr | None, Command | Term] | None]:
+        """Check and compile every definition, then main if present: each
+        definition's (type, term), and main's (type, node) or None."""
 
-        out = {}
-        for name in self.program.defs:
-            out[name] = self.lookup_def(name, f"def {name}")[0]
-        if self.program.main is not None:
-            self.main()
-        return out
+        defs = {name: self.lookup_def(name, f"def {name}") for name in self.program.defs}
+        return defs, None if self.program.main is None else self.main()
 
     def main(self) -> tuple[TypeExpr | None, Command | Term]:
         """Translate main; commands get their one free covariable at Nat."""
@@ -479,7 +477,7 @@ def desugar_coiter(head_covar: str, head_body: CoTerm, seed_covar: str, tail_bod
                  elem_annot=elem_annot)
 
 
-def encode_rec_via_iter(rec: RecNat, s: Strategy, result_type: TypeExpr | None = None) -> CoTerm:
+def encode_rec_via_iter(rec: RecNat, s: Strategy) -> CoTerm:
     """Rewrite a recursor as an iterator over pairs.
 
     The iterator rebuilds the consumed number in the first component while
@@ -489,7 +487,7 @@ def encode_rec_via_iter(rec: RecNat, s: Strategy, result_type: TypeExpr | None =
     pairs and projections are staged by the Compiler's hooks.
     """
 
-    result = result_type or rec.annot
+    result = rec.annot
     if result is None:
         raise ValueError("encoding needs the recursor's result type (elaborate first)")
     comp = Compiler(None, s)
@@ -516,7 +514,7 @@ def encode_rec_via_iter(rec: RecNat, s: Strategy, result_type: TypeExpr | None =
     return RecNat(zpair, unused, z, body, snd(rec.ret), annot=pt)
 
 
-def encode_corec_via_coiter(cr: CoRec, s: Strategy, seed_type: TypeExpr | None = None) -> Term:
+def encode_corec_via_coiter(cr: CoRec, s: Strategy) -> Term:
     """Rewrite a corecursor as a coiterator over sums.
 
     The coiterator's seed is either the original seed (right injection) or
@@ -527,7 +525,7 @@ def encode_corec_via_coiter(cr: CoRec, s: Strategy, seed_type: TypeExpr | None =
     """
 
     elem = cr.elem_annot
-    seed_ty = seed_type or cr.seed_annot
+    seed_ty = cr.seed_annot
     if elem is None or seed_ty is None:
         raise ValueError("encoding needs the corecursor's element and seed types (elaborate first)")
     comp = Compiler(None, s)

@@ -366,23 +366,25 @@ class Elaborator:
         """Both recursors; payload is the payload type of a numbered one.
 
         The result type is the annotation, else the zero branch's, else the
-        return continuation's.  An inferred zero branch is kept, so it is
-        traversed once.
+        return continuation's.  Whichever side is inferred is kept, so each
+        is traversed once and nested returns are typed once each.
         """
 
         numbered = isinstance(e, RecNum)
         scrut = Numbered(payload) if numbered else Nat()
         zenv = env.bind_var(e.payload_var, payload) if numbered else env
+        rout = None
         try:
             result, zout = self.term(zenv, e.zero_body, e.annot, (path, "zero"))
         except TypeCheckError as ex:
             if ex.kind != "AnnotationRequired" or e.annot is not None:
                 raise
-            result, _ = self.coterm(env, e.ret, None, (path, "ret"))
+            result, rout = self.coterm(env, e.ret, None, (path, "ret"))
             _, zout = self.term(zenv, e.zero_body, result, (path, "zero"))
         senv = env.bind_var(e.pred_var, scrut).bind_var(e.result_var, result)
         _, sout = self.term(senv, e.succ_body, result, (path, "succ"))
-        _, rout = self.coterm(env, e.ret, result, (path, "ret"))
+        if rout is None:
+            _, rout = self.coterm(env, e.ret, result, (path, "ret"))
         annots = {"payload_annot": payload} if numbered else {}
 
         def build(E: CoTerm) -> CoTerm:

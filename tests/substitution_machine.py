@@ -167,7 +167,6 @@ def run(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL, trace: bool = False) 
         out = step(cur, s)
         if isinstance(out, Final):
             stats.outcome = "Final"
-            stats.final_shape = out.shape
             return Result(stats, cur, entries, truncated)
         if isinstance(out, Stuck):
             stats.outcome = "Stuck"
@@ -178,7 +177,6 @@ def run(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL, trace: bool = False) 
         cur = out.next
         stats.per_rule[out.rule] = stats.per_rule.get(out.rule, 0) + 1
         stats.total += 1
-        stats.fuel_used += 1
         if entries is not None:
             if len(entries) < machine.TRACE_LIMIT:
                 entries.append(TraceEntry(stats.total, out.rule, pretty(cur)))
@@ -206,7 +204,7 @@ def force_numeral(v: Term, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStat
                     raise OutOfFuelError(f"forcing ran out of fuel after {n} successors")
                 if res.outcome == "Stuck":
                     raise StuckError(res.stats.stuck_reason or "stuck while forcing")
-                budget -= res.stats.fuel_used
+                budget -= res.stats.total
                 if stats is not None:
                     stats.absorb(res.stats)
                 t = res.final.producer

@@ -329,6 +329,30 @@ def test_deep_input_within_the_recursion_limit_checks(tmp_path, text):
     assert proc.stdout.startswith("main : command")
 
 
+def test_nested_recursor_returns_check(tmp_path):
+    # Each return continuation is typed once; typing it twice made this
+    # 753-byte file take seconds.
+    text = "main = <Z | " + "rec { Z -> mu q. <Z | q> | S x -> y. y } with " * 16 + "a0>;"
+    proc = _entry(tmp_path, "returns.ct", text, "check")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "main : command (cut is consistent)\n", "")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_unreadable_program_file_exits_three_with_one_line(as_json, tmp_path, capsys):
+    # A directory cannot be read as a program file; every command reads its
+    # file through the same function.
+    assert main(["check", str(tmp_path), *(["--json"] if as_json else [])]) == 3
+    out, err = capsys.readouterr()
+    if as_json:
+        (line,) = out.splitlines()
+        message = json.loads(line)["error"]
+        assert err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        message = err[len("error: "):-1]
+    assert str(tmp_path) in message and "\n" not in message
+
+
 def test_huge_numeral_literal_runs(tmp_path):
     # A numeral literal is elaborated in a loop, so its size is not bounded
     # by the recursion limit.

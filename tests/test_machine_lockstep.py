@@ -62,14 +62,14 @@ def transcript(impl, cmd, s, fuel=FUEL) -> list[str]:
     """Everything a run prints or counts, then the number it forces to."""
 
     res = impl.run(cmd, s, fuel, trace=True)
-    out = [f"{res.outcome} {res.stats.final_shape} {res.stats.stuck_reason!r} truncated={res.trace_truncated}"]
+    out = [f"{res.outcome} {res.stats.stuck_reason!r} truncated={res.trace_truncated}"]
     out += [f"{e.index} {e.rule} {e.command_text}" for e in res.trace]
     out.append("final " + ("-" if res.final is None else pretty(res.final)))
     if res.outcome == "Final":
-        value = _outcome(impl.force_numeral, res.final.producer, s, fuel - res.stats.fuel_used, res.stats)
+        value = _outcome(impl.force_numeral, res.final.producer, s, fuel - res.stats.total, res.stats)
         out.append(f"value {value}")
     out.append(" ".join(f"{t}={n}" for t, n in sorted(res.stats.per_rule.items(), key=lambda kv: kv[0].value)))
-    out.append(f"total {res.stats.total} fuel {res.stats.fuel_used}")
+    out.append(f"total {res.stats.total}")
     return out
 
 
@@ -82,7 +82,7 @@ def _ref_to_numeral(cmd, s, fuel):
     if res.outcome == "Stuck":
         return f"StuckError: {res.stats.stuck_reason}"
     try:
-        value = ref.force_numeral(res.final.producer, s, fuel - res.stats.fuel_used, res.stats)
+        value = ref.force_numeral(res.final.producer, s, fuel - res.stats.total, res.stats)
     except MachineError as ex:
         return f"{type(ex).__name__}: {ex}"
     return value, sorted((t.value, n) for t, n in res.stats.per_rule.items())
@@ -265,7 +265,7 @@ def _answers(cmd, s):
     res = machine.run(cmd, s, FUEL)
     value = None
     if res.outcome == "Final":
-        value = _outcome(force_numeral, res.state[0], s, FUEL - res.stats.fuel_used, res.stats)
+        value = _outcome(force_numeral, res.state[0], s, FUEL - res.stats.total, res.stats)
     return res.stats, res.final, value
 
 
@@ -451,7 +451,7 @@ def _forced_at(impl, cmd, s, fuel):
     value = None
     if res.outcome == "Final":
         start = res.state[0] if impl is machine else res.final.producer
-        value = _outcome(impl.force_numeral, start, s, fuel - res.stats.fuel_used, res.stats)
+        value = _outcome(impl.force_numeral, start, s, fuel - res.stats.total, res.stats)
     return value, res.stats
 
 

@@ -203,6 +203,21 @@ def test_mixed_machine_and_surface_checking():
     assert run_to_numeral(out, CBV)[0] == 3
 
 
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_check_program_returns_the_compiled_program(s):
+    plus23 = (Path(__file__).resolve().parents[1] / "programs" / "plus23.ct").read_text()
+    term_main = plus23.replace("main = <plus | 2 . 3 . a0>;", "main = plus 2 3;")
+    for text in (plus23, term_main):
+        defs, main = Compiler(parse(text), s).check_program()
+        one = Compiler(parse(text), s)
+        assert list(defs) == list(parse(text).defs)
+        for name, pair in defs.items():
+            assert pair == one.lookup_def(name, f"def {name}")
+        assert main == one.main()
+    assert main[0] == Nat()
+    assert Compiler(prelude(), s).check_program()[1] is None
+
+
 # ---------------------------------------------------------------------------
 # Reference interpreter (the independent oracle)
 

@@ -171,6 +171,35 @@ def test_elaboration_fills_corec_seed_type():
     assert out.producer.seed_annot == NAT
 
 
+def nested_returns(k: int) -> str:
+    """k recursors, each the return continuation of the one before, cut
+    against Z.  Every zero branch is an unannotated mu, so each recursor's
+    result type comes from its return continuation."""
+
+    return "<Z | " + "rec { Z -> mu q. <Z | q> | S x -> y. y } with " * k + "a0>"
+
+
+def test_each_nested_recursor_return_is_typed_once(monkeypatch):
+    # Typing a return twice (infer it, then check it) would cost 2^k - 1
+    # recursor typings.
+    calls, coterm = [0], Elaborator.coterm
+
+    def counting(self, env, e, expected, path):
+        calls[0] += type(e) is RecNat
+        return coterm(self, env, e, expected, path)
+
+    monkeypatch.setattr(Elaborator, "coterm", counting)
+    for k in (14, 40):  # a regression fails at 14 rather than hanging at 40
+        calls[0] = 0
+        out = elaborate_command(env(covars={"a0": NAT}), parse_command(nested_returns(k)))
+        assert calls[0] == k
+        assert out.consumer.annot == NAT
+        for s in (CBV, CBN):
+            calls[0] = 0
+            Compiler(parse(f"main = {nested_returns(k)};"), s).main()
+            assert calls[0] == k
+
+
 def test_subject_reduction_through_generated_binders():
     e = env(covars={"a0": NAT})
     c = elaborate_command(e, parse_command("<2 | rec { Z -> 3 | S _ -> z. S z } with a0>"))

@@ -16,20 +16,22 @@ are slots, not dataclass fields: equality, hashing, printing and
 ``dataclasses.replace`` ignore them.  Nodes are immutable; rewriting
 shares unchanged children.
 
-Each node class declares its shape once, next to its dataclass: per child,
-the field, its step in a ``well_formed`` path, the binder fields in scope
-in it and what the grammar demands of it (a value or a covalue); per
-class, which side its binders are on, which other fields
-alpha-equivalence compares or ignores, and its concrete syntax as a
-template, with whether it prints as an atom.  The cached sets and bit,
-substitution, alpha-equivalence, the grammar check, the node named by a
-classification error and the printer are all derived from the shapes, in
-the manner of Curien and Herbelin's "The duality of computation", where
-substitution and alpha-equivalence are defined once over binders.  The
-duality reads the same shapes (``duality.py``); it and substitution are
-one rule each over ``rebuild``.  No walk of a term recurses on depth.  The
-parser reads each template that starts with a keyword forward
-(``parser.py``), so concrete syntax is declared once.
+Each node class is declared once, by its fields and its ``@shape``, which
+makes it a frozen, slotted dataclass.  Its children are its fields of sort
+``Term``, ``CoTerm`` or ``Command``.  The shape adds only what the fields
+do not say: per child, its step in a ``well_formed`` path, the binder
+fields in scope in it and what the grammar demands of it (a value or a
+covalue); per class, which side its binders are on, which fields
+alpha-equivalence ignores, and its concrete syntax as a template, with
+whether it prints as an atom.  The cached sets and bit, substitution,
+alpha-equivalence, the grammar check, the node named by a classification
+error and the printer are all derived from the shapes, in the manner of
+Curien and Herbelin's "The duality of computation", where substitution
+and alpha-equivalence are defined once over binders.  The duality reads
+the same shapes (``duality.py``); it and substitution are one rule each
+over ``rebuild``.  No walk of a term recurses on depth.  The parser reads
+each template that starts with a keyword forward, and reserves each word
+a template spells (``parser.py``), so concrete syntax is declared once.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class Node:
     _shape: Shape
 
     def __post_init__(self) -> None:
-        # Replaced in every concrete class by the one its shape derives.
+        # dataclass writes a call to this into __init__ only if it exists; shape replaces it.
         raise TypeError(f"{type(self).__name__} declares no shape")
 
     def __reduce__(self):
@@ -202,32 +204,44 @@ class Shape:
 
     Construction, substitution, alpha-equivalence, the grammar check and
     value/covalue error reports all read it instead of matching on classes.
+    ``children`` are the fields of sort ``Term``, ``CoTerm`` or ``Command``,
+    in field order; ``sorts`` maps each field to its declared sort's name.
     ``var_side`` tells whether the binders bind variables or covariables;
-    ``data`` fields are compared by alpha-equivalence, ``ignore`` fields
-    (filled in by elaboration, with no concrete syntax) are not.  A shape
-    outside the ``grammar`` is a front-end node: it caches free sets, its
-    bit is None, and the traversals reject it.  ``bit_from`` names the
-    children whose bits a node's own bit is the ``and`` of (their grammar
-    demands it be of the node's sort); it is None when the class fixes its
-    bit, or has none (``Command``).  ``text`` is the template as declared,
-    which the parser reads; ``syntax`` is that template compiled for
-    ``pretty``; ``atomic`` classes never need parentheses.
+    ``ignore`` fields (filled in by elaboration, with no concrete syntax)
+    are not compared by alpha-equivalence, ``data`` fields (the others but
+    children and binders) are.  A shape outside the ``grammar`` is a
+    front-end node: it caches free sets, its bit is None, and the traversals
+    reject it.  ``bit_from`` names the children whose bits a node's own bit
+    is the ``and`` of (their grammar demands it be of the node's sort); it
+    is None when the class fixes its bit, or has none (``Command``).
+    ``text`` is the template as declared, which the parser reads; ``syntax``
+    is that template compiled for ``pretty``; ``atomic`` classes never need
+    parentheses.
     """
 
-    __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "kids", "bit",
+    __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "sorts", "kids", "bit",
                  "bit_from", "text", "syntax", "atomic")
 
-    def __init__(self, cls: type, children, side, data, ignore, grammar, syntax, atomic):
-        self.children = children
+    def __init__(self, cls: type, entries, side, ignore, grammar, syntax, atomic):
+        # A declared sort is read by name, whether or not its module
+        # postpones annotations.
+        self.sorts = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+        self.names = names = tuple(self.sorts)
+        given = {c.field: c for c in entries}
+        self.children = children = tuple(given.pop(n, None) or Child(n) for n in names
+                                         if self.sorts[n] in ("Term", "CoTerm", "Command"))
+        if given:
+            raise TypeError(f"{cls.__name__} has no child field {', '.join(given)}")
+        kids = {c.field for c in children}
+        binders = {b for c in children for b in c.binds}
         self.var_side = side == "vars"
-        self.data = data
+        self.data = tuple(n for n in names if n not in kids and n not in binders and n not in ignore)
         self.ignore = ignore
         self.grammar = grammar
         self.atomic = atomic
-        self.names = tuple(f.name for f in fields(cls))
         self.text = syntax
-        self.syntax = _template(syntax, self.names, {c.field for c in children}, ignore)
-        pos = self.names.index
+        self.syntax = _template(syntax, names, kids, ignore)
+        pos = names.index
         # (child index, its binder indices) in field order, for rebuilding.
         self.kids = tuple((pos(c.field), tuple(map(pos, c.binds))) for c in children)
         self.bit = "cbv_value" if issubclass(cls, Term) else "cbn_covalue" if issubclass(cls, CoTerm) else None
@@ -238,12 +252,18 @@ class Shape:
             self.bit_from = tuple(c.field for c in children if getattr(c, own))
 
 
-def shape(*children: Child, side: str | None = None, data: tuple[str, ...] = (),
-          ignore: tuple[str, ...] = (), grammar: bool = True, syntax: str, atomic: bool = False):
-    """Declare a dataclass node's children (in field order), the side its
-    binders are on ("vars" or "covars"), its other fields and its print
-    template; install the ``__post_init__`` that caches free sets and the
-    strategy bit.
+def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = (), grammar: bool = True,
+          syntax: str, atomic: bool = False):
+    """Make a node class a frozen, slotted dataclass and declare its shape:
+    the side its binders are on ("vars" or "covars"), the fields
+    alpha-equivalence ignores and its print template; install the
+    ``__post_init__`` that caches free sets and the strategy bit.
+
+    The children are the fields of sort ``Term``, ``CoTerm`` or
+    ``Command``; an entry is written only for a child with a label,
+    binders or a grammar demand, and one naming no child is a
+    ``TypeError``.  Every other field but the binders and the ignored ones
+    is data.
 
     The template is literal text with a ``{field}`` slot per printed field
     (``{{`` and ``}}`` are braces).  It is read both ways: ``pretty``
@@ -260,9 +280,10 @@ def shape(*children: Child, side: str | None = None, data: tuple[str, ...] = (),
     value (a binder name, a number) and reads a binder name."""
 
     def declare(cls):
+        cls = dataclass(frozen=True, slots=True)(cls)
         if not grammar:
             setattr(cls, "cbv_value" if issubclass(cls, Term) else "cbn_covalue", None)
-        sh = cls._shape = Shape(cls, children, side, data, ignore, grammar, syntax, atomic)
+        sh = cls._shape = Shape(cls, entries, side, ignore, grammar, syntax, atomic)
         if "__post_init__" not in cls.__dict__:
             cls.__post_init__ = _cache(sh)
         return cls
@@ -337,17 +358,13 @@ def _cache(sh: Shape):
     return cache
 
 
-@shape(Child("producer"), Child("consumer"), syntax="<{producer} | {consumer}>")
-@dataclass(frozen=True, slots=True)
+@shape(syntax="<{producer} | {consumer}>")
 class Command(Node):
     producer: Term
     consumer: CoTerm
 
 
-# Substitution and alpha_eq treat Var and CoVar as base cases and never read
-# this shape; ``data`` is declared so that every field has a shape entry.
-@shape(data=("name",), syntax="{name}", atomic=True)
-@dataclass(frozen=True, slots=True)
+@shape(syntax="{name}", atomic=True)
 class Var(Term):
     name: str
     cbv_value = True
@@ -357,8 +374,7 @@ class Var(Term):
         _set_fcv(self, EMPTY)
 
 
-@shape(Child("body", binds=("covar",)), side="covars", data=("annot",), syntax="mu {covar}{annot!t}. {body}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("body", binds=("covar",)), side="covars", syntax="mu {covar}{annot!t}. {body}")
 class Mu(Term):
     """Term binding its continuation, then running a command."""
 
@@ -368,8 +384,7 @@ class Mu(Term):
     cbv_value = False
 
 
-@shape(Child("body", binds=("var",)), side="vars", data=("annot",), syntax="fun {var}{annot!t} => {body}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("body", binds=("var",)), side="vars", syntax="fun {var}{annot!t} => {body}")
 class Lam(Term):
     var: str
     body: Term
@@ -378,7 +393,6 @@ class Lam(Term):
 
 
 @shape(syntax="Z", atomic=True)
-@dataclass(frozen=True, slots=True)
 class Zero(Term):
     cbv_value = True
 
@@ -386,13 +400,11 @@ class Zero(Term):
 # pretty prints a chain of successors in one walk, with this template on
 # each one, unless the chain ends in Z and is a numeral.
 @shape(Child("arg", value="successor argument"), syntax="S {arg!a}")
-@dataclass(frozen=True, slots=True)
 class Succ(Term):
     arg: Term
 
 
 @shape(Child("arg", value="numbered-zero argument"), syntax="numZ {arg!a}")
-@dataclass(frozen=True, slots=True)
 class NumZero(Term):
     """Base constructor of Numbered: a payload labeled with 0."""
 
@@ -400,28 +412,24 @@ class NumZero(Term):
 
 
 @shape(Child("arg", value="numbered-successor argument"), syntax="numS {arg!a}")
-@dataclass(frozen=True, slots=True)
 class NumSucc(Term):
     arg: Term
 
 
 @shape(Child("left", value="pair component"), Child("right", value="pair component"),
        syntax="pair({left}, {right})", atomic=True)
-@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@shape(Child("arg", value="injection argument"), data=("other",), syntax="inl{other!t} {arg!a}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("arg", value="injection argument"), syntax="inl{other!t} {arg!a}")
 class InL(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent right component
 
 
-@shape(Child("arg", value="injection argument"), data=("other",), syntax="inr{other!t} {arg!a}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("arg", value="injection argument"), syntax="inr{other!t} {arg!a}")
 class InR(Term):
     arg: Term
     other: TypeExpr | None = None  # type of the absent left component
@@ -432,12 +440,10 @@ class InR(Term):
     Child("tail_body", "tail", binds=("tail_covar", "tail_seed_covar")),
     Child("seed", value="corecursor seed"),
     side="covars",
-    data=("elem_annot",),
     ignore=("seed_annot",),
     syntax="corec{elem_annot!t} {{ head {head_covar} -> {head_body}"
     " | tail {tail_covar} -> {tail_seed_covar}. {tail_body} }} with {seed!a}",
 )
-@dataclass(frozen=True, slots=True)
 class CoRec(Term):
     """Stream corecursor: produces a stream by cases on head/tail demands.
 
@@ -456,10 +462,7 @@ class CoRec(Term):
     seed_annot: TypeExpr | None = None  # filled in by elaboration
 
 
-# Substitution and alpha_eq treat Var and CoVar as base cases and never read
-# this shape; ``data`` is declared so that every field has a shape entry.
-@shape(data=("name",), syntax="{name}", atomic=True)
-@dataclass(frozen=True, slots=True)
+@shape(syntax="{name}", atomic=True)
 class CoVar(CoTerm):
     name: str
     cbn_covalue = True
@@ -469,8 +472,7 @@ class CoVar(CoTerm):
         _set_fcv(self, frozenset((self.name,)))
 
 
-@shape(Child("body", binds=("var",)), side="vars", data=("annot",), syntax="comu {var}{annot!t}. {body}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("body", binds=("var",)), side="vars", syntax="comu {var}{annot!t}. {body}")
 class MuTilde(CoTerm):
     """Coterm binding its input value, then running a command."""
 
@@ -482,7 +484,6 @@ class MuTilde(CoTerm):
 
 @shape(Child("arg", value="call-stack argument"), Child("rest", covalue="call-stack tail"),
        syntax="{arg!a} . {rest}")
-@dataclass(frozen=True, slots=True)
 class Call(CoTerm):
     """Call stack: an argument pushed onto a continuation."""
 
@@ -498,7 +499,6 @@ class Call(CoTerm):
     ignore=("annot",),
     syntax="rec {{ Z -> {zero_body} | S {pred_var} -> {result_var}. {succ_body} }} with {ret}",
 )
-@dataclass(frozen=True, slots=True)
 class RecNat(CoTerm):
     """Number recursor: consumes a Nat, threading a growing return continuation.
 
@@ -519,12 +519,10 @@ class RecNat(CoTerm):
     Child("succ_body", "succ", binds=("pred_var", "result_var")),
     Child("ret", covalue="recursor return"),
     side="vars",
-    data=("payload_annot",),
     ignore=("annot",),
     syntax="rec{payload_annot!t} {{ Z {payload_var} -> {zero_body}"
     " | S {pred_var} -> {result_var}. {succ_body} }} with {ret}",
 )
-@dataclass(frozen=True, slots=True)
 class RecNum(CoTerm):
     """Generalized recursor over Numbered: the zero branch binds the payload."""
 
@@ -539,33 +537,28 @@ class RecNum(CoTerm):
 
 
 @shape(Child("rest", covalue="destructor tail"), syntax="head {rest!a}")
-@dataclass(frozen=True, slots=True)
 class Head(CoTerm):
     rest: CoTerm
 
 
 @shape(Child("rest", covalue="destructor tail"), syntax="tail {rest!a}")
-@dataclass(frozen=True, slots=True)
 class Tail(CoTerm):
     rest: CoTerm
 
 
-@shape(Child("rest", covalue="destructor tail"), data=("other",), syntax="fst{other!t} {rest!a}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("rest", covalue="destructor tail"), syntax="fst{other!t} {rest!a}")
 class Fst(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent right component
 
 
-@shape(Child("rest", covalue="destructor tail"), data=("other",), syntax="snd{other!t} {rest!a}")
-@dataclass(frozen=True, slots=True)
+@shape(Child("rest", covalue="destructor tail"), syntax="snd{other!t} {rest!a}")
 class Snd(CoTerm):
     rest: CoTerm
     other: TypeExpr | None = None  # type of the absent left component
 
 
-@shape(Child("left"), Child("right"), syntax="case[{left}, {right}]", atomic=True)
-@dataclass(frozen=True, slots=True)
+@shape(syntax="case[{left}, {right}]", atomic=True)
 class SumCase(CoTerm):
     """Case split on a sum value; a forcing context in both strategies."""
 

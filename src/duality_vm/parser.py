@@ -9,12 +9,13 @@ can be written directly.  Front-end-only constructs are the four node
 classes defined here; everything else parses straight to kernel nodes.
 
 Every form that starts with a keyword, and ``Command``, is read from the
-print template its class's shape declares (see ``kernel.shape``), so its
-concrete syntax is written once, for the printer and the parser alike;
-chains of such forms, like call stacks, are read in a loop.  Written by
-hand are only what no template spells out: names and the wildcard,
-numerals, parentheses, application by juxtaposition, call stacks, types
-and program structure.
+print template its class's shape declares (see ``kernel.shape``), and
+every word a template spells is reserved, so its concrete syntax is
+written once, for the printer and the parser alike; chains of such
+forms, like call stacks, are read in a loop.  Written by hand are only
+what no template spells out: names and the wildcard, numerals,
+parentheses, application by juxtaposition, call stacks, types and
+program structure.
 
 Binder annotations are optional in the grammar (``mu a : Nat. <...>``);
 the type checker decides where they are required.
@@ -23,7 +24,7 @@ the type checker decides where they are required.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial, reduce
 from string import Formatter
 from typing import NamedTuple
@@ -35,6 +36,7 @@ from .kernel import (
     Command,
     CoTerm,
     CoVar,
+    Node,
     Term,
     TYPE_INFIX,
     TYPE_WORDS,
@@ -49,22 +51,18 @@ from .kernel import (
 # CBV.
 
 
-@shape(Child("fn"), Child("arg"), grammar=False, syntax="{fn!s} {arg!a}")
-@dataclass(frozen=True)
+@shape(grammar=False, syntax="{fn!s} {arg!a}")
 class App(Term):
     fn: Term
     arg: Term
 
 
 @shape(
-    Child("scrut"),
-    Child("zero_body"),
     Child("succ_body", binds=("pred_var", "result_var")),
     side="vars",
     grammar=False,
     syntax="rec {scrut!a} as {{ Z -> {zero_body} | S {pred_var} -> {result_var}. {succ_body} }}",
 )
-@dataclass(frozen=True)
 class RecTerm(Term):
     """Front-end recursor expression; compiles to a RecNat continuation."""
 
@@ -75,14 +73,12 @@ class RecTerm(Term):
     succ_body: Term
 
 
-@shape(data=("n",), grammar=False, syntax="{n}", atomic=True)
-@dataclass(frozen=True)
+@shape(grammar=False, syntax="{n}", atomic=True)
 class NumLit(Term):
     n: int
 
 
-@shape(data=("name",), grammar=False, syntax="{name}", atomic=True)
-@dataclass(frozen=True)
+@shape(grammar=False, syntax="{name}", atomic=True)
 class Ref(Term):
     """Reference to a named top-level definition (definitions are closed)."""
 
@@ -119,11 +115,19 @@ class ParseError(Exception):
         self.reason = message
 
 
-KEYWORDS = {
-    "def", "main", "fun", "mu", "comu", "rec", "corec", "as", "with",
-    "head", "tail", "fst", "snd", "case", "pair", "inl", "inr",
-    "numZ", "numS", "Z", "S", *TYPE_WORDS,
-}
+def _shaped(*sorts: type) -> list[type]:
+    """The node classes of sorts, in declaration order.  dataclass(slots=True)
+    leaves each class it replaced, shapeless, among the subclasses."""
+
+    return [cls for sort in sorts for cls in sort.__subclasses__() if "_shape" in vars(cls)]
+
+
+_WORD = r"[^\W\d]\w*"
+# The reserved words: those of program structure and of types, and every
+# word in the literal text of a node class's print template.
+KEYWORDS = {"def", "main", *TYPE_WORDS}.union(*(
+    re.findall(_WORD, lit) for cls in _shaped(Node, Term, CoTerm) for lit, *_ in Formatter().parse(cls._shape.text)
+))
 
 SYMBOLS = ["=>", "->", "<", ">", "|", ".", ":", ";", "=", "{", "}", "(", ")", "[", "]", ",", "*", "+"]
 
@@ -140,7 +144,7 @@ class Token(NamedTuple):
 # the end of the line, neither of which has a group, or any other character.
 # Some branch matches wherever the blanks end, so they never backtrack.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<number>\d+)|(?P<word>[^\W\d]\w*)|(?P<symbol>"
+    r"[ \t\r]*(?:(?P<number>\d+)|(?P<word>" + _WORD + r")|(?P<symbol>"
     + "|".join(map(re.escape, SYMBOLS))
     + r")|--.*|$|(?P<other>.))"
 )
@@ -427,8 +431,6 @@ def _form(cls) -> tuple:
     over."""
 
     sh = cls._shape
-    # The declared sorts are strings: node modules postpone annotations.
-    sorts = {f.name: f.type for f in fields(cls)}
     scopes = {c.field: c.binds for c in sh.children} if sh.var_side else {}
     pieces = list(Formatter().parse(sh.text))
     steps = []
@@ -436,7 +438,7 @@ def _form(cls) -> tuple:
         steps += [(None, tok.text, ()) for tok in tokenize(lit)[:-1]]
         if field is None:
             continue
-        sort = sorts[field]
+        sort = sh.sorts[field]
         if conv == "t":
             read = Parser.opt_annot
         elif conv == "a":
@@ -454,9 +456,7 @@ def _forms(sort: type) -> dict[str, list]:
     by their templates, by that keyword, in declaration order."""
 
     table: dict[str, list] = {}
-    # dataclass(slots=True) leaves the class it replaced, shapeless, among
-    # the subclasses.
-    for cls in filter(lambda c: hasattr(c, "_shape"), sort.__subclasses__()):
+    for cls in _shaped(sort):
         lead = tokenize(next(Formatter().parse(cls._shape.text))[0])[0].text
         if lead in KEYWORDS:
             table.setdefault(lead, []).append(_form(cls))

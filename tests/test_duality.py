@@ -44,7 +44,7 @@ from duality_vm.kernel import (
     pretty,
     well_formed,
 )
-from duality_vm.machine import RuleTag, Stepped, step
+from duality_vm.machine import RuleTag, Stepped, run, step
 from duality_vm.parser import Ref, parse_command, parse_coterm, parse_term
 from duality_vm.typechecker import TypeEnv, check_command, elaborate_command
 
@@ -321,3 +321,28 @@ def test_lockstep_simulation(s):
         else:
             raise AssertionError("lockstep run did not settle")
     assert steps_seen > 200  # the corpus actually exercises the rules
+
+
+def test_runs_dualize_line_by_line():
+    # Criterion 10 steps with ``step``, which never meets the pending half
+    # of a recursor or corecursor frame; ``run`` does.  A command and its
+    # dual, run under dual strategies, must agree on every traced line.
+    gen, with_frames = DualGen(77), 0
+    for _ in range(400):
+        cmd, fv, fc = gen.command(depth=4)
+        cmd = elaborate_command(TypeEnv.make(vars=fv, covars=fc), cmd)
+        for s in (CBV, CBN):
+            if well_formed(cmd, s):
+                continue
+            r1 = run(cmd, s, fuel=3000, trace=True)
+            r2 = run(dual_command(cmd), dual_strategy(s), fuel=3000, trace=True)
+            assert (r1.outcome, r1.stats.total) == (r2.outcome, r2.stats.total)
+            assert {dual_rule(r): n for r, n in r1.stats.per_rule.items()} == r2.stats.per_rule
+            assert len(r1.trace) == len(r2.trace)
+            for a, b in zip(r1.trace, r2.trace):
+                assert b.rule == dual_rule(a.rule)
+                assert alpha_eq(dual_command(parse_command(a.command_text)), parse_command(b.command_text))
+            assert (r1.final is None) == (r2.final is None)
+            assert r1.final is None or alpha_eq(dual_command(r1.final), r2.final)
+            with_frames += bool(r1.stats.count(RuleTag.BETA_NUM_SUCC) or r1.stats.count(RuleTag.BETA_TAIL))
+    assert with_frames >= 50

@@ -601,17 +601,37 @@ def test_shape_declares_every_field(cls):
     assert not set(sh.data) & set(sh.ignore)
 
 
-def test_a_template_must_print_each_field_once():
-    @dataclasses.dataclass(frozen=True, slots=True)
+def _probe() -> type:
+    # A new class each time: shape makes the class it is given a dataclass.
     class Probe(CoTerm):
         rest: CoTerm
         other: object = None
 
-    declare = kernel.shape(kernel.Child("rest"), data=("other",), syntax="probe{other!t} {rest!a}")
-    assert pretty(declare(Probe)(CoVar("a"))) == "probe a"
+    return Probe
+
+
+def test_a_template_must_print_each_field_once():
+    declare = kernel.shape(kernel.Child("rest"), syntax="probe{other!t} {rest!a}")
+    assert pretty(declare(_probe())(CoVar("a"))) == "probe a"
     for syntax in ("probe {rest!a} {rest!a}", "probe {rest}", "probe {other} {rest} {nope}"):
         with pytest.raises(TypeError, match="template"):
-            kernel.shape(kernel.Child("rest"), data=("other",), syntax=syntax)(Probe)
+            kernel.shape(kernel.Child("rest"), syntax=syntax)(_probe())
+
+
+def test_a_child_entry_must_name_a_child_field():
+    with pytest.raises(TypeError, match="Probe has no child field other"):
+        kernel.shape(kernel.Child("other", "x"), syntax="probe{other!t} {rest!a}")(_probe())
+
+
+def test_a_node_field_without_an_entry_is_a_child():
+    cls = kernel.shape(syntax="probe{other!t} {rest!a}")(_probe())
+    sh = cls._shape
+    assert [(c.field, c.label, c.binds) for c in sh.children] == [("rest", "rest", ())]
+    assert sh.data == ("other",) and sh.ignore == ()
+    assert dataclasses.is_dataclass(cls) and cls.__slots__ == ("rest", "other")
+    node = cls(Call(Var("x"), CoVar("a")))
+    assert node.free_vars == {"x"} and node.free_covars == {"a"}
+    assert pretty(node) == "probe (x . a)"
 
 
 def test_every_node_class_is_checked_for_its_shape():

@@ -890,13 +890,19 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
 # Printing (parseable; the parser reads the same templates)
 
 
-def pretty(node) -> str:
+def pretty(node, memo: dict | None = None) -> str:
     """Concrete syntax of a node, from its class's print template.
 
     One walk with an explicit stack of pending text and (node, as an atom)
     pairs, so depth costs no Python frames; the text is joined once.  The
     one rule by hand is for numerals: a chain of successors is walked once,
     and prints as its number if it ends in Z, else as ``S (S … (S b))``.
+
+    A memo maps a node's id to (node, its text).  A node found in it is not
+    walked: its text is used, in parentheses in an atom position unless
+    the node is atomic, where a chain of successors is atomic only if it
+    prints as a number.  Each successor of a chain printed as a number is
+    entered in the memo, so a predecessor met later is found there.
     """
 
     out: list[str] = []
@@ -909,17 +915,34 @@ def pretty(node) -> str:
             continue
         node, atom = item
         cls = type(node)
-        if cls is Succ:
-            k = 0
-            while type(node) is Succ:
-                node = node.arg
-                k += 1
-            if type(node) is Zero:
-                emit(str(k))
+        if memo is not None:
+            hit = memo.get(id(node))
+            if hit is not None:
+                text = hit[1]
+                wrap = atom and not (text.isdigit() if cls is Succ else cls._shape.atomic)
+                emit(f"({text})" if wrap else text)
                 continue
-            emit("(" * atom + "S (" * (k - 1) + "S ")
-            push(")" * (k - 1 + atom))
-            push((node, True))
+        if cls is Succ:
+            k, below = 0, node
+            while type(below) is Succ:
+                below = below.arg
+                k += 1
+                if memo is not None and id(below) in memo:
+                    break
+            n = 0 if type(below) is Zero else None
+            if type(below) is Succ:  # found in the memo
+                text = memo[id(below)][1]
+                n = int(text) if text.isdigit() else None
+            if n is None:
+                emit("(" * atom + "S (" * (k - 1) + "S ")
+                push(")" * (k - 1 + atom))
+                push((below, True))
+                continue
+            emit(str(k + n))
+            if memo is not None:
+                for j in range(k):
+                    memo[id(node)] = (node, str(k + n - j))
+                    node = node.arg
             continue
         sh = getattr(cls, "_shape", None)
         if sh is None:

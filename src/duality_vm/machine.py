@@ -35,7 +35,9 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   half, ``_beta_succ`` or ``_beta_tail`` on the read-back parts, so the
   names those invent come out as before.  ``step`` and traces read back,
   and ``RunResult.final`` is read back when first asked for; ``run``,
-  ``run_to_numeral`` and ``observe_stream`` read nothing back.
+  ``run_to_numeral`` and ``observe_stream`` read nothing back.  A traced
+  run prints each closure's read-back once, so a line costs the closures
+  the step built, plus joining the texts of the rest.
 * A read-back state is the command a substitution machine reaches, up to
   the names of bound (co)variables.  It is that command byte for byte
   unless substitution renamed a binder, which needs a binder named like a
@@ -290,24 +292,32 @@ def _rebuilt(node, field: str, hole):
     return hit[1]
 
 
-def readback(c: Clo):
+def readback(c: Clo, memo: dict | None = None):
     """The term or coterm c stands for: its code with the read-back of each
     closure its free names are bound to substituted in; for a half, the
     substitution rule (_beta_succ, _beta_tail) on the read-back parts.  An
-    explicit stack walks the closures, and each keeps its result."""
+    explicit stack walks the closures, and each keeps its result.
+
+    A traced run passes its memo (see ``pretty``): then each closure's
+    read-back is also printed into it, once per run and after its parts'.
+    Substitution and the rules put a part's read-back into the whole
+    uncopied, so printing a closure walks only its own code."""
 
     todo = [c]
     while todo:
         top = todo[-1]
-        if top.back is not None:
+        if top.back is not None and (memo is None or id(top.back) in memo):
             todo.pop()
             continue
-        missing = [d for d in top.parts() if d.back is None]
+        missing = [d for d in top.parts() if d.back is None or memo is not None and id(d.back) not in memo]
         if missing:
             todo.extend(missing)
-        else:
-            todo.pop()
+            continue
+        todo.pop()
+        if top.back is None:
             top.back = top.build()
+        if memo is not None:
+            memo[id(top.back)] = (top.back, pretty(top.back, memo))
     return c.back
 
 
@@ -335,8 +345,8 @@ def _inject(c: Command) -> State:
     return _close(c.producer, _NO, _NO), _close(c.consumer, _NO, _NO)
 
 
-def _command(state: State) -> Command:
-    return Command(readback(state[0]), readback(state[1]))
+def _command(state: State, memo: dict | None = None) -> Command:
+    return Command(readback(state[0], memo), readback(state[1], memo))
 
 
 def _step(p: Clo, e: Clo, s: Strategy):
@@ -560,6 +570,7 @@ def run(
     stats = RunStats()
     per_rule = stats.per_rule
     entries: list[TraceEntry] | None = [] if trace else None
+    memo: dict | None = {} if trace else None  # a read-back node's id -> (node, text), for this run's lines
     p, e = _inject(c) if isinstance(c, Command) else c
     forcing = type(e) is _Restart
     done: tuple[dict, int] = ({}, 0)  # the completed restarts' steps per rule, and steps
@@ -572,7 +583,7 @@ def run(
             rule, p, e = out
             per_rule[rule] = per_rule.get(rule, 0) + 1
             if entries is not None and len(entries) < TRACE_LIMIT:
-                entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e)))))
+                entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e), memo), memo)))
         shape = None if out is not None else _final_shape(p, e, s)
         if not forcing:
             break

@@ -43,6 +43,7 @@ from duality_vm.machine import (
 from duality_vm.parser import Parser, Program, parse_command, parse_term
 from duality_vm.surface import Compiler, prelude
 from duality_vm.typechecker import TypeEnv, elaborate_command
+from generators import DualGen, TypedGen
 
 ENV = TypeEnv.make(covars={"a0": Nat()})
 
@@ -221,6 +222,101 @@ def test_trace_json_schema(compilers):
     stats = res.stats.to_json()
     assert set(stats) == {"outcome", "total", "perRule"}
     assert stats["outcome"] == "Final"
+
+
+def _traced_commands(compilers):
+    """(command, strategy) pairs: generated commands under both strategies,
+    the prelude's number programs, and one that puts a successor of a
+    free variable, printed once, in an atom position."""
+
+    typed, dual = TypedGen(1801), DualGen(1802)
+    cmds = [typed.command(depth=4) for _ in range(300)]
+    cmds.append(parse_command("<fun x : Nat => mu b : Nat. <inl : Nat x | case[b, b]> | S y . a0>"))
+    for _ in range(300):
+        cmd, fv, fc = dual.command(depth=4)
+        cmds.append(elaborate_command(TypeEnv.make(vars=fv, covars=fc), cmd))
+    out = [(cmd, s) for cmd in cmds for s in (CBV, CBN)]
+    for s in (CBV, CBN):
+        for name, args in [("plus", (3, 4)), ("times", (3, 4)), ("fact", (4,)), ("pred", (5,))]:
+            k: object = CoVar("a0")
+            for n in reversed(args):
+                k = Call(numeral(n), k)
+            out.append((Command(gt(compilers[s], name), k), s))
+    return out
+
+
+def test_traced_lines_print_as_whole_states(compilers, monkeypatch):
+    # A traced run prints each closure's read-back once, into a memo that
+    # lives as long as the run.  Every text printed through the memo, each
+    # line among them, must be what plain printing gives: for a line, that
+    # is pretty(_command(state)), since read-back keeps each closure's
+    # result.  The runs go back to back in one process, so a memo that
+    # outlived its run would meet reused ids and print stale text.
+    real, lines = machine.pretty, [0]
+
+    def checked(node, memo=None):
+        text = real(node, memo)
+        if memo is not None:
+            assert text == real(node)
+            lines[0] += type(node) is Command
+        return text
+
+    monkeypatch.setattr(machine, "pretty", checked)
+    for cmd, s in _traced_commands(compilers):
+        res = run(cmd, s, fuel=3000, trace=True)
+        if res.trace and res.final is not None:
+            assert res.trace[-1].command_text == real(res.final)
+    assert lines[0] > 4000
+
+
+class _CountedMemo:
+    """A traced run's memo as pretty sees it, counting the lookups pretty
+    makes: one per node it walks."""
+
+    def __init__(self, memo: dict, counts: list[int]):
+        self.memo, self.counts = memo, counts
+
+    def get(self, key):
+        self.counts[-1] += 1
+        return self.memo.get(key)
+
+    def __contains__(self, key):
+        self.counts[-1] += 1
+        return key in self.memo
+
+    def __getitem__(self, key):
+        return self.memo[key]
+
+    def __setitem__(self, key, value):
+        self.memo[key] = value
+
+
+def test_a_traced_step_walks_what_it_built(compilers, monkeypatch):
+    # CBV plus n 3 holds one pending comu per outstanding call, so its
+    # states grow with n.  The first line prints the numeral n; after it,
+    # the nodes pretty walks for a line must not depend on n, or traces
+    # have gone back to printing whole states.
+    real, counts = machine.pretty, [0]
+    plus = gt(compilers[CBV], "plus")
+
+    def counting(node, memo=None):
+        text = real(node, memo if memo is None else _CountedMemo(memo, counts))
+        if type(node) is Command:
+            counts.append(0)
+        return text
+
+    def walked(n: int) -> list[int]:
+        counts[:] = [0]
+        res = run(Command(plus, Call(numeral(n), Call(numeral(3), CoVar("a0")))), CBV, trace=True)
+        assert len(counts) == len(res.trace) + 1
+        return counts[:-1]
+
+    monkeypatch.setattr(machine, "pretty", counting)
+
+    small, large = walked(50), walked(200)
+    assert len(large) > len(small) + 400
+    assert large[0] > small[0] > max(small[1:])
+    assert set(small[1:]) == set(large[1:])
 
 
 # ---------------------------------------------------------------------------

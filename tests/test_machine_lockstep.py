@@ -416,9 +416,13 @@ def test_deep_numerals_at_the_default_recursion_limit(s, compilers):
 
 
 def test_deep_terms_at_the_default_recursion_limit(compilers):
-    # Substitution, alpha-equivalence and numeral elaboration walk on
-    # explicit stacks or in loops, so none of them recurses on depth.
+    # Substitution, alpha-equivalence, numeral elaboration and traced
+    # printing walk on explicit stacks or in loops, so none of them
+    # recurses on depth.  A traced line prints a 20000-deep successor chain
+    # as a number, then as S (S … y) around a free variable.
     c = parse_command("<fun x : Nat => " + "S " * 5000 + "x | 0 . a0>")
+    deep = [parse_command("<fun x : Nat => mu b : Nat. <" + "S " * 20000 + f"x | b> | {arg} . a0>")
+            for arg in ("0", "y")]
     numbered = Var("x")
     for _ in range(5000):
         numbered = NumSucc(numbered)
@@ -427,7 +431,14 @@ def test_deep_terms_at_the_default_recursion_limit(compilers):
     sys.setrecursionlimit(1000)
     try:
         final = pretty(machine.run(c, CBV).final)
-        traced = machine.run(c, CBV, trace=True)
+        traced = [machine.run(d, CBV, trace=True) for d in deep]
+        replayed = []
+        for d in deep:
+            cur, texts = d, []
+            while isinstance(out := machine.step(cur, CBV), machine.Stepped):
+                cur = out.next
+                texts.append(pretty(cur))
+            replayed.append(texts)
         stepped = machine.step(c, CBV)
         same = alpha_eq(c, c)
         image = subst(numbered, {"x": numeral(2)})
@@ -436,7 +447,10 @@ def test_deep_terms_at_the_default_recursion_limit(compilers):
     finally:
         sys.setrecursionlimit(limit)
     assert final == "<5000 | a0>"
-    assert len(traced.trace) == 1
+    assert [[e.command_text for e in res.trace] for res in traced] == replayed
+    assert [len(texts) for texts in replayed] == [2, 2]
+    assert replayed[0][1] == "<20000 | a0>"
+    assert replayed[1][1] == "<" + "S (" * 19999 + "S y" + ")" * 19999 + " | a0>"
     assert isinstance(stepped, machine.Stepped)
     assert same
     assert image.free_vars == frozenset() and alpha_eq(image, subst(numbered, {"x": numeral(2)}))

@@ -13,11 +13,14 @@ O(1).  Terms cache the same way whether they are call-by-value values
 (``cbv_value``) and coterms whether they are call-by-name covalues
 (``cbn_covalue``), so both predicates are O(1) reads.  The cached values
 are slots, not dataclass fields: equality, hashing, printing and
-``dataclasses.replace`` ignore them.  Nodes are immutable; rewriting
-shares unchanged children.
+``dataclasses.replace`` ignore them.  Nodes and types are immutable
+``Record``s, compared, hashed and printed field by field on an explicit
+stack; rewriting shares unchanged children.
 
 Each node class is declared once, by its fields and its ``@shape``, which
-makes it a frozen, slotted dataclass.  Its children are its fields of sort
+makes it a bare slotted dataclass (for ``fields``, ``replace`` and
+``__match_args__``) and generates its ``__init__``, which caches the free
+sets and the bit.  Its children are its fields of sort
 ``Term``, ``CoTerm`` or ``Command``.  The shape adds only what the fields
 do not say: per child, its step in a ``well_formed`` path, the binder
 fields in scope in it and what the grammar demands of it (a value or a
@@ -37,50 +40,130 @@ a template spells (``parser.py``), so concrete syntax is declared once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 from string import Formatter
+from typing import NamedTuple
+
+
+# ---------------------------------------------------------------------------
+# Immutable records
+
+
+class Record:
+    """Base of types and nodes: immutable, and equal, hashed and printed
+    (as a dataclass would) by the fields in ``__match_args__``, each walk
+    on an explicit stack, so depth costs no Python frames."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies are rebuilt through __init__, so nodes cache their sets and bit again.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for f in a.__match_args__:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is y:
+                    continue
+                if isinstance(x, Record) and type(x) is type(y):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # Equal records print alike: their fields hold equal names, numbers and records.
+        return hash(repr(self))
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            r = todo.pop()
+            if type(r) is str:
+                out.append(r)
+                continue
+            out.append(type(r).__qualname__ + "(")
+            todo.append(")")
+            names = r.__match_args__
+            for i in reversed(range(len(names))):
+                x = getattr(r, names[i])
+                todo += x if isinstance(x, Record) else repr(x), ", " * (i > 0) + names[i] + "="
+        return "".join(out)
+
+
+def _record(cls: type, lines: tuple[str, ...] = (), env: dict | None = None) -> type:
+    """cls as a bare slotted dataclass (for ``fields``, ``replace`` and
+    ``__match_args__``) with a generated ``__init__``: it writes each
+    field's slot through the slot's own descriptor, past
+    ``Record.__setattr__``, then runs ``lines``, which read the fields by
+    name and the helpers in ``env`` (named with a leading underscore)."""
+
+    if cls.__doc__ is None:  # else dataclass reads one off inspect.signature, at a cost
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    ns = dict(env or {})
+    params, body = [], []
+    for i, f in enumerate(fields(cls)):
+        ns[f"_set{i}"] = vars(cls)[f.name].__set__
+        ns[f"_default{i}"] = f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=_default{i}")
+        body.append(f"_set{i}(self, {f.name})")
+    exec(f"def __init__({', '.join(['self', *params])}):\n " + "\n ".join([*body, *lines] or ["pass"]), ns)
+    cls.__init__ = ns["__init__"]
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # Types of the object language
 
 
-class TypeExpr:
+class TypeExpr(Record):
     """Base of object-language types; structural equality is the only one."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_record
 class Nat(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_record
 class Stream(TypeExpr):
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@_record
 class Fn(TypeExpr):
     arg: TypeExpr
     ret: TypeExpr
 
 
-@dataclass(frozen=True)
+@_record
 class Prod(TypeExpr):
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_record
 class Sum(TypeExpr):
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_record
 class Numbered(TypeExpr):
     """Numbers carrying a payload; the exact syntactic dual of Stream."""
 
@@ -138,7 +221,7 @@ CBN = Strategy.CBN
 EMPTY: frozenset[str] = frozenset()
 
 
-class Node:
+class Node(Record):
     """Common base; each node caches its free (co)variable sets when it is
     built, and terms and coterms their strategy bit, as its class's shape
     derives them.  Node classes keep all of it in slots: a successor takes
@@ -158,14 +241,9 @@ class Node:
     cbn_covalue: bool | None = None
     _shape: Shape
 
-    def __post_init__(self) -> None:
-        # dataclass writes a call to this into __init__ only if it exists; shape replaces it.
+    def __init__(self, *args, **kwargs):
+        # shape generates each node class's own __init__.
         raise TypeError(f"{type(self).__name__} declares no shape")
-
-    def __reduce__(self):
-        # Copies and unpickled nodes are rebuilt through __init__, so they
-        # cache their sets and bit again: only field slots would be saved.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 class Term(Node):
@@ -174,12 +252,6 @@ class Term(Node):
 
 class CoTerm(Node):
     __slots__ = ("cbn_covalue",)
-
-
-# The slots' own setters: they write past a frozen dataclass's __setattr__.
-_set_fv = Node.free_vars.__set__
-_set_fcv = Node.free_covars.__set__
-_BIT_SETTERS = {"cbv_value": Term.cbv_value.__set__, "cbn_covalue": CoTerm.cbn_covalue.__set__}
 
 
 class Child:
@@ -225,7 +297,7 @@ class Shape:
     def __init__(self, cls: type, entries, side, ignore, grammar, syntax, atomic):
         # A declared sort is read by name, whether or not its module
         # postpones annotations.
-        self.sorts = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+        self.sorts = {f: getattr(t, "__name__", t) for f, t in cls.__annotations__.items()}
         self.names = names = tuple(self.sorts)
         given = {c.field: c for c in entries}
         self.children = children = tuple(given.pop(n, None) or Child(n) for n in names
@@ -254,16 +326,19 @@ class Shape:
 
 def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = (), grammar: bool = True,
           syntax: str, atomic: bool = False):
-    """Make a node class a frozen, slotted dataclass and declare its shape:
+    """Make a node class a bare slotted dataclass and declare its shape:
     the side its binders are on ("vars" or "covars"), the fields
-    alpha-equivalence ignores and its print template; install the
-    ``__post_init__`` that caches free sets and the strategy bit.
+    alpha-equivalence ignores and its print template; generate the
+    ``__init__`` that writes the fields and caches free sets and the
+    strategy bit.  Equality, hashing, printing and immutability are
+    ``Record``'s.
 
     The children are the fields of sort ``Term``, ``CoTerm`` or
     ``Command``; an entry is written only for a child with a label,
     binders or a grammar demand, and one naming no child is a
     ``TypeError``.  Every other field but the binders and the ignored ones
-    is data.
+    is data.  A class with no children that declares a side is a name:
+    its one field is free on that side.
 
     The template is literal text with a ``{field}`` slot per printed field
     (``{{`` and ``}}`` are braces).  It is read both ways: ``pretty``
@@ -280,12 +355,11 @@ def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = ()
     value (a binder name, a number) and reads a binder name."""
 
     def declare(cls):
-        cls = dataclass(frozen=True, slots=True)(cls)
         if not grammar:
             setattr(cls, "cbv_value" if issubclass(cls, Term) else "cbn_covalue", None)
-        sh = cls._shape = Shape(cls, entries, side, ignore, grammar, syntax, atomic)
-        if "__post_init__" not in cls.__dict__:
-            cls.__post_init__ = _cache(sh)
+        sh = Shape(cls, entries, side, ignore, grammar, syntax, atomic)
+        cls = _record(cls, _caching(sh, side), _CACHE_ENV)
+        cls._shape = sh
         return cls
 
     return declare
@@ -310,52 +384,29 @@ def _template(text: str, names: tuple[str, ...], kids: set[str], ignore: tuple[s
     return tuple(reversed(out))
 
 
-def _cache(sh: Shape):
-    """The ``__post_init__`` caching what sh derives: a node's free names
-    are its children's, less each child's binders on the shape's side; its
-    bit is the ``and`` of the bits of the children in ``bit_from``."""
+# The slots' own setters: they write past Record.__setattr__.
+_CACHE_ENV = {"_EMPTY": EMPTY, "_set_free_vars": Node.free_vars.__set__,
+              "_set_free_covars": Node.free_covars.__set__,
+              "_set_cbv_value": Term.cbv_value.__set__, "_set_cbn_covalue": CoTerm.cbn_covalue.__set__}
 
-    kids = sh.children
-    set_bit = sh.bit_from is not None and _BIT_SETTERS[sh.bit]
-    one = kids and attrgetter(kids[0].field)
-    if len(kids) == 1 and not kids[0].binds and sh.bit_from == (kids[0].field,):
-        bit = attrgetter(sh.bit)
 
-        def cache(self) -> None:
-            c = one(self)
-            _set_fv(self, c.free_vars)
-            _set_fcv(self, c.free_covars)
-            set_bit(self, bit(c))
+def _caching(sh: Shape, side: str | None) -> tuple[str, ...]:
+    """The lines of a node's ``__init__`` that cache what sh derives: a
+    node's free names are its children's, less each child's binders on the
+    shape's side (or its name, if it is one); its bit is the ``and`` of
+    the bits of the children in ``bit_from``."""
 
-        return cache
-    # A binder getter returns a tuple of names, even for one binder.
-    parts = tuple((attrgetter(c.field), c.binds and attrgetter(*c.binds, c.binds[0])) for c in kids)
-    var_side = sh.var_side
-    bits = set_bit and tuple(attrgetter(f + "." + sh.bit) for f in sh.bit_from)
-
-    def cache(self) -> None:
-        fv = fcv = EMPTY
-        for get, binders in parts:
-            c = get(self)
-            v, cv = c.free_vars, c.free_covars
-            if binders:
-                if var_side:
-                    v = v.difference(binders(self))
-                else:
-                    cv = cv.difference(binders(self))
-            if v:
-                fv = fv | v if fv else v
-            if cv:
-                fcv = fcv | cv if fcv else cv
-        _set_fv(self, fv)
-        _set_fcv(self, fcv)
-        if bits:
-            b = True
-            for get in bits:
-                b = b and get(self)
-            set_bit(self, b)
-
-    return cache
+    lines = []
+    for attr, mine in (("free_vars", "vars"), ("free_covars", "covars")):
+        parts = [f"{c.field}.{attr}" + (f".difference(({', '.join(c.binds)},))" if c.binds and side == mine else "")
+                 for c in sh.children] or [f"frozenset(({sh.names[0]},))" if side == mine else "_EMPTY"]
+        lines.append(f"_{attr} = {parts[0]}")
+        for part in parts[1:]:
+            lines += [f"_x = {part}", f"if _x: _{attr} = _{attr} | _x if _{attr} else _x"]
+        lines.append(f"_set_{attr}(self, _{attr})")
+    if sh.bit_from is not None:
+        lines.append(f"_set_{sh.bit}(self, {' and '.join(f'{f}.{sh.bit}' for f in sh.bit_from) or 'True'})")
+    return tuple(lines)
 
 
 @shape(syntax="<{producer} | {consumer}>")
@@ -364,14 +415,10 @@ class Command(Node):
     consumer: CoTerm
 
 
-@shape(syntax="{name}", atomic=True)
+@shape(side="vars", syntax="{name}", atomic=True)
 class Var(Term):
     name: str
     cbv_value = True
-
-    def __post_init__(self) -> None:
-        _set_fv(self, frozenset((self.name,)))
-        _set_fcv(self, EMPTY)
 
 
 @shape(Child("body", binds=("covar",)), side="covars", syntax="mu {covar}{annot!t}. {body}")
@@ -462,14 +509,10 @@ class CoRec(Term):
     seed_annot: TypeExpr | None = None  # filled in by elaboration
 
 
-@shape(syntax="{name}", atomic=True)
+@shape(side="covars", syntax="{name}", atomic=True)
 class CoVar(CoTerm):
     name: str
     cbn_covalue = True
-
-    def __post_init__(self) -> None:
-        _set_fv(self, EMPTY)
-        _set_fcv(self, frozenset((self.name,)))
 
 
 @shape(Child("body", binds=("var",)), side="vars", syntax="comu {var}{annot!t}. {body}")
@@ -849,8 +892,7 @@ def spell(at: Position) -> str:
     return ".".join(reversed(labels))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     path: str
     message: str
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .kernel import (
     Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
@@ -97,14 +98,12 @@ class RuleTag(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Stepped:
+class Stepped(NamedTuple):
     next: Command
     rule: RuleTag
 
 
-@dataclass(frozen=True)
-class Final:
+class Final(NamedTuple):
     """The command delivers Zero or a successor to a bare covariable."""
 
     shape: str  # "Zero" | "Succ"
@@ -112,8 +111,7 @@ class Final:
     command: Command
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(NamedTuple):
     reason: str
     command: Command
 
@@ -483,8 +481,7 @@ def _stuck_reason(p: Clo, e: Clo, s: Strategy) -> str:
 # Runs
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     index: int
     rule: RuleTag
     command_text: str

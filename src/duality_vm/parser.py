@@ -24,7 +24,6 @@ the type checker decides where they are required.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial, reduce
 from string import Formatter
 from typing import NamedTuple
@@ -89,16 +88,14 @@ class Ref(Term):
 # Program container
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     name: str
     declared: TypeExpr
     body: Term
     line: int
 
 
-@dataclass
-class Program:
+class Program(NamedTuple):
     defs: dict[str, Definition]
     main: Command | Term | None
 

@@ -24,10 +24,10 @@ the same rules in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .kernel import (
     Call,
@@ -97,8 +97,7 @@ class TypeCheckError(Exception):
         return f"{self.path}: {detail}"
 
 
-@dataclass(frozen=True)
-class TypeEnv:
+class TypeEnv(NamedTuple):
     """Variable and covariable typings; immutable, binds return extensions."""
 
     vars: Mapping[str, TypeExpr]

@@ -8,6 +8,8 @@ values, destructor tails are call-by-name covalues).
 ``DualGen`` builds commands in the dualizable fragment (numbered values,
 streams, pairs, sums, binders, with Nat payload leaves) over free
 variables and covariables, for the involution / typing / lockstep tests.
+
+``one_of_each`` lists one node of every node class.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from duality_vm.kernel import (
     Zero,
     numeral,
 )
+from duality_vm.parser import App, NumLit, RecTerm, Ref
 
 NAT = Nat()
 SNAT = Stream(NAT)
@@ -353,3 +356,19 @@ class DualGen:
                     self.coterm(ty.right, depth - 1, bv, bc, covalue=True),
                 )
         raise AssertionError
+
+
+def one_of_each() -> list:
+    """One node of every node class, kernel and front end, with each
+    optional type field given."""
+
+    x, a = Var("x"), CoVar("a")
+    mt = MuTilde("y", Command(Var("y"), a), NAT)
+    return [
+        Command(x, a), x, Mu("b", Command(x, CoVar("b")), NAT), Lam("y", Var("y"), NAT), Zero(), Succ(x),
+        NumZero(x), NumSucc(NumZero(x)), Pair(Zero(), x), InL(x, NAT), InR(x, NAT),
+        CoRec("h", CoVar("h"), "t", "g", CoVar("g"), x, NAT, NAT), a, mt, Call(x, a),
+        RecNat(Zero(), "p", "r", Var("r"), a, NAT), RecNum("z", Var("z"), "p", "r", Var("r"), a, NAT, NAT),
+        Head(a), Tail(a), Fst(a, NAT), Snd(a, NAT), SumCase(a, mt),
+        App(Var("f"), x), RecTerm(x, Zero(), "p", "r", Var("r")), NumLit(2), Ref("f"),
+    ]

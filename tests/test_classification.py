@@ -169,9 +169,14 @@ def test_bits_are_not_dataclass_fields():
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))])
 def test_copies_keep_cached_sets_and_bits(clone):
-    for n in [Succ(Pair(MU0, Var("x"))), Tail(Call(Var("y"), MT0)), App(Ref("f"), NumLit(2))]:
+    from generators import one_of_each
+
+    nodes = one_of_each()
+    assert {type(n) for n in nodes} == {cls for cls in _node_classes() if "_shape" in vars(cls)}
+    for n in nodes + [Succ(Pair(MU0, Var("x"))), Tail(Call(Var("y"), MT0)), App(Ref("f"), NumLit(2))]:
         c = clone(n)
-        assert c == n and (c.free_vars, c.free_covars) == (n.free_vars, n.free_covars)
+        assert c == n and hash(c) == hash(n) and repr(c) == repr(n)
+        assert (c.free_vars, c.free_covars) == (n.free_vars, n.free_covars)
         assert (c.cbv_value, c.cbn_covalue) == (n.cbv_value, n.cbn_covalue)
 
 

@@ -1,6 +1,8 @@
 """Kernel: values, substitution, alpha-equivalence, grammar checks, printing."""
 
+import copy
 import dataclasses
+import pickle
 import typing
 
 import pytest
@@ -52,7 +54,7 @@ from duality_vm.kernel import (
     well_formed,
 )
 from duality_vm.parser import App, parse_command, parse_coterm, parse_term, parse_type
-from generators import DualGen, TypedGen
+from generators import DualGen, TypedGen, one_of_each
 
 MU0 = Mu("a", Command(Zero(), CoVar("a")))  # mu a. <Z | a>
 MT0 = MuTilde("x", Command(Var("x"), CoVar("a")))  # comu x. <x | a>
@@ -586,12 +588,29 @@ def _node_classes():
     ]
 
 
+# The fields of each node class, in order, as dataclasses.fields, match
+# statements and perfbench's node count read them.
+FIELDS = {
+    "Command": "producer consumer", "Var": "name", "Mu": "covar body annot", "Lam": "var body annot",
+    "Zero": "", "Succ": "arg", "NumZero": "arg", "NumSucc": "arg", "Pair": "left right",
+    "InL": "arg other", "InR": "arg other",
+    "CoRec": "head_covar head_body tail_covar tail_seed_covar tail_body seed elem_annot seed_annot",
+    "CoVar": "name", "MuTilde": "var body annot", "Call": "arg rest",
+    "RecNat": "zero_body pred_var result_var succ_body ret annot",
+    "RecNum": "payload_var zero_body pred_var result_var succ_body ret payload_annot annot",
+    "Head": "rest", "Tail": "rest", "Fst": "rest other", "Snd": "rest other", "SumCase": "left right",
+    "App": "fn arg", "RecTerm": "scrut zero_body pred_var result_var succ_body", "NumLit": "n", "Ref": "name",
+}
+
+
 @pytest.mark.parametrize("cls", _node_classes(), ids=lambda cls: cls.__name__)
 def test_shape_declares_every_field(cls):
     assert "_shape" in vars(cls), f"{cls.__name__} declares no shape"
     sh = cls._shape
     hints = typing.get_type_hints(cls)
+    assert dataclasses.is_dataclass(cls)
     names = [f.name for f in dataclasses.fields(cls)]
+    assert tuple(names) == sh.names == cls.__match_args__ == tuple(FIELDS[cls.__name__].split())
     nodes = [n for n in names if isinstance(hints[n], type) and issubclass(hints[n], Node)]
     assert [c.field for c in sh.children] == nodes
     binders = [b for c in sh.children for b in c.binds]
@@ -769,3 +788,63 @@ def test_round_trip_and_cbn_values_on_generated_commands():
         assert alpha_eq(parse_command(pretty(c)), c)
         assert is_value(c.producer, CBN)
         assert is_covalue(c.consumer, CBV)
+
+
+# ---------------------------------------------------------------------------
+# Nodes as records: equality, hashing, printing, immutability
+
+
+def test_deep_numerals_compare_hash_and_print_within_the_recursion_limit():
+    # Two numerals built apart, under Python's default recursion limit.
+    a, b = numeral(DEEP), numeral(DEEP)
+    assert a == b and hash(a) == hash(b)
+    assert a != numeral(DEEP - 1) and a != _tower(Succ, Var("x"))
+    assert repr(a) == "Succ(arg=" * DEEP + "Zero()" + ")" * DEEP
+
+
+def test_equal_nodes_hash_alike():
+    gen, again = TypedGen(41), TypedGen(41)
+    cmds = []
+    for _ in range(150):
+        c, d = gen.command(depth=4), again.command(depth=4)
+        assert c is not d
+        for e in (d, copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert e == c and hash(e) == hash(c)
+        cmds.append(c)
+    assert len(set(cmds)) == len({repr(c) for c in cmds}) > 100
+
+
+@pytest.mark.parametrize("node", one_of_each(), ids=lambda n: type(n).__name__)
+def test_nodes_are_immutable(node):
+    for name in (*node._shape.names, "free_vars", "free_covars", "cbv_value", "cbn_covalue"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    again = dataclasses.replace(node)
+    assert again == node and again is not node
+    assert (again.free_vars, again.free_covars) == (node.free_vars, node.free_covars)
+    assert (again.cbv_value, again.cbn_covalue) == (node.cbv_value, node.cbn_covalue)
+
+
+def test_replace_caches_sets_and_bit_again():
+    def cached(n):
+        return n.free_vars, n.free_covars, getattr(n, "cbv_value", None), getattr(n, "cbn_covalue", None)
+
+    replace = dataclasses.replace
+    assert cached(replace(MU0, body=Command(Var("y"), CoVar("b")))) == ({"y"}, {"b"}, False, None)
+    assert cached(replace(Succ(Zero()), arg=MU0)) == (set(), set(), False, None)
+    assert cached(replace(Pair(Zero(), Zero()), right=Var("z"))) == ({"z"}, set(), True, None)
+    assert cached(replace(Tail(CoVar("a")), rest=MT0)) == (set(), {"a"}, None, False)
+    rec = RecNat(Zero(), "p", "r", Var("r"), CoVar("k"))
+    assert cached(replace(rec, succ_body=Var("q"), ret=MT0)) == ({"q"}, {"a"}, None, False)
+    assert cached(replace(Var("x"), name="y")) == ({"y"}, set(), True, None)
+    assert cached(replace(CoVar("a"), name="b")) == (set(), {"b"}, None, True)
+
+
+def test_a_node_class_without_a_shape_cannot_be_built():
+    class Bare(Term):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="Bare declares no shape"):
+        Bare()

@@ -49,15 +49,19 @@ from .kernel import (
     type_str,
     well_formed,
 )
-from .machine import (
-    DEFAULT_FUEL,
-    RuleTag,
-    RunStats,
-    force_numeral,
-    observe_stream,
-    run,
-    step,
-)
 from .typechecker import TypeEnv, TypeCheckError, check_command, elaborate_command, infer_coterm, infer_term
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The machine's names are served on first use, so importing any other
+# module of the package does not import the machine.
+_MACHINE = ("DEFAULT_FUEL", "RuleTag", "RunStats", "force_numeral", "observe_stream", "run", "step")
+
+
+def __getattr__(name: str):
+    if name not in _MACHINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import machine
+
+    return getattr(machine, name)
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_MACHINE)

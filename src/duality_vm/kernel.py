@@ -239,6 +239,11 @@ class Node(Record):
     # None the same way.
     cbv_value: bool | None = None
     cbn_covalue: bool | None = None
+    # The strategies' trivial sides: every term is a call-by-name value,
+    # every coterm a call-by-value covalue.  Term and CoTerm set them True,
+    # so the machine reads a side condition as one bit under either strategy.
+    cbn_value: bool | None = None
+    cbv_covalue: bool | None = None
     _shape: Shape
 
     def __init__(self, *args, **kwargs):
@@ -248,10 +253,12 @@ class Node(Record):
 
 class Term(Node):
     __slots__ = ("cbv_value",)
+    cbn_value = True
 
 
 class CoTerm(Node):
     __slots__ = ("cbn_covalue",)
+    cbv_covalue = True
 
 
 class Child:

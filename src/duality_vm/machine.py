@@ -12,32 +12,42 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
 ("Sequent calculi and abstract machines", TOPLAS 2009).
 
 * Closures.  A state is a producer closure cut against a consumer
-  closure.  A closure pairs code (a term or coterm node) with two
-  environments, which map its free variables and its free covariables
-  to closures.  A rule that binds a name copies one environment with the
-  name added, so a step costs the same whatever the size of the command
-  it stands for.  A name is looked up when a closure is made for it; an
+  closure.  A closure is a plain tuple ``(code, vs, cs)``: code (a term or
+  coterm node) with two environments, which map its free variables and
+  its free covariables to closures.  A rule that binds a name copies one
+  environment with the name added, so a step costs the same whatever the
+  size of the command it stands for.  A name is looked up when a closure is made for it; an
   unbound covariable is the top-level continuation, and an unbound
   variable is stuck.
-* Classification reads the code's cached bit through ``is_value`` and
-  ``is_covalue``.  That is sound because call-by-value binds variables
-  only to values and call-by-name binds covariables only to covalues,
-  and ``Var`` and ``CoVar`` carry the bit True.
+* Classification reads the bit the code caches for the strategy, one
+  attribute load: ``cbv_value`` or ``cbn_value`` on a term,
+  ``cbv_covalue`` or ``cbn_covalue`` on a coterm (the call-by-name value
+  and call-by-value covalue bits are True on every term and coterm).
+  Only a bit that is not True goes to ``is_value`` or ``is_covalue``,
+  which say False, or raise on a node of the wrong sort or one not
+  classified.  That is sound because call-by-value binds variables only
+  to values and call-by-name binds covariables only to covalues, and
+  ``Var`` and ``CoVar`` carry the bit True.
 * Frames.  BetaSucc and BetaNumSucc leave a mu cut against a comu over
-  (predecessor, recursor), and BetaTail one over (corecursor, rest).  The
-  two halves stay unbuilt until one fires as the mu or comu it stands
-  for.  The recursor rebuilt on its new return, and the corecursor on its
-  new seed, bind it under a name no program can spell.  Where a branch
+  (predecessor, recursor), and BetaTail one over (corecursor, rest): a
+  frame ``(x, y, succ)``.  Its two halves, ``(_PENDING_MU, frame, None)``
+  and ``(_PENDING_COMU, frame, None)``, are told by the identity of their
+  code and stay unbuilt until one fires (``_fire_mu``, ``_fire_comu``) as
+  the mu or comu it stands for.  The recursor rebuilt on its new return,
+  and the corecursor on its new seed, bind it under a name no program can
+  spell.  Where a branch
   binds one name twice, the later binder (the result, the new seed)
   shadows the earlier, as in typing, ``alpha_eq`` and substitution.
 * Read-back turns a closure into the term it stands for: its code with
   the read-back images of its bound free names substituted in, or for a
   half, ``_beta_succ`` or ``_beta_tail`` on the read-back parts, so the
-  names those invent come out as before.  ``step`` and traces read back,
-  and ``RunResult.final`` is read back when first asked for; ``run``,
+  names those invent come out as before.  A memo from the id of each
+  closure (and frame) to (it, its read-back) lives as long as one
+  read-back: one per traced run, per ``step`` and per
+  ``RunResult.final``, which is read back when first asked for; ``run``,
   ``run_to_numeral`` and ``observe_stream`` read nothing back.  A traced
-  run prints each closure's read-back once, so a line costs the closures
-  the step built, plus joining the texts of the rest.
+  run reads back and prints each closure once, so a line costs the
+  closures the step built, plus joining the texts of the rest.
 * A read-back state is the command a substitution machine reaches, up to
   the names of bound (co)variables.  It is that command byte for byte
   unless substitution renamed a binder, which needs a binder named like a
@@ -48,12 +58,13 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   does ``step``, whose states bind one name each.
 * Forcing.  Call-by-name answers may park suspended computations under
   successors.  ``force_numeral`` counts the successors it sees and calls
-  ``run`` once, at the first suspended one, cut against a ``_Restart``.
-  In that run a number meeting a bare covariable ends a restart: its
-  successors are counted and the same loop, stats and fuel go on from the
-  next suspended one, against a new ``_Restart``.  A ``_Restart`` reads
-  back as the covariable a substitution machine restarts on, for the
-  message of a forcing stuck on it, the one time forcing reads back.
+  ``run`` once, at the first suspended one, cut against a forcing
+  continuation ``(_TOP, start, None)``.  In that run a number meeting a
+  bare covariable ends a restart: its successors are counted and the same
+  loop, stats and fuel go on from the next suspended one, against a new
+  forcing continuation.  One reads back as the covariable a substitution
+  machine restarts on, for the message of a forcing stuck on it, the one
+  time forcing reads back.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .kernel import (
-    Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
+    CBV, Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
     Pair, RecNat, RecNum, Snd, Strategy, Succ, SumCase, Tail, Term, Var, Zero,
     fresh_name, is_covalue, is_value, pretty, subst,
     # Not called here; perfbench/spans.py rebinds both names in this module.
@@ -146,37 +157,24 @@ class ElementNotNatError(MachineError):
 
 
 # Names no program can spell: _HOLE binds a rebuilt recursor return or
-# corecursor seed, _TOP is the code of a forcing run's continuations (_Restart).
+# corecursor seed, _TOP is the code of a forcing run's continuations.
 _HOLE = "\x00"
 _HOLE_VAR, _HOLE_COVAR = Var(_HOLE), CoVar(_HOLE)
 _TOP = CoVar("\x00a0")
 _NO: dict = {}  # the empty environment; environments are copied, never changed
 
+# The codes of the halves, told apart by identity; each classifies as what
+# it stands for: a mu, never a call-by-value value, and a comu, never a
+# call-by-name covalue.
+_PENDING_MU = Mu(_HOLE, Command(Zero(), _TOP))
+_PENDING_COMU = MuTilde(_HOLE, Command(Zero(), _TOP))
 
-class Clo:
-    """A term or coterm's code with the closures its free variables (vs) and
-    covariables (cs) are bound to; ``back`` keeps its read-back."""
-
-    __slots__ = ("code", "vs", "cs", "back")
-
-    def __init__(self, code, vs: dict, cs: dict):
-        self.code = code
-        self.vs = vs
-        self.cs = cs
-        self.back = None
-
-    def parts(self) -> list[Clo]:
-        code, vs, cs = self.code, self.vs, self.cs
-        return [vs[x] for x in code.free_vars if x in vs] + [cs[a] for a in code.free_covars if a in cs]
-
-    def build(self):
-        code, vs, cs = self.code, self.vs, self.cs
-        vm = {x: vs[x].back for x in code.free_vars if x in vs}
-        cm = {a: cs[a].back for a in code.free_covars if a in cs}
-        return subst(code, vm, cm) if vm or cm else code
+# The rule tags as globals, which a step loads without an enum attribute lookup.
+(MU, MU_TILDE, BETA_ARROW, BETA_ZERO, BETA_SUCC, BETA_HEAD, BETA_TAIL, BETA_FST, BETA_SND, BETA_INL, BETA_INR,
+ BETA_NUM_ZERO, BETA_NUM_SUCC) = RuleTag
 
 
-def _close(code, vs: dict, cs: dict) -> Clo:
+def _close(code, vs: dict, cs: dict) -> tuple:
     """The closure of code, or the closure its name is bound to."""
 
     cls = type(code)
@@ -188,83 +186,30 @@ def _close(code, vs: dict, cs: dict) -> Clo:
         got = cs.get(code.name)
         if got is not None:
             return got
-    return Clo(code, vs, cs)
+    return code, vs, cs
 
 
-class _Frame:
-    """What BetaSucc and BetaNumSucc leave, over (predecessor, recursor), or
-    BetaTail, over (corecursor, rest): a mu cut against a comu, as two
-    halves that fire without being built."""
+def _fire_mu(f: tuple, e: tuple) -> tuple:
+    """Mu on the mu half of frame f cut against e."""
 
-    __slots__ = ("x", "y", "succ", "back")
-
-    def __init__(self, x: Clo, y: Clo, succ: bool):
-        self.x = x
-        self.y = y
-        self.succ = succ
-        self.back = None
-
-    def command(self) -> Command:
-        if self.back is None:
-            rule = _beta_succ if self.succ else _beta_tail
-            self.back = rule(self.x.back, self.y.back)
-        return self.back
+    x, y, succ = f
+    if succ:  # <pred | the recursor returning to e>
+        return MU, x, (_rebuilt(y[0], "ret", _HOLE_COVAR), y[1], {**y[2], _HOLE: e})
+    code, vs, cs = x  # <seed | tail body, the new seed going to e>
+    tcs = {**cs, code.tail_covar: y, code.tail_seed_covar: e}
+    return MU, _close(code.seed, vs, cs), _close(code.tail_body, vs, tcs)
 
 
-# What the halves classify as: a mu, never a call-by-value value, and a
-# comu, never a call-by-name covalue.
-_PENDING_MU = Mu(_HOLE, Command(Zero(), _TOP))
-_PENDING_COMU = MuTilde(_HOLE, Command(Zero(), _TOP))
+def _fire_comu(f: tuple, v: tuple) -> tuple:
+    """MuTilde on the comu half of frame f taking v."""
 
-
-class _Half(Clo):
-    __slots__ = ("frame",)
-    mark: Term | CoTerm  # the code it classifies as
-
-    def __init__(self, frame: _Frame):
-        Clo.__init__(self, self.mark, _NO, _NO)
-        self.frame = frame
-
-    def parts(self) -> list[Clo]:
-        return [self.frame.x, self.frame.y]
-
-
-class _PendingMu(_Half):
-    __slots__ = ()
-    mark = _PENDING_MU
-
-    def build(self):
-        return self.frame.command().producer
-
-    def fire(self, e: Clo) -> tuple[Clo, Clo]:
-        """The mu half cut against e."""
-
-        f = self.frame
-        if f.succ:  # <pred | the recursor returning to e>
-            rec = f.y
-            return f.x, Clo(_rebuilt(rec.code, "ret", _HOLE_COVAR), rec.vs, {**rec.cs, _HOLE: e})
-        cr, code = f.x, f.x.code  # <seed | tail body, the new seed going to e>
-        cs = {**cr.cs, code.tail_covar: f.y, code.tail_seed_covar: e}
-        return _close(code.seed, cr.vs, cr.cs), _close(code.tail_body, cr.vs, cs)
-
-
-class _PendingComu(_Half):
-    __slots__ = ()
-    mark = _PENDING_COMU
-
-    def build(self):
-        return self.frame.command().consumer
-
-    def fire(self, v: Clo) -> tuple[Clo, Clo]:
-        """The comu half taking v."""
-
-        f = self.frame
-        if f.succ:  # <succ body, v the recursive result | return>
-            rec, code = f.y, f.y.code
-            vs = {**rec.vs, code.pred_var: f.x, code.result_var: v}
-            return _close(code.succ_body, vs, rec.cs), _close(code.ret, rec.vs, rec.cs)
-        cr = f.x  # <the corecursor seeded with v | rest>
-        return Clo(_rebuilt(cr.code, "seed", _HOLE_VAR), {**cr.vs, _HOLE: v}, cr.cs), f.y
+    x, y, succ = f
+    if succ:  # <succ body, v the recursive result | return>
+        code, vs, cs = y
+        bvs = {**vs, code.pred_var: x, code.result_var: v}
+        return MU_TILDE, _close(code.succ_body, bvs, cs), _close(code.ret, vs, cs)
+    # <the corecursor seeded with v | rest>
+    return MU_TILDE, (_rebuilt(x[0], "seed", _HOLE_VAR), {**x[1], _HOLE: v}, x[2]), y
 
 
 # A memo: a recursor or corecursor code is rebuilt on each entry, once per
@@ -290,129 +235,155 @@ def _rebuilt(node, field: str, hole):
     return hit[1]
 
 
-def readback(c: Clo, memo: dict | None = None):
-    """The term or coterm c stands for: its code with the read-back of each
-    closure its free names are bound to substituted in; for a half, the
-    substitution rule (_beta_succ, _beta_tail) on the read-back parts.  An
-    explicit stack walks the closures, and each keeps its result.
+def _parts(c: tuple) -> list[tuple]:
+    """The closures c's read-back is built from."""
 
-    A traced run passes its memo (see ``pretty``): then each closure's
-    read-back is also printed into it, once per run and after its parts'.
-    Substitution and the rules put a part's read-back into the whole
-    uncopied, so printing a closure walks only its own code."""
+    code, vs, cs = c
+    if code is _TOP:
+        return [vs]
+    if code is _PENDING_MU or code is _PENDING_COMU:
+        return [vs[0], vs[1]]
+    return [vs[x] for x in code.free_vars if x in vs] + [cs[a] for a in code.free_covars if a in cs]
+
+
+def _build(c: tuple, backs: dict):
+    """c's read-back, from its parts' in backs.  A half reads back as its
+    side of the substitution rule (_beta_succ, _beta_tail) on its frame's
+    read-back parts, built once per frame into backs; a forcing
+    continuation as the covariable a substitution machine would restart on:
+    the first of a0, a01, ... not free in its start's read-back."""
+
+    code, vs, cs = c
+    if code is _TOP:
+        return CoVar(fresh_name(backs[id(vs)][1].free_covars, "a0"))
+    if code is _PENDING_MU or code is _PENDING_COMU:
+        hit = backs.get(id(vs))
+        if hit is None:
+            x, y, succ = vs
+            hit = backs[id(vs)] = (vs, (_beta_succ if succ else _beta_tail)(backs[id(x)][1], backs[id(y)][1]))
+        return hit[1].producer if code is _PENDING_MU else hit[1].consumer
+    vm = {x: backs[id(vs[x])][1] for x in code.free_vars if x in vs}
+    cm = {a: backs[id(cs[a])][1] for a in code.free_covars if a in cs}
+    return subst(code, vm, cm) if vm or cm else code
+
+
+def readback(c: tuple, backs: dict, texts: dict | None = None):
+    """The term or coterm c stands for: its code with the read-back of each
+    closure its free names are bound to substituted in.  An explicit stack
+    walks the closures.  backs maps the id of each closure (and frame) read
+    back to (it, its read-back); it lives as long as the read-back it
+    serves, so each closure is read back once there.
+
+    A traced run passes its text memo too (see ``pretty``): then each
+    closure's read-back is also printed into it, once per run and after its
+    parts'.  Substitution and the rules put a part's read-back into the
+    whole uncopied, so printing a closure walks only its own code."""
 
     todo = [c]
     while todo:
         top = todo[-1]
-        if top.back is not None and (memo is None or id(top.back) in memo):
+        if id(top) in backs:
             todo.pop()
             continue
-        missing = [d for d in top.parts() if d.back is None or memo is not None and id(d.back) not in memo]
+        missing = [d for d in _parts(top) if id(d) not in backs]
         if missing:
             todo.extend(missing)
             continue
         todo.pop()
-        if top.back is None:
-            top.back = top.build()
-        if memo is not None:
-            memo[id(top.back)] = (top.back, pretty(top.back, memo))
-    return c.back
+        node = _build(top, backs)
+        backs[id(top)] = (top, node)
+        if texts is not None:
+            texts[id(node)] = (node, pretty(node, texts))
+    return backs[id(c)][1]
 
 
-class _Restart(Clo):
-    """The continuation a forcing run restarts start against.  It reads back
-    as the covariable a substitution machine would restart on: the first
-    of a0, a01, ... not free in start's read-back."""
-
-    __slots__ = ("start",)
-
-    def __init__(self, start: Clo):  # one per restart: no call of Clo.__init__
-        self.code, self.vs, self.cs, self.back, self.start = _TOP, _NO, _NO, None, start
-
-    def parts(self) -> list[Clo]:
-        return [self.start]
-
-    def build(self):
-        return CoVar(fresh_name(self.start.back.free_covars, "a0"))
-
-
-State = tuple[Clo, Clo]
+State = tuple[tuple, tuple]
 
 
 def _inject(c: Command) -> State:
     return _close(c.producer, _NO, _NO), _close(c.consumer, _NO, _NO)
 
 
-def _command(state: State, memo: dict | None = None) -> Command:
-    return Command(readback(state[0], memo), readback(state[1], memo))
+def _command(state: State, backs: dict, texts: dict | None = None) -> Command:
+    return Command(readback(state[0], backs, texts), readback(state[1], backs, texts))
 
 
-def _step(p: Clo, e: Clo, s: Strategy):
+def _step(p: tuple, e: tuple, s: Strategy):
     """(rule, producer, consumer) after the rule enabled on the state, or
-    None if there is none."""
+    None if there is none.  A side condition reads the code's bit for s;
+    a bit that is not True asks is_value or is_covalue, which say False or
+    raise on a node of the wrong sort or not classified."""
 
-    v, k = p.code, e.code
+    v, pvs, pcs = p
+    k, evs, ecs = e
     tv, tk = type(v), type(k)
-    if tv is Mu and is_covalue(k, s):
-        if type(p) is Clo:
-            cs = {**p.cs, v.covar: e}
-            return RuleTag.MU, _close(v.body.producer, p.vs, cs), _close(v.body.consumer, p.vs, cs)
-        return (RuleTag.MU, *p.fire(e))
-    if tk is MuTilde and is_value(v, s):
-        if type(e) is Clo:
-            vs = {**e.vs, k.var: p}
-            return RuleTag.MU_TILDE, _close(k.body.producer, vs, e.cs), _close(k.body.consumer, vs, e.cs)
-        return (RuleTag.MU_TILDE, *e.fire(p))
+    val, cov = ("cbv_value", "cbv_covalue") if s is CBV else ("cbn_value", "cbn_covalue")
+    if tv is Mu and (getattr(k, cov) or is_covalue(k, s)):
+        if v is _PENDING_MU:
+            return _fire_mu(pvs, e)
+        cs = {**pcs, v.covar: e}
+        return MU, _close(v.body.producer, pvs, cs), _close(v.body.consumer, pvs, cs)
+    if tk is MuTilde and (getattr(v, val) or is_value(v, s)):
+        if k is _PENDING_COMU:
+            return _fire_comu(evs, p)
+        vs = {**evs, k.var: p}
+        return MU_TILDE, _close(k.body.producer, vs, ecs), _close(k.body.consumer, vs, ecs)
 
     if tv is Lam:
-        if tk is Call and is_value(k.arg, s) and is_covalue(k.rest, s):
-            vs = {**p.vs, v.var: _close(k.arg, e.vs, e.cs)}
-            return RuleTag.BETA_ARROW, _close(v.body, vs, p.cs), _close(k.rest, e.vs, e.cs)
+        if (tk is Call and (getattr(k.arg, val) or is_value(k.arg, s))
+                and (getattr(k.rest, cov) or is_covalue(k.rest, s))):
+            vs = {**pvs, v.var: _close(k.arg, evs, ecs)}
+            return BETA_ARROW, _close(v.body, vs, pcs), _close(k.rest, evs, ecs)
     elif tv is Zero:
-        if tk is RecNat and is_covalue(k.ret, s):
-            return RuleTag.BETA_ZERO, _close(k.zero_body, e.vs, e.cs), _close(k.ret, e.vs, e.cs)
+        if tk is RecNat and (getattr(k.ret, cov) or is_covalue(k.ret, s)):
+            return BETA_ZERO, _close(k.zero_body, evs, ecs), _close(k.ret, evs, ecs)
     elif tv is Succ:
-        if tk is RecNat and is_value(v.arg, s) and is_covalue(k.ret, s):
-            f = _Frame(_close(v.arg, p.vs, p.cs), e, True)
-            return RuleTag.BETA_SUCC, _PendingMu(f), _PendingComu(f)
+        if (tk is RecNat and (getattr(v.arg, val) or is_value(v.arg, s))
+                and (getattr(k.ret, cov) or is_covalue(k.ret, s))):
+            f = (_close(v.arg, pvs, pcs), e, True)
+            return BETA_SUCC, (_PENDING_MU, f, None), (_PENDING_COMU, f, None)
     elif tv is NumZero:
-        if tk is RecNum and is_value(v.arg, s) and is_covalue(k.ret, s):
-            vs = {**e.vs, k.payload_var: _close(v.arg, p.vs, p.cs)}
-            return RuleTag.BETA_NUM_ZERO, _close(k.zero_body, vs, e.cs), _close(k.ret, e.vs, e.cs)
+        if (tk is RecNum and (getattr(v.arg, val) or is_value(v.arg, s))
+                and (getattr(k.ret, cov) or is_covalue(k.ret, s))):
+            vs = {**evs, k.payload_var: _close(v.arg, pvs, pcs)}
+            return BETA_NUM_ZERO, _close(k.zero_body, vs, ecs), _close(k.ret, evs, ecs)
     elif tv is NumSucc:
-        if tk is RecNum and is_value(v.arg, s) and is_covalue(k.ret, s):
-            f = _Frame(_close(v.arg, p.vs, p.cs), e, True)
-            return RuleTag.BETA_NUM_SUCC, _PendingMu(f), _PendingComu(f)
+        if (tk is RecNum and (getattr(v.arg, val) or is_value(v.arg, s))
+                and (getattr(k.ret, cov) or is_covalue(k.ret, s))):
+            f = (_close(v.arg, pvs, pcs), e, True)
+            return BETA_NUM_SUCC, (_PENDING_MU, f, None), (_PENDING_COMU, f, None)
     elif tv is CoRec:
-        if tk is Head and is_value(v.seed, s) and is_covalue(k.rest, s):
-            cs = {**p.cs, v.head_covar: _close(k.rest, e.vs, e.cs)}
-            return RuleTag.BETA_HEAD, _close(v.seed, p.vs, p.cs), _close(v.head_body, p.vs, cs)
-        if tk is Tail and is_value(v.seed, s) and is_covalue(k.rest, s):
-            f = _Frame(p, _close(k.rest, e.vs, e.cs), False)
-            return RuleTag.BETA_TAIL, _PendingMu(f), _PendingComu(f)
+        if (tk is Head and (getattr(v.seed, val) or is_value(v.seed, s))
+                and (getattr(k.rest, cov) or is_covalue(k.rest, s))):
+            cs = {**pcs, v.head_covar: _close(k.rest, evs, ecs)}
+            return BETA_HEAD, _close(v.seed, pvs, pcs), _close(v.head_body, pvs, cs)
+        if (tk is Tail and (getattr(v.seed, val) or is_value(v.seed, s))
+                and (getattr(k.rest, cov) or is_covalue(k.rest, s))):
+            f = (p, _close(k.rest, evs, ecs), False)
+            return BETA_TAIL, (_PENDING_MU, f, None), (_PENDING_COMU, f, None)
     elif tv is Pair:
-        if tk is Fst and is_covalue(k.rest, s):
-            return RuleTag.BETA_FST, _close(v.left, p.vs, p.cs), _close(k.rest, e.vs, e.cs)
-        if tk is Snd and is_covalue(k.rest, s):
-            return RuleTag.BETA_SND, _close(v.right, p.vs, p.cs), _close(k.rest, e.vs, e.cs)
+        if tk is Fst and (getattr(k.rest, cov) or is_covalue(k.rest, s)):
+            return BETA_FST, _close(v.left, pvs, pcs), _close(k.rest, evs, ecs)
+        if tk is Snd and (getattr(k.rest, cov) or is_covalue(k.rest, s)):
+            return BETA_SND, _close(v.right, pvs, pcs), _close(k.rest, evs, ecs)
     elif tv is InL:
         if tk is SumCase:
-            return RuleTag.BETA_INL, _close(v.arg, p.vs, p.cs), _close(k.left, e.vs, e.cs)
+            return BETA_INL, _close(v.arg, pvs, pcs), _close(k.left, evs, ecs)
     elif tv is InR:
         if tk is SumCase:
-            return RuleTag.BETA_INR, _close(v.arg, p.vs, p.cs), _close(k.right, e.vs, e.cs)
+            return BETA_INR, _close(v.arg, pvs, pcs), _close(k.right, evs, ecs)
     return None
 
 
-def _final_shape(p: Clo, e: Clo, s: Strategy) -> str | None:
+def _final_shape(p: tuple, e: tuple, s: Strategy) -> str | None:
     """"Zero" or "Succ" if a number meets the top-level continuation (a
     covariable no binder has bound), else None."""
 
-    if type(e.code) is CoVar:
-        v = p.code
+    if type(e[0]) is CoVar:
+        v = p[0]
         if type(v) is Zero:
             return "Zero"
-        if type(v) is Succ and is_value(v, s):
+        if type(v) is Succ and (getattr(v, "cbv_value" if s is CBV else "cbn_value") or is_value(v, s)):
             return "Succ"
     return None
 
@@ -423,10 +394,10 @@ def step(c: Command, s: Strategy) -> StepOutcome:
     p, e = _inject(c)
     out = _step(p, e, s)
     if out is not None:
-        return Stepped(_command(out[1:]), out[0])
+        return Stepped(_command(out[1:], {}), out[0])
     shape = _final_shape(p, e, s)
     if shape is not None:
-        return Final(shape, e.code.name, c)
+        return Final(shape, e[0].name, c)
     return Stuck(_stuck_reason(p, e, s), c)
 
 
@@ -464,12 +435,12 @@ def _beta_tail(cr: CoRec, rest: CoTerm) -> Command:
     return Command(left, right)
 
 
-def _stuck_reason(p: Clo, e: Clo, s: Strategy) -> str:
-    v, k = p.code, e.code
+def _stuck_reason(p: tuple, e: tuple, s: Strategy) -> str:
+    v, k = p[0], e[0]
     if isinstance(v, Var):
         return f"free variable {v.name!r} in producer position"
     if isinstance(k, CoVar):  # read back: a forcing continuation reads back as its restart's name
-        return f"producer {type(v).__name__} delivered to covariable {readback(e).name!r} is not a number"
+        return f"producer {type(v).__name__} delivered to covariable {readback(e, {}).name!r} is not a number"
     if isinstance(v, Mu):
         return f"mu against a non-covalue consumer under {s.value}"
     if isinstance(k, MuTilde):
@@ -525,7 +496,7 @@ class RunResult:
     def trace_truncated(self) -> bool:
         return self.trace is not None and len(self.trace) < self.stats.total
 
-    def answer(self, out_of_fuel: str, spent: RunStats | None = None) -> Clo:
+    def answer(self, out_of_fuel: str, spent: RunStats | None = None) -> tuple:
         """The producer the run halted on, or, if it failed, the error: an
         OutOfFuelError with message out_of_fuel, or a StuckError.  The error
         carries the steps of spent (the run's own stats when None) with this
@@ -544,7 +515,7 @@ class RunResult:
     def final(self) -> Command | None:
         """The halted state, read back the first time it is asked for."""
 
-        return None if self.state is None else _command(self.state)
+        return None if self.state is None else _command(self.state, {})
 
 
 def run(
@@ -556,20 +527,22 @@ def run(
     """Step from a command, or a machine state, until Final, Stuck, or the
     fuel is spent.
 
-    A state cut against a _Restart is forced: where a number meets a bare
-    covariable, its successors are counted and the run goes on from the
-    suspended successor below them, against a new _Restart, with the same
-    stats and fuel.  It halts on the closure below the last successors,
-    ``forced`` the count; if it fails, only completed restarts count."""
+    A state cut against a forcing continuation (_TOP, start, None) is
+    forced: where a number meets a bare covariable, its successors are
+    counted and the run goes on from the suspended successor below them,
+    against a new forcing continuation, with the same stats and fuel.  It
+    halts on the closure below the last successors, ``forced`` the count;
+    if it fails, only completed restarts count."""
 
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
     stats = RunStats()
     per_rule = stats.per_rule
     entries: list[TraceEntry] | None = [] if trace else None
-    memo: dict | None = {} if trace else None  # a read-back node's id -> (node, text), for this run's lines
+    # For this run's lines: a closure's (frame's) id -> (it, its read-back), a node's id -> (node, text).
+    backs, texts = ({}, {}) if trace else (None, None)
     p, e = _inject(c) if isinstance(c, Command) else c
-    forcing = type(e) is _Restart
+    forcing = e[0] is _TOP
     done: tuple[dict, int] = ({}, 0)  # the completed restarts' steps per rule, and steps
     i = forced = 0
     while True:
@@ -580,7 +553,7 @@ def run(
             rule, p, e = out
             per_rule[rule] = per_rule.get(rule, 0) + 1
             if entries is not None and len(entries) < TRACE_LIMIT:
-                entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e), memo), memo)))
+                entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e), backs, texts), texts)))
         shape = None if out is not None else _final_shape(p, e, s)
         if not forcing:
             break
@@ -589,10 +562,10 @@ def run(
             break
         n, p = _successors(p)
         forced += n
-        if type(p.code) is not Mu:
+        if type(p[0]) is not Mu:
             break
         done = (dict(per_rule), i)
-        e = _Restart(p)
+        e = (_TOP, p, None)
     stats.total = i
     if out is not None:
         return RunResult(stats, None, entries, forced)
@@ -601,22 +574,22 @@ def run(
     return RunResult(stats, (p, e), entries, forced)
 
 
-def _successors(t: Clo) -> tuple[int, Clo]:
+def _successors(t: tuple) -> tuple[int, tuple]:
     """The successors counted down from t, following variables through the
     environments, and the closure below them."""
 
     n = 0
     while True:
-        code = t.code
+        code, vs, cs = t
         while type(code) is Succ:
             n += 1
             code = code.arg
-        if code is t.code:
+        if code is t[0]:
             return n, t
-        t = _close(code, t.vs, t.cs)
+        t = _close(code, vs, cs)
 
 
-def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStats | None = None) -> int:
+def force_numeral(v: Term | tuple, s: Strategy, fuel: int = DEFAULT_FUEL, stats: RunStats | None = None) -> int:
     """Count successors down to Zero, forcing suspended computations.
 
     Under call-by-name a successor's argument may be a mu-abstraction.  The
@@ -628,15 +601,15 @@ def force_numeral(v: Term | Clo, s: Strategy, fuel: int = DEFAULT_FUEL, stats: R
     the observable number is accounted for.
     """
 
-    n, t = _successors(v if isinstance(v, Clo) else _close(v, _NO, _NO))
-    if type(t.code) is Mu:
-        res = run((t, _Restart(t)), s, fuel)
+    n, t = _successors(v if isinstance(v, tuple) else _close(v, _NO, _NO))
+    if type(t[0]) is Mu:
+        res = run((t, (_TOP, t, None)), s, fuel)
         if stats is not None:
             stats.absorb(res.stats)
         n += res.forced
         t = res.answer(f"forcing ran out of fuel after {n} successors", stats)
-    if type(t.code) is not Zero:
-        raise ElementNotNatError(f"cannot force {type(t.code).__name__} to a numeral")
+    if type(t[0]) is not Zero:
+        raise ElementNotNatError(f"cannot force {type(t[0]).__name__} to a numeral")
     return n
 
 

@@ -46,6 +46,7 @@ from duality_vm.kernel import (
     fresh_name,
     is_covalue,
     is_value,
+    numeral,
     well_formed,
 )
 from duality_vm.parser import App, NumLit, Ref, parse
@@ -139,6 +140,9 @@ def assert_bits_agree(root, seen: set[int] | None = None) -> int:
         for s in (CBV, CBN):
             assert _outcome(is_value, n, s) == _outcome(ref_is_value, n, s), (n, s)
             assert _outcome(is_covalue, n, s) == _outcome(ref_is_covalue, n, s), (n, s)
+            # The machine reads these bits first and asks the predicates only when one is not True.
+            assert getattr(n, f"{s.value}_value") is not True or ref_is_value(n, s) is True, (n, s)
+            assert getattr(n, f"{s.value}_covalue") is not True or ref_is_covalue(n, s) is True, (n, s)
     return len(nodes)
 
 
@@ -251,21 +255,15 @@ def _stepped_states(c: Command, s) -> list[Command]:
         c = Command(t, CoVar(fresh_name(t.free_covars, "a0")))
 
 
-@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
-def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
-    """Every node the machine classifies while it runs, forcing restarts
-    included, and every state machine.step reads back on the same
-    programs, so nodes built by the recursor/corecursor rules and by
-    read-back are covered."""
+def _run_prelude(comp, s) -> list[Command]:
+    """Run the prelude's number programs to numerals and observe its streams
+    at a few depths under s; return every state machine.step reads back on
+    the same programs, so nodes built by the recursor/corecursor rules and
+    by read-back are covered."""
 
-    comp = compilers[s]
-    handed, states = [], []
-    for name in ("is_value", "is_covalue"):
-        real = getattr(machine, name)
-        monkeypatch.setattr(machine, name, lambda n, strat, real=real: handed.append(n) or real(n, strat))
     compiled = lambda t: comp.term(EMPTY_ENV, t, None, "t")[1]
-    nums = [_apply("plus", 2, 3), _apply("times", 2, 2), _apply("pred", 3), _apply("fact", 3)]
-    for t in nums:
+    states = []
+    for t in [_apply("plus", 2, 3), _apply("times", 2, 2), _apply("pred", 3), _apply("fact", 3)]:
         cmd = Command(compiled(t), CoVar("a0"))
         machine.run_to_numeral(cmd, s)
         states += _stepped_states(cmd, s)
@@ -282,9 +280,56 @@ def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
         for depth in (0, 2, 3):
             machine.observe_stream(compiled(t), depth, s)
             states += _stepped_states(Command(compiled(t), machine.tails(depth, Head(CoVar("a0")))), s)
-    assert len(states) > 500 and handed
+    return states
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
+    """The codes of every state the machine runs through, forcing restarts
+    included, and every state machine.step reads back on the same
+    programs."""
+
+    codes = []
+    real = machine._step
+    monkeypatch.setattr(machine, "_step", lambda p, e, strat: codes.extend((p[0], e[0])) or real(p, e, strat))
+    states = _run_prelude(compilers[s], s)
+    assert len(states) > 500 and codes
     seen: set[int] = set()
-    assert sum(assert_bits_agree(c, seen) for c in [*handed, *states]) > 2000
+    assert sum(assert_bits_agree(c, seen) for c in [*codes, *states]) > 2000
+
+
+def _fallbacks(monkeypatch, s) -> list:
+    """The nodes the machine hands is_value and is_covalue under s, as they
+    are handed; each must be one whose bit for s is not True."""
+
+    handed = []
+    for name, bit in (("is_value", f"{s.value}_value"), ("is_covalue", f"{s.value}_covalue")):
+        real = getattr(machine, name)
+
+        def asked(n, strat, real=real, bit=bit):
+            assert getattr(n, bit) is not True, (n, strat)
+            handed.append(n)
+            return real(n, strat)
+
+        monkeypatch.setattr(machine, name, asked)
+    return handed
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_side_conditions_read_true_bits_without_a_call(s, compilers, monkeypatch):
+    _fallbacks(monkeypatch, s)
+    _run_prelude(compilers[s], s)
+
+
+def test_cbv_plus_asks_the_predicates_as_often_at_any_size(compilers, monkeypatch):
+    handed = _fallbacks(monkeypatch, CBV)
+    plus = compilers[CBV].lookup_def("plus", "plus")[1]
+    calls = []
+    for n in (50, 200):
+        handed.clear()
+        assert machine.run_to_numeral(Command(plus, Call(numeral(n), Call(numeral(n), CoVar("a0")))), CBV)[0] == 2 * n
+        calls.append(len(handed))
+    assert calls[0] == calls[1]
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,20 @@ def _entry(tmp_path, name: str, text: str, command: str):
     )
 
 
+def test_the_machine_is_imported_on_first_use():
+    src = str(Path(duality_vm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, duality_vm.surface\n"
+            "assert 'duality_vm.machine' not in sys.modules\n"
+            "from duality_vm import run, step\n"
+            "import duality_vm.machine as m\n"
+            "assert run is m.run and step is m.step and duality_vm.DEFAULT_FUEL == m.DEFAULT_FUEL\n"
+            "assert set(duality_vm._MACHINE) <= set(duality_vm.__all__)\n"
+            "assert not hasattr(duality_vm, 'no_such_name')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_deeply_nested_successors_exit_three_without_traceback(tmp_path):
     n = 4998
     proc = _entry(tmp_path, "deep.ct", "main = <" + "S (" * n + "Z" + ")" * n + " | a0>;", "check")

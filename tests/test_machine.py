@@ -40,7 +40,7 @@ from duality_vm.machine import (
     step,
     tails,
 )
-from duality_vm.parser import Parser, Program, parse_command, parse_term
+from duality_vm.parser import App, Parser, Program, parse_command, parse_term
 from duality_vm.surface import Compiler, prelude
 from duality_vm.typechecker import TypeEnv, elaborate_command
 from generators import DualGen, TypedGen
@@ -511,6 +511,23 @@ def test_stuck_on_a_cut_the_strategy_forbids(text, s, reason):
 
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_a_node_of_the_wrong_sort_is_a_classification_error(s):
+    # <mu a. <Z | a> | Z>: the mu's side condition classifies Z as a coterm.
+    with pytest.raises(ValueError, match=r"^not a coterm: Zero\(\)$"):
+        run(Command(Mu("a", Command(Zero(), CoVar("a"))), Zero()), s)
+
+
+def test_an_unclassified_producer_is_an_error_only_where_it_is_classified():
+    # A front-end App is no call-by-value term, but every term is a call-by-name value.
+    cmd = Command(App(Var("f"), Zero()), MuTilde("x", Command(Var("x"), CoVar("a0"))))
+    with pytest.raises(ValueError, match=r"^not a term: App\("):
+        run(cmd, CBV)
+    res = run(cmd, CBN)
+    assert res.outcome == "Stuck"
+    assert res.stats.stuck_reason == "producer App delivered to covariable 'a0' is not a number"
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
 def test_observing_a_free_stream_variable_is_stuck(s):
     with pytest.raises(StuckError) as ex:
         observe_stream(Var("s"), 2, s)
@@ -550,5 +567,5 @@ def test_running_and_forcing_read_nothing_back(s, compilers, monkeypatch):
     corec = parse_term("corec { head h -> h | tail b -> b. b } with 3")
     assert observe_stream(corec, 2, s) == 3
     assert calls == []
-    for half in (machine._PendingMu, machine._PendingComu):
-        assert "readback" not in half.fire.__code__.co_names
+    for fire in (machine._fire_mu, machine._fire_comu):
+        assert "readback" not in fire.__code__.co_names

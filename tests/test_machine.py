@@ -175,6 +175,18 @@ def test_fuel_boundary_final_detection():
     assert res.stats.total == 0
 
 
+def test_a_number_answer_reads_back_without_substitution(compilers, monkeypatch):
+    # A call-by-value number answer is a chain of closures of code S x over a
+    # literal; read-back builds one Succ per link and calls no subst.
+    calls = []
+    real = machine.subst
+    monkeypatch.setattr(machine, "subst", lambda *args: calls.append(args) or real(*args))
+    for name, m, n, want in [("plus", 300, 300, 600), ("times", 12, 6, 72)]:
+        res = run(Command(gt(compilers[CBV], name), Call(numeral(m), Call(numeral(n), CoVar("a0")))), CBV)
+        assert res.final == Command(numeral(want), CoVar("a0"))
+    assert calls == []
+
+
 def test_stats_total_is_sum_of_rules(compilers):
     plus = gt(compilers[CBV], "plus")
     res = run(Command(plus, Call(numeral(4), Call(numeral(2), CoVar("a0")))), CBV)

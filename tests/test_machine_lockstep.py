@@ -25,7 +25,7 @@ import pytest
 import substitution_machine as ref
 from duality_vm import machine
 from duality_vm.kernel import (
-    CBN, CBV, Call, Command, CoVar, Head, Mu, NumSucc, Succ, Var, alpha_eq, fresh_name, numeral, pretty, subst,
+    CBN, CBV, Call, Command, CoVar, Head, Mu, MuTilde, NumSucc, Succ, Var, alpha_eq, fresh_name, numeral, pretty, subst,
     well_formed,
 )
 from duality_vm.machine import MachineError, StuckError, force_numeral, tails
@@ -308,8 +308,8 @@ def test_renaming_binders_apart_changes_no_answer(s):
             assert_agree_up_to_renaming(cmd, s)
 
 
-@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
-@pytest.mark.parametrize("text", [
+# Commands whose binders substitution renames.
+RENAMED = [
     # Free x and x1: substitution renames the innermost binder x to x1, then
     # x1 to x11; read-back avoids both at once and names it x2.
     "<fun p => mu k. <fun q => mu j. <fun x => mu r. <p | q . r> | j> | x1 . k> | x . a0>",
@@ -320,7 +320,11 @@ def test_renaming_binders_apart_changes_no_answer(s):
     # its scope to a011; substitution keeps a011 once a0 is bound, read-back
     # has no reason to rename a01.
     "<mu a. <mu a0. <mu a01. <mu a02. <mu a1. <Z | comu x. <Z | a0>> | a02> | a> | Z . a> | a> | 3 . a0>",
-])
+]
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+@pytest.mark.parametrize("text", RENAMED)
 def test_renamed_binders_agree_up_to_renaming(text, s):
     assert_agree_up_to_renaming(parse_command(text), s)
 
@@ -403,16 +407,38 @@ def test_deep_numerals_at_the_default_recursion_limit(s, compilers):
         res = machine.run(cmd, s)
         assert res.outcome == "Final"
         text = pretty(res.final)
+        equal = res.final.producer == numeral(10000)
         assert force_numeral(res.final.producer, s) == 10000
         value, stats = machine.run_to_numeral(cmd, s)
     finally:
         sys.setrecursionlimit(limit)
+    assert equal is (s is CBV)
     if s is CBV:
         assert text == "<10000 | a0>"
     else:
         assert isinstance(res.final.producer, Succ) and isinstance(res.final.producer.arg, Mu)
     # Call-by-name forces one suspended successor per restart.
     assert value == 10000 and stats.total >= res.stats.total + (10000 if s is CBN else 0)
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_step_reads_back_long_successor_chains_at_the_default_recursion_limit(s):
+    # The comu binds x to a 5000-deep numeral: the next producer is a chain
+    # link over it (S x), or a 5000-deep successor code around it.
+    deep = Var("x")
+    for _ in range(5000):
+        deep = Succ(deep)
+    cmds = [Command(numeral(5000), MuTilde("x", Command(body, CoVar("a0")))) for body in (Succ(Var("x")), deep)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = [machine.step(c, s) for c in cmds]
+        want = [ref.step(c, s) for c in cmds]
+        texts = [pretty(out.next) for out in got]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(out.next, out.rule.value) for out in got] == [(out.next, out.rule.value) for out in want]
+    assert texts == ["<5001 | a0>", "<10000 | a0>"]
 
 
 def test_deep_terms_at_the_default_recursion_limit(compilers):

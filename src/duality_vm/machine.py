@@ -38,13 +38,11 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   spell.  Where a branch
   binds one name twice, the later binder (the result, the new seed)
   shadows the earlier, as in typing, ``alpha_eq`` and substitution.
-* Read-back turns a closure into the term it stands for, at about the
-  cost of building its node.  A successor chain (closures of code ``S x``,
-  x bound) is read back in one loop, one ``Succ`` per link.  A code whose
-  shape binds nothing is built from its fields, a bare bound name
-  replaced by its read-back.  ``subst`` serves only the other children
-  with a bound name free, and codes under binders, which it takes with
-  all of a closure's bindings at once.  A half reads back as
+* Read-back turns a closure into the term it stands for: its code with
+  the read-back images of its bound free names substituted in.  A
+  successor chain (closures of code ``S x``, x bound) is read back in one
+  loop, one ``Succ`` per link and no substitution, so a number answer
+  costs about a node per successor.  A half reads back as
   ``_beta_succ`` or ``_beta_tail`` on the read-back parts, so the names
   those invent come out as before.  A memo from the id of each
   closure (and frame) to (it, its read-back) lives as long as one
@@ -240,17 +238,23 @@ def _rebuilt(node, field: str, hole):
     return hit[1]
 
 
-def _build(c: tuple, backs: dict, vm: dict, cm: dict):
-    """c's read-back, from its parts' in backs; vm and cm map its code's
-    bound free names to their closures' read-back.  A code whose shape
-    binds nothing is built from its fields: a child that is a bare bound
-    name becomes its read-back, and only another child goes to ``subst``.
-    A code with binders goes to ``subst`` whole, all of its bindings at
-    once.  A half reads back as its side of the substitution rule
-    (_beta_succ, _beta_tail) on its frame's read-back parts, built once per
-    frame into backs; a forcing continuation as the covariable a
-    substitution machine would restart on: the first of a0, a01, ... not
-    free in its start's read-back."""
+def _parts(c: tuple) -> list[tuple]:
+    """The closures c's read-back is built from."""
+
+    code, vs, cs = c
+    if code is _TOP:
+        return [vs]
+    if code is _PENDING_MU or code is _PENDING_COMU:
+        return [vs[0], vs[1]]
+    return [vs[x] for x in code.free_vars if x in vs] + [cs[a] for a in code.free_covars if a in cs]
+
+
+def _build(c: tuple, backs: dict):
+    """c's read-back, from its parts' in backs.  A half reads back as its
+    side of the substitution rule (_beta_succ, _beta_tail) on its frame's
+    read-back parts, built once per frame into backs; a forcing
+    continuation as the covariable a substitution machine would restart on:
+    the first of a0, a01, ... not free in its start's read-back."""
 
     code, vs, cs = c
     if code is _TOP:
@@ -261,31 +265,19 @@ def _build(c: tuple, backs: dict, vm: dict, cm: dict):
             x, y, succ = vs
             hit = backs[id(vs)] = (vs, (_beta_succ if succ else _beta_tail)(backs[id(x)][1], backs[id(y)][1]))
         return hit[1].producer if code is _PENDING_MU else hit[1].consumer
-    if not vm and not cm:
-        return code
-    cls = type(code)
-    sh = cls._shape
-    if any(bound for _, bound in sh.kids):
-        return subst(code, vm, cm)
-    vals = [getattr(code, f) for f in sh.names]
-    for i, _ in sh.kids:
-        child = vals[i]
-        kind = type(child)
-        vals[i] = (vm.get(child.name, child) if kind is Var else cm.get(child.name, child) if kind is CoVar
-                   else subst(child, vm, cm))
-    return cls(*vals)
+    vm = {x: backs[id(vs[x])][1] for x in code.free_vars if x in vs}
+    cm = {a: backs[id(cs[a])][1] for a in code.free_covars if a in cs}
+    return subst(code, vm, cm) if vm or cm else code
 
 
 def readback(c: tuple, backs: dict, texts: dict | None = None):
     """The term or coterm c stands for: its code with the read-back of each
-    closure its free names are bound to put in (``_build``).  An explicit
-    stack walks the closures, and lists a closure's bound free names once
-    per visit.  A successor chain, closures of code ``S x`` with x bound,
-    is read back in one loop: down the environments to a closure read back
-    already or not a link, then a ``Succ`` per link on the way up.  backs
-    maps the id of each closure (and frame) read back to (it, its
-    read-back); it lives as long as the read-back it serves, so each
-    closure is read back once there.
+    closure its free names are bound to substituted in.  An explicit stack
+    walks the closures.  A successor chain is read back in one loop: down
+    the environments to a closure read back already or not a link, then a
+    ``Succ`` per link on the way up.  backs maps the id of each closure
+    (and frame) read back to (it, its read-back); it lives as long as the
+    read-back it serves, so each closure is read back once there.
 
     A traced run passes its text memo too (see ``pretty``): then each
     closure's read-back is also printed into it, once per run and after its
@@ -298,35 +290,18 @@ def readback(c: tuple, backs: dict, texts: dict | None = None):
         if id(top) in backs:
             todo.pop()
             continue
-        code, vs, cs = top
         chain, d = [], top
-        while type(code) is Succ and type(code.arg) is Var and code.arg.name in vs:  # d is a link
-            chain.append(d)
-            d = vs[code.arg.name]
-            if id(d) in backs:
+        while id(d) not in backs:
+            code, vs, _ = d
+            if type(code) is not Succ or type(code.arg) is not Var or code.arg.name not in vs:
                 break
-            code, vs, cs = d
-        vm, cm, missing = {}, {}, []
+            chain.append(d)  # d is a link: code S x, x bound
+            d = vs[code.arg.name]
         if chain:
             if id(d) not in backs:  # the closure below the chain first
-                missing.append(d)
-        elif code is _TOP or code is _PENDING_MU or code is _PENDING_COMU:
-            missing = [d for d in ((vs,) if code is _TOP else vs[:2]) if id(d) not in backs]
-        else:
-            for names, env, images in ((code.free_vars, vs, vm), (code.free_covars, cs, cm)):
-                for x in names:
-                    d = env.get(x)
-                    if d is not None:
-                        hit = backs.get(id(d))
-                        if hit is None:
-                            missing.append(d)
-                        else:
-                            images[x] = hit[1]
-        if missing:
-            todo.extend(missing)
-            continue
-        todo.pop()
-        if chain:
+                todo.append(d)
+                continue
+            todo.pop()
             node = backs[id(d)][1]
             for d in reversed(chain):
                 node = Succ(node)
@@ -334,7 +309,12 @@ def readback(c: tuple, backs: dict, texts: dict | None = None):
                 if texts is not None:
                     texts[id(node)] = (node, pretty(node, texts))
             continue
-        node = _build(top, backs, vm, cm)
+        missing = [d for d in _parts(top) if id(d) not in backs]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        node = _build(top, backs)
         backs[id(top)] = (top, node)
         if texts is not None:
             texts[id(node)] = (node, pretty(node, texts))

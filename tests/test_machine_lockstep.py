@@ -441,6 +441,20 @@ def test_step_reads_back_long_successor_chains_at_the_default_recursion_limit(s)
     assert texts == ["<5001 | a0>", "<10000 | a0>"]
 
 
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_a_front_end_node_over_a_bound_name_is_an_error_as_in_substitution(s):
+    # App is a front-end node, outside the kernel's grammar: reading back a
+    # closure whose code is one with a bound name free fails as substitution
+    # over it does in the substitution machine, in a step and in a traced run.
+    cmd = Command(numeral(0), MuTilde("y", Command(App(Var("y"), numeral(0)), CoVar("a0"))))
+    for go in (lambda impl: impl.step(cmd, s), lambda impl: impl.run(cmd, s, FUEL, trace=True)):
+        with pytest.raises(ValueError, match="^substitution over unknown node") as want:
+            go(ref)
+        with pytest.raises(ValueError) as got:
+            go(machine)
+        assert str(got.value) == str(want.value)
+
+
 def test_deep_terms_at_the_default_recursion_limit(compilers):
     # Substitution, alpha-equivalence, numeral elaboration and traced
     # printing walk on explicit stacks or in loops, so none of them

@@ -3,12 +3,12 @@
 The reference reads a closure back as ``subst`` of its code with the
 read-back of each closure its free names are bound to, a half as its side
 of ``_beta_succ``/``_beta_tail`` and a forcing continuation as its restart
-covariable.  The machine's read-back builds successor chains and codes that
-bind nothing without ``subst``; it must print the same bytes, fresh names
-included, on every state of the prelude's number programs (forcing runs
-included) and stream observations, of generated commands and of the
-commands whose binders substitution renames, in both strategies: through a
-traced run's memo, through one memo per run, and through ``final``.
+covariable.  The machine's read-back builds successor chains without
+``subst``; it must print the same bytes, fresh names included, on every
+state of the prelude's number programs (forcing runs included) and stream
+observations, of generated commands and of the commands whose binders
+substitution renames, in both strategies: through a traced run's memo,
+through one memo per run, and through ``final``.
 """
 
 import pytest

@@ -1,11 +1,13 @@
 """Deterministic small-step execution of commands, on closures.
 
-Each step fires the unique applicable rule; value/covalue side conditions
-make the rules mutually exclusive, so no rule ordering is needed.  A run
-iterates steps until a final state (a number constructor meeting a bare
-covariable), a stuck state, or fuel exhaustion, and keeps per-rule
-counters the whole way.  Streams are observed by cutting them against a
-tower of tail projections over a head projection.
+Each step fires the unique applicable rule: the classes of the cut pick
+the beta rule, and only the mu/comu pair reads the strategy.  No beta
+rule tests a side condition: ``run`` takes a well-formed command and
+builds only its subterms and copies of them with a bare name put in
+(``step`` refuses a command outside the grammar).  A run iterates steps
+until a final state (a number constructor meeting a bare covariable), a
+stuck state, or fuel exhaustion, and keeps per-rule counters the whole
+way.  Streams are observed against tail projections over a head.
 
 The machine runs closures, not substitutions: it is the environment
 machine that Ariola, Bohannon and Sabry derive for this calculus
@@ -19,7 +21,7 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   size of the command it stands for.  A name is looked up when a closure is made for it; an
   unbound covariable is the top-level continuation, and an unbound
   variable is stuck.
-* Classification reads the bit the code caches for the strategy, one
+* The mu/comu test reads the bit the code caches for the strategy, one
   attribute load: ``cbv_value`` or ``cbn_value`` on a term,
   ``cbv_covalue`` or ``cbn_covalue`` on a coterm (the call-by-name value
   and call-by-value covalue bits are True on every term and coterm).
@@ -80,7 +82,7 @@ from typing import NamedTuple
 from .kernel import (
     CBV, Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
     Pair, RecNat, RecNum, Snd, Strategy, Succ, SumCase, Tail, Term, Var, Zero,
-    fresh_name, is_covalue, is_value, pretty, subst,
+    fresh_name, is_covalue, is_value, pretty, subst, well_formed,
     # Not called here; perfbench/spans.py rebinds both names in this module.
     subst_covar, subst_var,
 )
@@ -333,10 +335,10 @@ def _command(state: State, backs: dict, texts: dict | None = None) -> Command:
 
 
 def _step(p: tuple, e: tuple, s: Strategy):
-    """(rule, producer, consumer) after the rule enabled on the state, or
-    None if there is none.  A side condition reads the code's bit for s;
-    a bit that is not True asks is_value or is_covalue, which say False or
-    raise on a node of the wrong sort or not classified."""
+    """(rule, producer, consumer) after the rule enabled on a well-formed
+    state, or None.  Only mu and comu test a side condition: the code's bit
+    for s, or, when that is not True, is_value or is_covalue, which say
+    False or raise on a node of the wrong sort or not classified."""
 
     v, pvs, pcs = p
     k, evs, ecs = e
@@ -354,41 +356,35 @@ def _step(p: tuple, e: tuple, s: Strategy):
         return MU_TILDE, _close(k.body.producer, vs, ecs), _close(k.body.consumer, vs, ecs)
 
     if tv is Lam:
-        if (tk is Call and (getattr(k.arg, val) or is_value(k.arg, s))
-                and (getattr(k.rest, cov) or is_covalue(k.rest, s))):
+        if tk is Call:
             vs = {**pvs, v.var: _close(k.arg, evs, ecs)}
             return BETA_ARROW, _close(v.body, vs, pcs), _close(k.rest, evs, ecs)
     elif tv is Zero:
-        if tk is RecNat and (getattr(k.ret, cov) or is_covalue(k.ret, s)):
+        if tk is RecNat:
             return BETA_ZERO, _close(k.zero_body, evs, ecs), _close(k.ret, evs, ecs)
     elif tv is Succ:
-        if (tk is RecNat and (getattr(v.arg, val) or is_value(v.arg, s))
-                and (getattr(k.ret, cov) or is_covalue(k.ret, s))):
+        if tk is RecNat:
             f = (_close(v.arg, pvs, pcs), e, True)
             return BETA_SUCC, (_PENDING_MU, f, None), (_PENDING_COMU, f, None)
     elif tv is NumZero:
-        if (tk is RecNum and (getattr(v.arg, val) or is_value(v.arg, s))
-                and (getattr(k.ret, cov) or is_covalue(k.ret, s))):
+        if tk is RecNum:
             vs = {**evs, k.payload_var: _close(v.arg, pvs, pcs)}
             return BETA_NUM_ZERO, _close(k.zero_body, vs, ecs), _close(k.ret, evs, ecs)
     elif tv is NumSucc:
-        if (tk is RecNum and (getattr(v.arg, val) or is_value(v.arg, s))
-                and (getattr(k.ret, cov) or is_covalue(k.ret, s))):
+        if tk is RecNum:
             f = (_close(v.arg, pvs, pcs), e, True)
             return BETA_NUM_SUCC, (_PENDING_MU, f, None), (_PENDING_COMU, f, None)
     elif tv is CoRec:
-        if (tk is Head and (getattr(v.seed, val) or is_value(v.seed, s))
-                and (getattr(k.rest, cov) or is_covalue(k.rest, s))):
+        if tk is Head:
             cs = {**pcs, v.head_covar: _close(k.rest, evs, ecs)}
             return BETA_HEAD, _close(v.seed, pvs, pcs), _close(v.head_body, pvs, cs)
-        if (tk is Tail and (getattr(v.seed, val) or is_value(v.seed, s))
-                and (getattr(k.rest, cov) or is_covalue(k.rest, s))):
+        if tk is Tail:
             f = (p, _close(k.rest, evs, ecs), False)
             return BETA_TAIL, (_PENDING_MU, f, None), (_PENDING_COMU, f, None)
     elif tv is Pair:
-        if tk is Fst and (getattr(k.rest, cov) or is_covalue(k.rest, s)):
+        if tk is Fst:
             return BETA_FST, _close(v.left, pvs, pcs), _close(k.rest, evs, ecs)
-        if tk is Snd and (getattr(k.rest, cov) or is_covalue(k.rest, s)):
+        if tk is Snd:
             return BETA_SND, _close(v.right, pvs, pcs), _close(k.rest, evs, ecs)
     elif tv is InL:
         if tk is SumCase:
@@ -399,7 +395,7 @@ def _step(p: tuple, e: tuple, s: Strategy):
     return None
 
 
-def _final_shape(p: tuple, e: tuple, s: Strategy) -> str | None:
+def _final_shape(p: tuple, e: tuple) -> str | None:
     """"Zero" or "Succ" if a number meets the top-level continuation (a
     covariable no binder has bound), else None."""
 
@@ -407,22 +403,25 @@ def _final_shape(p: tuple, e: tuple, s: Strategy) -> str | None:
         v = p[0]
         if type(v) is Zero:
             return "Zero"
-        if type(v) is Succ and (getattr(v, "cbv_value" if s is CBV else "cbn_value") or is_value(v, s)):
+        if type(v) is Succ:
             return "Succ"
     return None
 
 
 def step(c: Command, s: Strategy) -> StepOutcome:
-    """Apply the unique rule enabled on c under s, or report Final/Stuck."""
+    """Apply the unique rule enabled on c under s, or report Final/Stuck.
+    Ill-formed c is Stuck on ``well_formed``'s first violation, checked
+    after a fired rule's read-back, which raises as substitution does."""
 
     p, e = _inject(c)
     out = _step(p, e, s)
     if out is not None:
-        return Stepped(_command(out[1:], {}), out[0])
-    shape = _final_shape(p, e, s)
-    if shape is not None:
-        return Final(shape, e[0].name, c)
-    return Stuck(_stuck_reason(p, e, s), c)
+        got = Stepped(_command(out[1:], {}), out[0])
+    else:
+        shape = _final_shape(p, e)
+        got = Final(shape, e[0].name, c) if shape is not None else Stuck(_stuck_reason(p, e, s), c)
+    bad = well_formed(c, s)
+    return Stuck(str(bad[0]), c) if bad else got
 
 
 def _beta_succ(pred: Term, r: RecNat | RecNum) -> Command:
@@ -548,8 +547,8 @@ def run(
     fuel: int = DEFAULT_FUEL,
     trace: bool = False,
 ) -> RunResult:
-    """Step from a command, or a machine state, until Final, Stuck, or the
-    fuel is spent.
+    """Step from a well-formed command (not checked), or a machine state,
+    until Final, Stuck, or the fuel is spent.
 
     A state cut against a forcing continuation (_TOP, start, None) is
     forced: where a number meets a bare covariable, its successors are
@@ -578,7 +577,7 @@ def run(
             per_rule[rule] = per_rule.get(rule, 0) + 1
             if entries is not None and len(entries) < TRACE_LIMIT:
                 entries.append(TraceEntry(i + 1, rule, pretty(_command((p, e), backs, texts), texts)))
-        shape = None if out is not None else _final_shape(p, e, s)
+        shape = None if out is not None else _final_shape(p, e)
         if not forcing:
             break
         if shape is None:  # the failing restart counts for nothing

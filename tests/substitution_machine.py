@@ -7,6 +7,9 @@ argument.  Where a branch binds one name twice, its successor and tail
 rules let the later binder shadow the earlier, as the machine does.
 ``tests/test_machine_lockstep.py`` checks that
 ``duality_vm.machine`` prints, counts and answers exactly as this does.
+It keeps every value/covalue side condition on purpose: the machine's
+beta rules test none, and the lockstep tests compare that machine with
+this one, which still checks the grammar at each rule.
 """
 
 from __future__ import annotations

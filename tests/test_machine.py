@@ -23,6 +23,7 @@ from duality_vm.kernel import (
     alpha_eq,
     numeral,
     pretty,
+    well_formed,
 )
 from duality_vm import machine
 from duality_vm.machine import (
@@ -136,6 +137,49 @@ def test_beta_fst_needs_covalue_tail_in_cbn():
     c = parse_command("<pair(1, 2) | fst : Nat (comu x. <x | a0>)>")
     assert step(c, CBV).rule == RuleTag.BETA_FST
     assert isinstance(step(c, CBN), Stuck)
+
+
+# One command per grammar demand a beta rule or a final state used to test,
+# each breaking that demand under one strategy only: (command, the strategy
+# it breaks, the violation's path, what step does under the other).
+_M, _K = "(mu a. <0 | a>)", "comu y. <y | a0>"
+_REC, _NUMREC = "rec { Z -> Z | S x -> z. z } with ", "rec { Z p -> p | S x -> z. z } with "
+_COREC = "corec { head h -> h | tail b -> g. g } with "
+OUTSIDE_ONE_GRAMMAR = [
+    (f"<fun x => x | {_M} . a0>", CBV, "command.consumer.arg", RuleTag.BETA_ARROW),
+    (f"<fun x => x | 0 . {_K}>", CBN, "command.consumer.rest", RuleTag.BETA_ARROW),
+    (f"<Z | {_REC}{_K}>", CBN, "command.consumer.ret", RuleTag.BETA_ZERO),
+    (f"<S {_M} | {_REC}a0>", CBV, "command.producer.arg", RuleTag.BETA_SUCC),
+    (f"<S Z | {_REC}{_K}>", CBN, "command.consumer.ret", RuleTag.BETA_SUCC),
+    (f"<numZ {_M} | {_NUMREC}a0>", CBV, "command.producer.arg", RuleTag.BETA_NUM_ZERO),
+    (f"<numZ 4 | {_NUMREC}{_K}>", CBN, "command.consumer.ret", RuleTag.BETA_NUM_ZERO),
+    (f"<numS {_M} | {_NUMREC}a0>", CBV, "command.producer.arg", RuleTag.BETA_NUM_SUCC),
+    (f"<numS (numZ 4) | {_NUMREC}{_K}>", CBN, "command.consumer.ret", RuleTag.BETA_NUM_SUCC),
+    (f"<{_COREC}{_M} | head a0>", CBV, "command.producer.seed", RuleTag.BETA_HEAD),
+    (f"<{_COREC}0 | head ({_K})>", CBN, "command.consumer.rest", RuleTag.BETA_HEAD),
+    (f"<{_COREC}{_M} | tail (head a0)>", CBV, "command.producer.seed", RuleTag.BETA_TAIL),
+    (f"<{_COREC}0 | tail ({_K})>", CBN, "command.consumer.rest", RuleTag.BETA_TAIL),
+    (f"<pair(1, 2) | fst ({_K})>", CBN, "command.consumer.rest", RuleTag.BETA_FST),
+    (f"<pair(1, 2) | snd ({_K})>", CBN, "command.consumer.rest", RuleTag.BETA_SND),
+    (f"<S {_M} | a0>", CBV, "command.producer.arg", Final),
+]
+
+
+@pytest.mark.parametrize("text,breaks,path,fires", OUTSIDE_ONE_GRAMMAR,
+                         ids=[f"{getattr(f, 'value', 'Final')}-{p.removeprefix('command.')}"
+                              for _, _, p, f in OUTSIDE_ONE_GRAMMAR])
+def test_step_refuses_a_command_outside_the_grammar(text, breaks, path, fires):
+    # The beta rules test no side condition, so step checks its command:
+    # under the strategy whose grammar it leaves it is Stuck on the first
+    # violation, and under the other the rule fires.
+    c = parse_command(text)
+    bad = well_formed(c, breaks)
+    assert [v.path for v in bad] == [path]
+    assert step(c, breaks) == Stuck(str(bad[0]), c)
+    other = CBN if breaks is CBV else CBV
+    assert well_formed(c, other) == []
+    out = step(c, other)
+    assert isinstance(out, Final) if fires is Final else out.rule == fires
 
 
 # ---------------------------------------------------------------------------

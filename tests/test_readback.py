@@ -8,13 +8,15 @@ covariable.  The machine's read-back builds successor chains without
 state of the prelude's number programs (forcing runs included) and stream
 observations, of generated commands and of the commands whose binders
 substitution renames, in both strategies: through a traced run's memo,
-through one memo per run, and through ``final``.
+through one memo per run, and through ``final``.  As the beta rules test
+no side condition, each state a well-formed start reaches must read back
+well formed.
 """
 
 import pytest
 
 from duality_vm import machine
-from duality_vm.kernel import CBN, CBV, Command, CoVar, Head, fresh_name, pretty, subst
+from duality_vm.kernel import CBN, CBV, Command, CoVar, Head, fresh_name, pretty, subst, well_formed
 from duality_vm.machine import MachineError, tails
 from duality_vm.parser import parse_command
 from generators import DualGen, TypedGen
@@ -63,8 +65,9 @@ def reference(c: tuple, backs: dict):
 
 def assert_reads_back_as_reference(cmd, s, monkeypatch) -> int:
     """Run cmd traced under s, then force its answer, recording every state
-    handed to a step; compare each state's read-back with the reference.
-    Returns the number of states compared."""
+    handed to a step; compare each state's read-back with the reference
+    and, if cmd is well formed, check that it is too.  Returns the number
+    of states compared."""
 
     states = []
     real = machine._step
@@ -80,7 +83,10 @@ def assert_reads_back_as_reference(cmd, s, monkeypatch) -> int:
 
     ref_backs, backs = {}, {}
     want = [pretty(Command(reference(p, ref_backs), reference(e, ref_backs))) for p, e in states]
-    assert [pretty(machine._command(st, backs)) for st in states] == want
+    got = [machine._command(st, backs) for st in states]
+    assert [pretty(c) for c in got] == want
+    if not well_formed(cmd, s):
+        assert [c for c in got if well_formed(c, s)] == []
     assert [e.command_text for e in res.trace] == want[1:len(res.trace) + 1]
     assert res.final is None or pretty(res.final) == want[ran - 1]
     return len(states)

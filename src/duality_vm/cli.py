@@ -36,7 +36,7 @@ from .kernel import (
     well_formed,
 )
 from .machine import DEFAULT_FUEL, MachineError, force_numeral, observe_stream, run
-from .parser import ParseError, parse
+from .parser import ParseError, literal, parse
 from .surface import Compiler, prelude
 from .typechecker import TypeCheckError
 
@@ -189,8 +189,8 @@ def _cmd_dualize(args, rep: _Reporter) -> int:
 def _parse_sizes(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        return list(range(literal(lo), literal(hi) + 1))
+    return [literal(part) for part in text.split(",") if part]
 
 
 def _cmd_bench(args, rep: _Reporter) -> int:

@@ -265,9 +265,10 @@ class Child:
     """One child position of a node class: its field, its step in a
     ``well_formed`` path, the binder fields in scope in it, and what the
     strategy-indexed grammar demands of it, if anything: a value (a
-    covalue), with the message that names the position."""
+    covalue), with the message that names the position.  Its ``shape``
+    fills in ``sort``, the name of the field's declared sort."""
 
-    __slots__ = ("field", "label", "binds", "value", "covalue")
+    __slots__ = ("field", "label", "binds", "value", "covalue", "sort")
 
     def __init__(self, field: str, label: str | None = None, *, binds: tuple[str, ...] = (),
                  value: str | None = None, covalue: str | None = None):
@@ -311,6 +312,8 @@ class Shape:
                                          if self.sorts[n] in ("Term", "CoTerm", "Command"))
         if given:
             raise TypeError(f"{cls.__name__} has no child field {', '.join(given)}")
+        for c in children:
+            c.sort = self.sorts[c.field]
         kids = {c.field for c in children}
         binders = {b for c in children for b in c.binds}
         self.var_side = side == "vars"
@@ -899,6 +902,11 @@ def spell(at: Position) -> str:
     return ".".join(reversed(labels))
 
 
+# The node classes of the machine grammar, by the name of their sort.
+_GRAMMAR = {sort.__name__: frozenset(c for c in sort.__subclasses__() if "_shape" in vars(c) and c._shape.grammar)
+            for sort in (Term, CoTerm)} | {"Command": frozenset({Command})}
+
+
 class Violation(NamedTuple):
     path: str
     message: str
@@ -908,29 +916,31 @@ class Violation(NamedTuple):
 
 
 def well_formed(c: Command, s: Strategy) -> list[Violation]:
-    """All points where c leaves the strategy's term/coterm grammar.
-
-    Constructor arguments, pair components, injection payloads, call-stack
-    arguments and corecursor seeds must be values; call-stack tails,
-    recursor returns and destructor tails must be covalues.  Each check is
-    trivial under one of the two strategies and real under the other.
+    """All points where c leaves the strategy's term/coterm grammar; never
+    raises.  The root must be a command, each child a grammar node of its
+    field's sort, else it is reported and not entered.  A value (covalue)
+    demand reads the child's bit for s, True throughout one strategy, and
+    None, failing no demand, only on or over a node reported in its place.
     """
 
+    val, cov = ("cbv_value", "cbv_covalue") if s is CBV else ("cbn_value", "cbn_covalue")
     out: list[Violation] = []
-    todo: list[tuple[Node, Position]] = [(c, "command")]
+    todo: list[tuple[object, str, Position]] = [(c, "Command", "command")]
     while todo:
-        node, path = todo.pop()
-        sh = getattr(type(node), "_shape", None)
-        if sh is None or not sh.grammar:
-            out.append(Violation(spell(path), f"unknown node {type(node).__name__}"))
+        node, sort, path = todo.pop()
+        cls = type(node)
+        if cls not in _GRAMMAR[sort]:
+            sh = getattr(cls, "_shape", None)
+            bad = f"{cls.__name__} is not a {sort.lower()}" if sh and sh.grammar else f"unknown node {cls.__name__}"
+            out.append(Violation(spell(path), bad))
             continue
-        for c in sh.children:
+        for c in cls._shape.children:
             child, at = getattr(node, c.field), (path, c.label)
-            if c.value and not is_value(child, s):
+            if c.value and getattr(child, val, None) is False:
                 out.append(Violation(spell(at), f"{c.value} must be a {s.value} value"))
-            if c.covalue and not is_covalue(child, s):
+            if c.covalue and getattr(child, cov, None) is False:
                 out.append(Violation(spell(at), f"{c.covalue} must be a {s.value} covalue"))
-            todo.append((child, at))
+            todo.append((child, c.sort, at))
     out.reverse()
     return out
 

@@ -22,14 +22,14 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   unbound covariable is the top-level continuation, and an unbound
   variable is stuck.
 * The mu/comu test reads the bit the code caches for the strategy, one
-  attribute load: ``cbv_value`` or ``cbn_value`` on a term,
+  attribute load and no call: ``cbv_value`` or ``cbn_value`` on a term,
   ``cbv_covalue`` or ``cbn_covalue`` on a coterm (the call-by-name value
-  and call-by-value covalue bits are True on every term and coterm).
-  Only a bit that is not True goes to ``is_value`` or ``is_covalue``,
-  which say False, or raise on a node of the wrong sort or one not
-  classified.  That is sound because call-by-value binds variables only
-  to values and call-by-name binds covariables only to covalues, and
-  ``Var`` and ``CoVar`` carry the bit True.
+  and call-by-value covalue bits are True on every term and coterm).  It
+  is the one side condition left, the one the strategy decides, and the
+  bit alone is sound on well-formed states: there every bit is True or
+  False, call-by-value binds variables only to values and call-by-name
+  binds covariables only to covalues, and ``Var`` and ``CoVar`` carry the
+  bit True.
 * Frames.  BetaSucc and BetaNumSucc leave a mu cut against a comu over
   (predecessor, recursor), and BetaTail one over (corecursor, rest): a
   frame ``(x, y, succ)``.  Its two halves, ``(_PENDING_MU, frame, None)``
@@ -82,9 +82,9 @@ from typing import NamedTuple
 from .kernel import (
     CBV, Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
     Pair, RecNat, RecNum, Snd, Strategy, Succ, SumCase, Tail, Term, Var, Zero,
-    fresh_name, is_covalue, is_value, pretty, subst, well_formed,
-    # Not called here; perfbench/spans.py rebinds both names in this module.
-    subst_covar, subst_var,
+    fresh_name, pretty, subst, well_formed,
+    # Not called here; perfbench/spans.py rebinds these names in this module.
+    is_covalue, is_value, subst_covar, subst_var,
 )
 
 DEFAULT_FUEL = 10**6
@@ -336,20 +336,19 @@ def _command(state: State, backs: dict, texts: dict | None = None) -> Command:
 
 def _step(p: tuple, e: tuple, s: Strategy):
     """(rule, producer, consumer) after the rule enabled on a well-formed
-    state, or None.  Only mu and comu test a side condition: the code's bit
-    for s, or, when that is not True, is_value or is_covalue, which say
-    False or raise on a node of the wrong sort or not classified."""
+    state, or None.  Only mu and comu test a side condition, the one the
+    strategy decides: the code's bit for s, read alone (see ``step``)."""
 
     v, pvs, pcs = p
     k, evs, ecs = e
     tv, tk = type(v), type(k)
     val, cov = ("cbv_value", "cbv_covalue") if s is CBV else ("cbn_value", "cbn_covalue")
-    if tv is Mu and (getattr(k, cov) or is_covalue(k, s)):
+    if tv is Mu and getattr(k, cov):
         if v is _PENDING_MU:
             return _fire_mu(pvs, e)
         cs = {**pcs, v.covar: e}
         return MU, _close(v.body.producer, pvs, cs), _close(v.body.consumer, pvs, cs)
-    if tk is MuTilde and (getattr(v, val) or is_value(v, s)):
+    if tk is MuTilde and getattr(v, val):
         if k is _PENDING_COMU:
             return _fire_comu(evs, p)
         vs = {**evs, k.var: p}
@@ -411,7 +410,15 @@ def _final_shape(p: tuple, e: tuple) -> str | None:
 def step(c: Command, s: Strategy) -> StepOutcome:
     """Apply the unique rule enabled on c under s, or report Final/Stuck.
     Ill-formed c is Stuck on ``well_formed``'s first violation, checked
-    after a fired rule's read-back, which raises as substitution does."""
+    after a fired rule's read-back, which raises as substitution does.
+
+    Only a well-formed command reaches the mu/comu test, which reads the
+    code's bit alone.  That is sound on every state a run reaches from one:
+    each code there is a term or coterm of the grammar, so its bit is True
+    or False, and a bound name's True is honest, since call-by-value binds
+    variables only to values and call-by-name covariables only to
+    covalues (a mu or comu fires only on a True bit, and the grammar makes
+    a value or covalue of what a beta rule binds)."""
 
     p, e = _inject(c)
     out = _step(p, e, s)
@@ -419,7 +426,7 @@ def step(c: Command, s: Strategy) -> StepOutcome:
         got = Stepped(_command(out[1:], {}), out[0])
     else:
         shape = _final_shape(p, e)
-        got = Final(shape, e[0].name, c) if shape is not None else Stuck(_stuck_reason(p, e, s), c)
+        got = Final(shape, e[0].name, c) if shape is not None else Stuck(_stuck_reason(p, e), c)
     bad = well_formed(c, s)
     return Stuck(str(bad[0]), c) if bad else got
 
@@ -458,16 +465,12 @@ def _beta_tail(cr: CoRec, rest: CoTerm) -> Command:
     return Command(left, right)
 
 
-def _stuck_reason(p: tuple, e: tuple, s: Strategy) -> str:
+def _stuck_reason(p: tuple, e: tuple) -> str:
     v, k = p[0], e[0]
     if isinstance(v, Var):
         return f"free variable {v.name!r} in producer position"
     if isinstance(k, CoVar):  # read back: a forcing continuation reads back as its restart's name
         return f"producer {type(v).__name__} delivered to covariable {readback(e, {}).name!r} is not a number"
-    if isinstance(v, Mu):
-        return f"mu against a non-covalue consumer under {s.value}"
-    if isinstance(k, MuTilde):
-        return f"comu against a non-value producer under {s.value}"
     return f"no rule for {type(v).__name__} against {type(k).__name__}"
 
 
@@ -593,7 +596,7 @@ def run(
     if out is not None:
         return RunResult(stats, None, entries, forced)
     stats.outcome = "Final" if shape else "Stuck"
-    stats.stuck_reason = None if shape else _stuck_reason(p, e, s)
+    stats.stuck_reason = None if shape else _stuck_reason(p, e)
     return RunResult(stats, (p, e), entries, forced)
 
 
@@ -646,12 +649,14 @@ def run_to_numeral(c: Command, s: Strategy, fuel: int = DEFAULT_FUEL) -> tuple[i
 
 
 def observe_stream(v: Term, depth: int, s: Strategy, fuel: int = DEFAULT_FUEL) -> int:
-    """Element at the given depth: run < v | tail^depth (head a0) >."""
+    """Element at the given depth: run < v | tail^depth (head a0) >.  A step
+    takes off one tail at most, so past fuel + 1 tails the run is the same,
+    out of fuel before the head, and no more are built."""
 
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     a = fresh_name(v.free_covars, "a0")
-    res = run(Command(v, tails(depth, Head(CoVar(a)))), s, fuel)
+    res = run(Command(v, tails(min(depth, fuel + 1), Head(CoVar(a)))), s, fuel)
     p = res.answer(f"stream observation at depth {depth} ran out of fuel")
     return force_numeral(p, s, fuel - res.stats.total, res.stats)
 

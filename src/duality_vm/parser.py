@@ -129,6 +129,21 @@ KEYWORDS = {"def", "main", *TYPE_WORDS}.union(*(
 SYMBOLS = ["=>", "->", "<", ">", "|", ".", ":", ";", "=", "{", "}", "(", ")", "[", "]", ",", "*", "+"]
 
 
+# The largest number a literal may spell, in a program or a ``bench`` size:
+# a literal is built as its whole successor chain before any fuel is spent.
+MAX_LITERAL = 10**5
+
+
+def literal(digits: str) -> int:
+    """The number digits spell, as int() reads it, or a ValueError if that
+    is more than MAX_LITERAL.  A digit string too long for it is refused
+    before int() reads it."""
+
+    if len(digits.strip().lstrip("+-0")) > len(str(MAX_LITERAL)) or int(digits) > MAX_LITERAL:
+        raise ValueError(f"numeral literal larger than {MAX_LITERAL}")
+    return int(digits)
+
+
 class Token(NamedTuple):
     kind: str  # "ident" | "number" | "symbol" | "keyword" | "eof"
     text: str
@@ -318,8 +333,12 @@ class Parser:
     def name_or_group(self) -> Term:
         tok = self.peek()
         if tok.kind == "number":
+            try:
+                n = literal(tok.text)
+            except ValueError as ex:
+                raise ParseError(str(ex), tok.line, tok.col) from None
             self.next()
-            return kernel.numeral(int(tok.text))
+            return kernel.numeral(n)
         if tok.kind == "ident":
             self.next()
             if tok.text == "_":

@@ -378,6 +378,20 @@ def test_huge_numeral_literal_runs(tmp_path):
     assert proc.stderr == ""
 
 
+def test_a_numeral_literal_past_the_bound_exits_three_at_its_place(tmp_path, capsys):
+    p = tmp_path / "big.ct"
+    for literal in ("2000000", "1" * 5000):
+        p.write_text(f"main = <{literal} | a0>;")
+        assert main(["check", str(p)]) == 3
+        assert capsys.readouterr().err == "error: parse error at 1:9: numeral literal larger than 100000\n"
+
+
+@pytest.mark.parametrize("sizes", ["1..200000", "1,2,100001", "1.." + "9" * 5000])
+def test_bench_sizes_past_the_literal_bound_exit_three(sizes, capsys):
+    assert main(["bench", "count-now", "--sizes", sizes]) == 3
+    assert capsys.readouterr() == ("", "error: numeral literal larger than 100000\n")
+
+
 @pytest.mark.parametrize("argv", [["run", "--trace", str(PROGRAMS / "plus23.ct")], ["observe", "--depth", "3", "nats"]])
 def test_closed_output_pipe_ends_without_a_traceback(argv):
     # As `duality-vm run --trace f | head -1` does: the reader is gone

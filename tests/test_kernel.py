@@ -8,7 +8,7 @@ import typing
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duality_vm import kernel, parser
+from duality_vm import kernel, machine, parser
 from duality_vm.kernel import (
     CBN,
     CBV,
@@ -53,6 +53,7 @@ from duality_vm.kernel import (
     type_str,
     well_formed,
 )
+from duality_vm.machine import RuleTag
 from duality_vm.parser import App, parse_command, parse_coterm, parse_term, parse_type
 from generators import DualGen, TypedGen, one_of_each
 
@@ -571,6 +572,41 @@ def test_alpha_eq_of_front_end_nodes_raises():
     with pytest.raises(ValueError, match="^alpha_eq over unknown node: App"):
         alpha_eq(APP, App(Var("f"), Var("x")))
     assert not alpha_eq(APP, Var("f"))
+
+
+# Trees of the grammar's sorts in which any position, the root included,
+# may hold any node instead: a term, a coterm, a command or a front-end node.
+_SORTS = {"Term": Term, "CoTerm": CoTerm, "Command": Command}
+_DATA = {"str": st.sampled_from(["x", "y", "a", "a0"]), "int": st.integers(0, 3)}
+
+
+@st.composite
+def _any_trees(draw, sort=Command, depth=3):
+    if draw(st.integers(0, 7)) == 0:
+        sort = None
+    classes = [c for c in _node_classes() if issubclass(c, sort) and c._shape.grammar] if sort else _node_classes()
+    if depth <= 0:
+        classes = [c for c in classes if not c._shape.children] or classes
+    cls = draw(st.sampled_from(classes))
+    kids = {c.field for c in cls._shape.children}
+    return cls(**{f: draw(_any_trees(_SORTS[t], depth - 1)) if f in kids else draw(_DATA.get(t, st.none()))
+                  for f, t in cls._shape.sorts.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.deferred(_any_trees))
+def test_well_formed_is_total(tree):
+    # A list of violations for any tree, never an exception.  A tree with
+    # none is a command, which step takes without raising; a mu or comu cut
+    # in it always fires, since its strategy's bit decides the pair.
+    for s in (CBV, CBN):
+        bad = well_formed(tree, s)
+        assert type(bad) is list and all(type(v) is Violation for v in bad)
+        if not bad:
+            assert type(tree) is Command
+            out = machine.step(tree, s)
+            if type(tree.producer) is Mu or type(tree.consumer) is MuTilde:
+                assert type(out) is machine.Stepped and out.rule in (RuleTag.MU, RuleTag.MU_TILDE)
 
 
 # ---------------------------------------------------------------------------

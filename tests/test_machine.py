@@ -1,6 +1,7 @@
 """Small-step machine: rule firing, runs, traces, observation, forcing."""
 
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -19,13 +20,14 @@ from duality_vm.kernel import (
     Succ,
     Tail,
     Var,
+    Violation,
     Zero,
     alpha_eq,
     numeral,
     pretty,
     well_formed,
 )
-from duality_vm import machine
+from duality_vm import bench, machine
 from duality_vm.machine import (
     ElementNotNatError,
     Final,
@@ -437,6 +439,23 @@ def test_observe_out_of_fuel(compilers):
         observe_stream(z, 50, CBV, fuel=10)
 
 
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+@pytest.mark.parametrize("name", ["nats", "zeroes"])
+def test_observing_past_the_fuel_builds_no_tail_it_cannot_reach(compilers, name, s):
+    # A step takes off one tail at most, so depth 10**7 at fuel 5 fails as
+    # depth 6 does, and fast: the tails fuel cannot reach are not built.
+    t = gt(compilers[s], name)
+    failed = []
+    for depth in (6, 10**7):
+        start = time.perf_counter()
+        with pytest.raises(OutOfFuelError) as ex:
+            observe_stream(t, depth, s, fuel=5)
+        assert time.perf_counter() - start < 1
+        failed.append(ex.value)
+    assert failed[0].stats == failed[1].stats
+    assert str(failed[1]) == "stream observation at depth 10000000 ran out of fuel"
+
+
 def test_tails_builder():
     e = tails(2, Head(CoVar("a0")))
     assert e == Tail(Tail(Head(CoVar("a0"))))
@@ -554,33 +573,76 @@ def test_forcing_is_one_run_whose_stats_perfbench_counts(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# run takes a well-formed command unchecked
+
+
+def test_every_command_handed_to_run_is_well_formed(monkeypatch):
+    # The benchmark experiments, forcing and stream observation on the
+    # prelude, under both strategies, hand run only well-formed commands,
+    # which is all its mu/comu test, one bit, is sound on.
+    handed = []
+    real = machine.run
+
+    def checked(c, s, *args, **kwargs):
+        if isinstance(c, Command):
+            handed.append(well_formed(c, s))
+        return real(c, s, *args, **kwargs)
+
+    monkeypatch.setattr(machine, "run", checked)
+    monkeypatch.setattr(bench, "run", checked)
+    for s in (CBV, CBN):
+        for name in bench.EXPERIMENTS:
+            bench.run_experiment(name, s, [1, 2, 3])
+        for main in ("<plus | 2 . 3 . a0>", "<times | 2 . 2 . a0>", "<pred | 3 . a0>", "<fact | 3 . a0>"):
+            run_to_numeral(_main(f"main = {main};", s), s)
+        for main in ("zeroes", "nats", "always 7", "repeat succ 2", "countDown 3", "countDown2 2",
+                     "scons 7 nats", "countNow 3"):
+            observe_stream(_main(f"main = {main};", s), 3, s)
+    assert len(handed) > 50 and all(bad == [] for bad in handed)
+
+
+def test_the_step_calls_no_classifier():
+    assert not {"is_value", "is_covalue"} & set(machine._step.__code__.co_names)
+
+
+# ---------------------------------------------------------------------------
 # Messages
 
 
-@pytest.mark.parametrize("text,s,reason", [
-    ("<mu a. <Z | a> | head (comu x. <x | a0>)>", CBN, "mu against a non-covalue consumer under cbn"),
-    ("<S (mu a. <Z | a>) | comu x. <x | a0>>", CBV, "comu against a non-value producer under cbv"),
+# A command outside the grammar never reaches the machine's side conditions:
+# step is Stuck on well_formed's first violation, under both strategies where
+# the command is outside both grammars.
+
+
+def _refused(c, s, violations):
+    assert well_formed(c, s) == violations
+    assert step(c, s) == Stuck(str(violations[0]), c)
+
+
+@pytest.mark.parametrize("text,s,path,message", [
+    ("<mu a. <Z | a> | head (comu x. <x | a0>)>", CBN,
+     "command.consumer.rest", "destructor tail must be a cbn covalue"),
+    ("<S (mu a. <Z | a>) | comu x. <x | a0>>", CBV,
+     "command.producer.arg", "successor argument must be a cbv value"),
 ])
-def test_stuck_on_a_cut_the_strategy_forbids(text, s, reason):
-    res = run(parse_command(text), s)
-    assert res.outcome == "Stuck" and res.stats.stuck_reason == reason
+def test_step_refuses_a_cut_the_strategy_forbids(text, s, path, message):
+    _refused(parse_command(text), s, [Violation(path, message)])
 
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)
-def test_a_node_of_the_wrong_sort_is_a_classification_error(s):
-    # <mu a. <Z | a> | Z>: the mu's side condition classifies Z as a coterm.
-    with pytest.raises(ValueError, match=r"^not a coterm: Zero\(\)$"):
-        run(Command(Mu("a", Command(Zero(), CoVar("a"))), Zero()), s)
+def test_a_node_of_the_wrong_sort_is_a_violation(s):
+    # <mu a. <Z | a> | Z>: a term where the command's coterm belongs.
+    cmd = Command(Mu("a", Command(Zero(), CoVar("a"))), Zero())
+    _refused(cmd, s, [Violation("command.consumer", "Zero is not a coterm")])
 
 
-def test_an_unclassified_producer_is_an_error_only_where_it_is_classified():
-    # A front-end App is no call-by-value term, but every term is a call-by-name value.
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_a_front_end_node_is_a_violation_under_both_strategies(s):
+    # A front-end App is in neither grammar, as the producer or under a successor.
     cmd = Command(App(Var("f"), Zero()), MuTilde("x", Command(Var("x"), CoVar("a0"))))
-    with pytest.raises(ValueError, match=r"^not a term: App\("):
-        run(cmd, CBV)
-    res = run(cmd, CBN)
-    assert res.outcome == "Stuck"
-    assert res.stats.stuck_reason == "producer App delivered to covariable 'a0' is not a number"
+    _refused(cmd, s, [Violation("command.producer", "unknown node App")])
+    under = Command(Succ(App(Var("f"), Zero())), CoVar("a0"))
+    _refused(under, s, [Violation("command.producer.arg", "unknown node App")])
 
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)

@@ -2,7 +2,7 @@
 scoping of definition names, and the position and message of errors."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from duality_vm.kernel import (
     Call,
@@ -37,6 +37,7 @@ from duality_vm.kernel import (
 )
 from duality_vm.parser import (
     KEYWORDS,
+    MAX_LITERAL,
     SYMBOLS,
     App,
     ParseError,
@@ -310,6 +311,7 @@ PIECES = sorted(KEYWORDS) + SYMBOLS + ["x", "f", "a0", "0", "12", "_", "-- note"
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " "])), max_size=40))
+@example([("12", "")] * 6)  # one literal, 121212121212
 def test_fuzzed_text_raises_nothing_but_parse_errors(pieces):
     text = "".join(piece + sep for piece, sep in pieces)
     for parse_fn in (parse, parse_term, parse_coterm, parse_command):
@@ -317,3 +319,19 @@ def test_fuzzed_text_raises_nothing_but_parse_errors(pieces):
             parse_fn(text)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize("text,col", [
+    ("1" * 5000, 1),  # more digits than int() reads by default
+    ("121212121212", 1),
+    (str(MAX_LITERAL + 1), 1),
+    ("S " + "0" * 10 + str(MAX_LITERAL + 1), 3),
+])
+def test_a_numeral_literal_past_the_bound_is_a_parse_error_at_its_place(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert (exc.value.line, exc.value.col, exc.value.reason) == (1, col, f"numeral literal larger than {MAX_LITERAL}")
+
+
+def test_a_numeral_literal_at_the_bound_parses():
+    assert parse_term("0" * 10 + str(MAX_LITERAL)) == numeral(MAX_LITERAL)

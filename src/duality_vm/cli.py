@@ -6,9 +6,8 @@ recursion limit allows.  When standard output is closed early
 (``duality-vm run --trace f | head -1``), the command stops with one line
 on standard error and exit code 0: the reader asked for no more.
 ``--json`` wraps failures as {"error": ...} objects; a failed run (in
-``run``, ``observe`` or ``bench``) prints the stats it spent first.  The
-environment variable DUALITY_VM_FUEL overrides the default step budget;
-``main`` reads it on every call.
+``run``, ``observe`` or ``bench``) prints the stats it spent first.
+``--fuel`` sets the step budget, ``DEFAULT_FUEL`` unless given.
 
 ``main`` builds its argument parser once per process and reuses it, which
 saves an in-process caller about 2 ms a call; a one-shot CLI process
@@ -44,21 +43,6 @@ EXIT_OK = 0
 EXIT_TYPE = 1
 EXIT_RUNTIME = 2
 EXIT_USAGE = 3
-
-
-def _default_fuel() -> int:
-    """The budget DUALITY_VM_FUEL sets, or DEFAULT_FUEL when it is unset."""
-
-    env = os.environ.get("DUALITY_VM_FUEL")
-    if env:
-        try:
-            n = int(env)
-            if n > 0:
-                return n
-        except ValueError:
-            pass
-        raise SystemExit(f"DUALITY_VM_FUEL must be a positive integer, got {env!r}")
-    return DEFAULT_FUEL
 
 
 class _Unreadable(Exception):
@@ -213,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_file=True):
         sp.add_argument("--strategy", choices=["cbv", "cbn"], default="cbv")
-        sp.add_argument("--fuel", type=int, default=None)
+        sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
         sp.add_argument("--json", action="store_true")
         if with_file:
             sp.add_argument("file", help="program file, or - for stdin")
@@ -243,12 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.fuel is None:
-            args.fuel = _default_fuel()
     except SystemExit as ex:
-        if isinstance(ex.code, str):
-            print(f"error: {ex.code}", file=sys.stderr)
-            return EXIT_USAGE
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
     rep = _Reporter(getattr(args, "json", False))
     handlers = {

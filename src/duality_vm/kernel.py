@@ -3,19 +3,21 @@
 A machine state is a command ``< producer | consumer >`` cutting a term
 against a coterm (continuation).  The same syntax serves both evaluation
 strategies; what changes between call-by-value and call-by-name is which
-terms count as substitutable values and which coterms count as covalues,
-so those two predicates take the strategy as an argument and everything
-else (substitution, alpha-equivalence, printing) is strategy-free.
+terms count as substitutable values and which coterms count as covalues:
+a strategy is the two bits it reads, named once on ``Strategy``, and
+everything else (substitution, alpha-equivalence, printing) is strategy-free.
 
 Every node caches its free variable and free covariable sets at
 construction time, which lets substitution skip untouched subtrees in
 O(1).  Terms cache the same way whether they are call-by-value values
 (``cbv_value``) and coterms whether they are call-by-name covalues
-(``cbn_covalue``), so both predicates are O(1) reads.  The cached values
-are slots, not dataclass fields: equality, hashing, printing and
-``dataclasses.replace`` ignore them.  Nodes and types are immutable
-``Record``s, compared, hashed and printed field by field on an explicit
-stack; rewriting shares unchanged children.
+(``cbn_covalue``), and every term is a call-by-name value, every coterm
+a call-by-value covalue, so ``is_value`` and ``is_covalue`` are one bit
+read each: O(1), and False outside the grammar, which ``well_formed``
+alone judges.  The cached values are slots, not dataclass fields:
+equality, hashing, printing and ``dataclasses.replace`` ignore them.
+Nodes and types are immutable ``Record``s, compared, hashed and printed
+field by field on an explicit stack; rewriting shares unchanged children.
 
 Each node class is declared once, by its fields and its ``@shape``, which
 makes it a bare slotted dataclass (for ``fields``, ``replace`` and
@@ -27,14 +29,14 @@ fields in scope in it and what the grammar demands of it (a value or a
 covalue); per class, which side its binders are on, which fields
 alpha-equivalence ignores, and its concrete syntax as a template, with
 whether it prints as an atom.  The cached sets and bit, substitution,
-alpha-equivalence, the grammar check, the node named by a classification
-error and the printer are all derived from the shapes, in the manner of
-Curien and Herbelin's "The duality of computation", where substitution
-and alpha-equivalence are defined once over binders.  The duality reads
-the same shapes (``duality.py``); it and substitution are one rule each
-over ``rebuild``.  No walk of a term recurses on depth.  The parser reads
-each template that starts with a keyword forward, and reserves each word
-a template spells (``parser.py``), so concrete syntax is declared once.
+alpha-equivalence, the grammar check and the printer are all derived
+from the shapes, in the manner of Curien and Herbelin's "The duality of
+computation", where substitution and alpha-equivalence are defined once
+over binders.  The duality reads the same shapes (``duality.py``); it and
+substitution are one rule each over ``rebuild``.  No walk of a term
+recurses on depth.  The parser reads each template that starts with a
+keyword forward, and reserves each word a template spells
+(``parser.py``), so concrete syntax is declared once.
 """
 
 from __future__ import annotations
@@ -207,12 +209,18 @@ class Strategy(enum.Enum):
     CBV = "cbv"
     CBN = "cbn"
 
+    # The names of the two bits a strategy reads, a term's and a coterm's.
+    value_bit: str
+    covalue_bit: str
+
     def __str__(self) -> str:
         return self.value
 
 
 CBV = Strategy.CBV
 CBN = Strategy.CBN
+CBV.value_bit, CBV.covalue_bit = "cbv_value", "cbv_covalue"
+CBN.value_bit, CBN.covalue_bit = "cbn_value", "cbn_covalue"
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +241,10 @@ class Node(Record):
     free_vars: frozenset[str]
     free_covars: frozenset[str]
     # True or False on a machine term (coterm); None on any other node, and
-    # on a term (coterm) whose bit is copied from such a node.  Leaves fix
-    # the bit as a class attribute, which shadows the slot that Term and
-    # CoTerm add; a shape declared outside the machine grammar sets it to
-    # None the same way.
+    # on a term (coterm) whose bit is copied from such a node, which the
+    # classifiers read as False.  Leaves fix the bit as a class attribute,
+    # which shadows the slot that Term and CoTerm add; a shape declared
+    # outside the machine grammar sets it to None the same way.
     cbv_value: bool | None = None
     cbn_covalue: bool | None = None
     # The strategies' trivial sides: every term is a call-by-name value,
@@ -282,8 +290,8 @@ class Child:
 class Shape:
     """What a node class is made of, declared once with ``shape``.
 
-    Construction, substitution, alpha-equivalence, the grammar check and
-    value/covalue error reports all read it instead of matching on classes.
+    Construction, substitution, alpha-equivalence and the grammar check
+    all read it instead of matching on classes.
     ``children`` are the fields of sort ``Term``, ``CoTerm`` or ``Command``,
     in field order; ``sorts`` maps each field to its declared sort's name.
     ``var_side`` tells whether the binders bind variables or covariables;
@@ -326,11 +334,11 @@ class Shape:
         pos = names.index
         # (child index, its binder indices) in field order, for rebuilding.
         self.kids = tuple((pos(c.field), tuple(map(pos, c.binds))) for c in children)
-        self.bit = "cbv_value" if issubclass(cls, Term) else "cbn_covalue" if issubclass(cls, CoTerm) else None
-        if self.bit is None or self.bit in cls.__dict__:
+        self.bit = CBV.value_bit if issubclass(cls, Term) else CBN.covalue_bit if issubclass(cls, CoTerm) else None
+        if self.bit is None or not grammar or self.bit in cls.__dict__:
             self.bit_from = None
         else:
-            own = "value" if self.bit == "cbv_value" else "covalue"
+            own = "value" if issubclass(cls, Term) else "covalue"
             self.bit_from = tuple(c.field for c in children if getattr(c, own))
 
 
@@ -365,9 +373,9 @@ def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = ()
     value (a binder name, a number) and reads a binder name."""
 
     def declare(cls):
-        if not grammar:
-            setattr(cls, "cbv_value" if issubclass(cls, Term) else "cbn_covalue", None)
         sh = Shape(cls, entries, side, ignore, grammar, syntax, atomic)
+        if not grammar:
+            setattr(cls, sh.bit, None)
         cls = _record(cls, _caching(sh, side), _CACHE_ENV)
         cls._shape = sh
         return cls
@@ -654,18 +662,12 @@ def is_value(t: Term, s: Strategy) -> bool:
 
     Call-by-name makes every term a value (mu-abstractions included);
     call-by-value excludes mu and requires constructor arguments and
-    corecursor seeds to be values themselves.  The call-by-value answer is
-    the ``cbv_value`` bit cached when t was built, so this is O(1).
+    corecursor seeds to be values themselves.  The answer is t's bit for s,
+    cached when t was built: O(1), never raising, and False outside the
+    grammar, where ``well_formed`` says where and why.
     """
 
-    if s is CBN:
-        if not isinstance(t, Term):
-            raise ValueError(f"not a term: {t!r}")
-        return True
-    bit = getattr(t, "cbv_value", None)
-    if bit is None:
-        raise ValueError(f"not a term: {_unclassified(t, Term)!r}")
-    return bit
+    return getattr(t, s.value_bit, None) is True
 
 
 def is_covalue(e: CoTerm, s: Strategy) -> bool:
@@ -675,34 +677,10 @@ def is_covalue(e: CoTerm, s: Strategy) -> bool:
     call-by-name excludes mu-tilde and requires destructor tails to be
     covalues themselves.  A case split is a covalue in both strategies
     regardless of its branches: it forces its input either way.  The
-    call-by-name answer is the ``cbn_covalue`` bit cached when e was
-    built, so this is O(1).
+    answer is e's bit for s, cached when e was built, as in ``is_value``.
     """
 
-    if s is CBV:
-        if not isinstance(e, CoTerm):
-            raise ValueError(f"not a coterm: {e!r}")
-        return True
-    bit = getattr(e, "cbn_covalue", None)
-    if bit is None:
-        raise ValueError(f"not a coterm: {_unclassified(e, CoTerm)!r}")
-    return bit
-
-
-def _unclassified(node, kind: type) -> object:
-    """The node that left a ``kind`` node's bit unset: follow the positions
-    the bit is copied from down to the first node not classified."""
-
-    while isinstance(node, kind):
-        sh = getattr(type(node), "_shape", None)
-        for f in sh and sh.bit_from or ():
-            child = getattr(node, f)
-            if getattr(child, sh.bit, None) is None:
-                node = child
-                break
-        else:
-            break
-    return node
+    return getattr(e, s.covalue_bit, None) is True
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +901,7 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
     None, failing no demand, only on or over a node reported in its place.
     """
 
-    val, cov = ("cbv_value", "cbv_covalue") if s is CBV else ("cbn_value", "cbn_covalue")
+    val, cov = s.value_bit, s.covalue_bit
     out: list[Violation] = []
     todo: list[tuple[object, str, Position]] = [(c, "Command", "command")]
     while todo:

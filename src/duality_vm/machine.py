@@ -22,14 +22,14 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   unbound covariable is the top-level continuation, and an unbound
   variable is stuck.
 * The mu/comu test reads the bit the code caches for the strategy, one
-  attribute load and no call: ``cbv_value`` or ``cbn_value`` on a term,
-  ``cbv_covalue`` or ``cbn_covalue`` on a coterm (the call-by-name value
-  and call-by-value covalue bits are True on every term and coterm).  It
-  is the one side condition left, the one the strategy decides, and the
-  bit alone is sound on well-formed states: there every bit is True or
-  False, call-by-value binds variables only to values and call-by-name
-  binds covariables only to covalues, and ``Var`` and ``CoVar`` carry the
-  bit True.
+  attribute load and no call: the one ``Strategy`` names ``value_bit`` on
+  a term, ``covalue_bit`` on a coterm, as ``is_value``/``is_covalue`` do
+  (call-by-name makes every term a value, call-by-value every coterm a
+  covalue).  It is the one side condition left, the one the strategy
+  decides, and the bit alone is sound on well-formed states: there every
+  bit is True or False, call-by-value binds variables only to values and
+  call-by-name binds covariables only to covalues, and ``Var`` and
+  ``CoVar`` carry the bit True.
 * Frames.  BetaSucc and BetaNumSucc leave a mu cut against a comu over
   (predecessor, recursor), and BetaTail one over (corecursor, rest): a
   frame ``(x, y, succ)``.  Its two halves, ``(_PENDING_MU, frame, None)``
@@ -80,7 +80,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .kernel import (
-    CBV, Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
+    Call, Command, CoRec, CoTerm, CoVar, Fst, Head, InL, InR, Lam, Mu, MuTilde, NumSucc, NumZero,
     Pair, RecNat, RecNum, Snd, Strategy, Succ, SumCase, Tail, Term, Var, Zero,
     fresh_name, pretty, subst, well_formed,
     # Not called here; perfbench/spans.py rebinds these names in this module.
@@ -342,7 +342,7 @@ def _step(p: tuple, e: tuple, s: Strategy):
     v, pvs, pcs = p
     k, evs, ecs = e
     tv, tk = type(v), type(k)
-    val, cov = ("cbv_value", "cbv_covalue") if s is CBV else ("cbn_value", "cbn_covalue")
+    val, cov = s.value_bit, s.covalue_bit
     if tv is Mu and getattr(k, cov):
         if v is _PENDING_MU:
             return _fire_mu(pvs, e)

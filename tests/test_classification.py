@@ -2,9 +2,10 @@
 
 ``kernel.is_value`` and ``kernel.is_covalue`` read a bit that each node
 fixes when it is built.  The reference below classifies by walking the
-subtree, as the definitions in the paper's grammar read; the tests check
-that both give the same answer, or the same error, on every node the
-generators, the parser and the machine produce.
+subtree, as the definitions in the paper's grammar read, and answers
+False on anything outside the grammar; the tests check that both give the
+same answer on every node the generators, the parser and the machine
+produce, and on nodes outside the grammar.
 """
 
 import copy
@@ -46,7 +47,6 @@ from duality_vm.kernel import (
     fresh_name,
     is_covalue,
     is_value,
-    numeral,
     well_formed,
 )
 from duality_vm.parser import App, NumLit, Ref, parse
@@ -64,9 +64,7 @@ APP = App(Var("f"), Zero())
 
 def ref_is_value(t, s):
     if s is CBN:
-        if not isinstance(t, Term):
-            raise ValueError(f"not a term: {t!r}")
-        return True
+        return isinstance(t, Term)
     while True:
         match t:
             case Var() | Lam() | Zero():
@@ -79,38 +77,25 @@ def ref_is_value(t, s):
                 t = right
             case CoRec():
                 t = t.seed
-            case Mu():
+            case _:  # a mu, or anything outside the grammar
                 return False
-            case _:
-                raise ValueError(f"not a term: {t!r}")
 
 
 def ref_is_covalue(e, s):
     if s is CBV:
-        if not isinstance(e, CoTerm):
-            raise ValueError(f"not a coterm: {e!r}")
-        return True
+        return isinstance(e, CoTerm)
     while True:
         match e:
             case CoVar() | SumCase():
                 return True
-            case MuTilde():
-                return False
             case Call(_, rest):
                 e = rest
             case RecNat(ret=ret) | RecNum(ret=ret):
                 e = ret
             case Head(rest) | Tail(rest) | Fst(rest) | Snd(rest):
                 e = rest
-            case _:
-                raise ValueError(f"not a coterm: {e!r}")
-
-
-def _outcome(classify, node, s):
-    try:
-        return classify(node, s)
-    except ValueError as ex:
-        return ("error", str(ex))
+            case _:  # a comu, or anything outside the grammar
+                return False
 
 
 def _nodes(root, seen: set[int]):
@@ -138,9 +123,9 @@ def assert_bits_agree(root, seen: set[int] | None = None) -> int:
     nodes = _nodes(root, set() if seen is None else seen)
     for n in nodes:
         for s in (CBV, CBN):
-            assert _outcome(is_value, n, s) == _outcome(ref_is_value, n, s), (n, s)
-            assert _outcome(is_covalue, n, s) == _outcome(ref_is_covalue, n, s), (n, s)
-            # The machine reads these bits first and asks the predicates only when one is not True.
+            assert is_value(n, s) is ref_is_value(n, s), (n, s)
+            assert is_covalue(n, s) is ref_is_covalue(n, s), (n, s)
+            # The machine's mu/comu test reads these bits alone.
             assert getattr(n, f"{s.value}_value") is not True or ref_is_value(n, s) is True, (n, s)
             assert getattr(n, f"{s.value}_covalue") is not True or ref_is_covalue(n, s) is True, (n, s)
     return len(nodes)
@@ -210,10 +195,36 @@ def test_bits_agree_on_generated_commands():
         None,
     ],
 )
-def test_errors_agree_on_unclassified_nodes(node):
+def test_answers_agree_outside_the_grammar(node):
     for s in (CBV, CBN):
-        assert _outcome(is_value, node, s) == _outcome(ref_is_value, node, s)
-        assert _outcome(is_covalue, node, s) == _outcome(ref_is_covalue, node, s)
+        assert is_value(node, s) is ref_is_value(node, s)
+        assert is_covalue(node, s) is ref_is_covalue(node, s)
+
+
+# The classifiers answer False outside the grammar and name nothing; the node
+# at fault is named by well_formed, under both strategies, once the node is
+# cut in its sort's place.
+@pytest.mark.parametrize(
+    "node,path,message",
+    [
+        (Succ(APP), "command.producer.arg", "unknown node App"),
+        (Pair(Zero(), NumLit(3)), "command.producer.right", "unknown node NumLit"),
+        (Pair(MU0, APP), "command.producer.right", "unknown node App"),
+        (Pair(APP, MU0), "command.producer.left", "unknown node App"),
+        (Pair(Pair(Zero(), APP), Zero()), "command.producer.left.right", "unknown node App"),
+        (InL(NumSucc(NumZero(APP))), "command.producer.arg.arg.arg", "unknown node App"),
+        (CoRec("h", CoVar("h"), "t", "g", CoVar("g"), Succ(NumLit(2))), "command.producer.seed.arg", "unknown node NumLit"),
+        (Tail(Var("x")), "command.consumer.rest", "Var is not a coterm"),
+        (Call(APP, Head(Succ(Zero()))), "command.consumer.rest.rest", "Succ is not a coterm"),
+        (Command(Zero(), CoVar("a")), "command.producer", "Command is not a term"),
+        (Succ(Command(Zero(), CoVar("a"))), "command.producer.arg", "Command is not a term"),
+    ],
+)
+def test_well_formed_names_the_node_outside_the_grammar(node, path, message):
+    cut = Command(Var("x"), node) if isinstance(node, CoTerm) else Command(node, CoVar("a"))
+    assert is_value(node, CBV) is False and is_covalue(node, CBN) is False
+    for s in (CBV, CBN):
+        assert (path, message) in [(v.path, v.message) for v in well_formed(cut, s)], s
 
 
 def test_bits_agree_on_parsed_programs():
@@ -296,40 +307,6 @@ def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
     assert len(states) > 500 and codes
     seen: set[int] = set()
     assert sum(assert_bits_agree(c, seen) for c in [*codes, *states]) > 2000
-
-
-def _fallbacks(monkeypatch, s) -> list:
-    """The nodes the machine hands is_value and is_covalue under s, as they
-    are handed; each must be one whose bit for s is not True."""
-
-    handed = []
-    for name, bit in (("is_value", f"{s.value}_value"), ("is_covalue", f"{s.value}_covalue")):
-        real = getattr(machine, name)
-
-        def asked(n, strat, real=real, bit=bit):
-            assert getattr(n, bit) is not True, (n, strat)
-            handed.append(n)
-            return real(n, strat)
-
-        monkeypatch.setattr(machine, name, asked)
-    return handed
-
-
-@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
-def test_side_conditions_read_true_bits_without_a_call(s, compilers, monkeypatch):
-    _fallbacks(monkeypatch, s)
-    _run_prelude(compilers[s], s)
-
-
-def test_cbv_plus_asks_the_predicates_as_often_at_any_size(compilers, monkeypatch):
-    handed = _fallbacks(monkeypatch, CBV)
-    plus = compilers[CBV].lookup_def("plus", "plus")[1]
-    calls = []
-    for n in (50, 200):
-        handed.clear()
-        assert machine.run_to_numeral(Command(plus, Call(numeral(n), Call(numeral(n), CoVar("a0")))), CBV)[0] == 2 * n
-        calls.append(len(handed))
-    assert calls[0] == calls[1]
 
 
 # ---------------------------------------------------------------------------

@@ -141,19 +141,13 @@ def test_bench_json(capsys):
     assert data[0]["class"] == "Linear"
 
 
-def test_fuel_env_override(plus_file, capsys, monkeypatch):
-    monkeypatch.setenv("DUALITY_VM_FUEL", "3")
-    assert main(["run", plus_file]) == 2  # out of fuel
+def test_fuel_option(plus_file, capsys):
+    assert main(["run", "--fuel", "3", plus_file]) == 2  # out of fuel
     err = capsys.readouterr().err
     assert "fuel" in err.lower() or "out of" in err.lower()
-    # The parser is built once per process, and the variable read per call.
-    monkeypatch.setenv("DUALITY_VM_FUEL", "10")
-    assert main(["run", plus_file]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "5"
-    monkeypatch.setenv("DUALITY_VM_FUEL", "ten")
-    assert main(["run", plus_file]) == 3
-    assert capsys.readouterr().err == "error: DUALITY_VM_FUEL must be a positive integer, got 'ten'\n"
+    # The parser is built once per process, and --fuel read per call.
     assert main(["run", "--fuel", "10", plus_file]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "5"
 
 
 def test_run_stdin(capsys, monkeypatch):

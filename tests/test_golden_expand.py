@@ -42,7 +42,6 @@ def _cli(command: str, src: Path | str, strategy: str | None) -> dict[str, bytes
     args = COMMANDS[command][0] + (["--strategy", strategy] if strategy else [])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env.pop("DUALITY_VM_FUEL", None)
     where, name = (src.parent, src.name) if isinstance(src, Path) else (ROOT, src)
     proc = subprocess.run(
         [sys.executable, "-m", "duality_vm.cli", *args, name],

@@ -598,7 +598,19 @@ def _any_trees(draw, sort=Command, depth=3):
 def test_well_formed_is_total(tree):
     # A list of violations for any tree, never an exception.  A tree with
     # none is a command, which step takes without raising; a mu or comu cut
-    # in it always fires, since its strategy's bit decides the pair.
+    # in it always fires, since its strategy's bit decides the pair.  The
+    # classifiers are total too: a bool on every node, True only on its
+    # sort, and every term (coterm) a call-by-name value (call-by-value
+    # covalue).
+    nodes = [tree]
+    for n in nodes:
+        nodes += [getattr(n, c.field) for c in type(n)._shape.children]
+    for n in nodes:
+        for s in (CBV, CBN):
+            v, k = is_value(n, s), is_covalue(n, s)
+            assert type(v) is bool and type(k) is bool
+            assert (not v or isinstance(n, Term)) and (not k or isinstance(n, CoTerm))
+        assert is_value(n, CBN) is isinstance(n, Term) and is_covalue(n, CBV) is isinstance(n, CoTerm)
     for s in (CBV, CBN):
         bad = well_formed(tree, s)
         assert type(bad) is list and all(type(v) is Violation for v in bad)

@@ -1,10 +1,10 @@
 """Step-count experiments and exact growth classification.
 
 The machine is deterministic, so cost curves are exact integer sequences
-and growth classes come from finite differences rather than fitting: after
-a fixed warm-up prefix, constant first differences of zero mean constant
-cost, constant nonzero first differences mean linear, constant nonzero
-second differences mean quadratic.
+and growth classes come from finite differences rather than fitting, over
+evenly spaced sizes: after a fixed warm-up prefix, constant first
+differences of zero mean constant cost, constant nonzero first differences
+mean linear, constant nonzero second differences mean quadratic.
 
 Two experiments record the cost of a wrapper relative to the stream under
 it (one projection deeper), so their curves are stat differences; the
@@ -52,6 +52,9 @@ def classify(curve: CostCurve) -> GrowthClass:
     totals = curve.totals()
     if len(totals) < 5:
         raise ValueError("classification needs at least 5 points")
+    sizes = [n for n, _ in curve.points]
+    if len({b - a for a, b in zip(sizes, sizes[1:])}) > 1:
+        raise ValueError("classification needs evenly spaced sizes")
     t = totals[WARMUP:]
     d1 = [b - a for a, b in zip(t, t[1:])]
     if all(d == 0 for d in d1):
@@ -173,8 +176,7 @@ def curve_json(curve: CostCurve) -> dict:
         "experiment": curve.experiment,
         "strategy": str(curve.strategy),
         "points": [
-            {"n": n, "total": st.total,
-             "perRule": {tag.value: k for tag, k in sorted(st.per_rule.items(), key=lambda kv: kv[0].value)}}
+            {"n": n, "total": st.total, "perRule": st.to_json()["perRule"]}
             for n, st in curve.points
         ],
         "class": str(classify(curve)),
@@ -185,9 +187,7 @@ def curve_table(curve: CostCurve) -> str:
     lines = [f"experiment {curve.experiment} [{curve.strategy}] -> {classify(curve)}"]
     lines.append(f"{'n':>6} {'total':>10}  per-rule")
     for n, st in curve.points:
-        per = " ".join(
-            f"{tag.value}={k}" for tag, k in sorted(st.per_rule.items(), key=lambda kv: kv[0].value) if k
-        )
+        per = " ".join(f"{tag}={k}" for tag, k in st.to_json()["perRule"].items() if k)
         lines.append(f"{n:>6} {st.total:>10}  {per}")
     return "\n".join(lines)
 

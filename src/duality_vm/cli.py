@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp = sub.add_parser("bench", help="run a step-count experiment")
     sp.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    sp.add_argument("--sizes", default="1..30", help="e.g. 1..50 or 1,2,4,8")
+    sp.add_argument("--sizes", default="1..30", help="e.g. 1..50 or 2,4,6,8,10")
     sp.add_argument("--csv", action="store_true")
     common(sp, with_file=False)
     return p

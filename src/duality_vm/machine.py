@@ -410,7 +410,8 @@ def _final_shape(p: tuple, e: tuple) -> str | None:
 def step(c: Command, s: Strategy) -> StepOutcome:
     """Apply the unique rule enabled on c under s, or report Final/Stuck.
     Ill-formed c is Stuck on ``well_formed``'s first violation, checked
-    after a fired rule's read-back, which raises as substitution does.
+    before any rule fires, so no read-back ever meets a node outside the
+    grammar.
 
     Only a well-formed command reaches the mu/comu test, which reads the
     code's bit alone.  That is sound on every state a run reaches from one:
@@ -420,15 +421,15 @@ def step(c: Command, s: Strategy) -> StepOutcome:
     covalues (a mu or comu fires only on a True bit, and the grammar makes
     a value or covalue of what a beta rule binds)."""
 
+    bad = well_formed(c, s)
+    if bad:
+        return Stuck(str(bad[0]), c)
     p, e = _inject(c)
     out = _step(p, e, s)
     if out is not None:
-        got = Stepped(_command(out[1:], {}), out[0])
-    else:
-        shape = _final_shape(p, e)
-        got = Final(shape, e[0].name, c) if shape is not None else Stuck(_stuck_reason(p, e), c)
-    bad = well_formed(c, s)
-    return Stuck(str(bad[0]), c) if bad else got
+        return Stepped(_command(out[1:], {}), out[0])
+    shape = _final_shape(p, e)
+    return Final(shape, e[0].name, c) if shape is not None else Stuck(_stuck_reason(p, e), c)
 
 
 def _beta_succ(pred: Term, r: RecNat | RecNum) -> Command:

@@ -40,11 +40,11 @@ from duality_vm.surface import (
     encode_corec_via_coiter,
     encode_rec_via_iter,
     prelude,
-    surface_force_numeral,
 )
 from duality_vm.typechecker import EMPTY_ENV, TypeEnv, check_command, elaborate_command
 
 from generators import DualGen, TypedGen
+from oracle import surface_force_numeral
 
 NAT = Nat()
 TOP = TypeEnv.make(covars={"a0": NAT})

@@ -52,6 +52,14 @@ def test_classify_needs_five_points():
         classify(fake_curve([1, 2, 3, 4]))
 
 
+def test_classify_refuses_unevenly_spaced_sizes():
+    # CBV pred costs 3n+3 steps; at sizes 1, 2, 4, 8, 16 the totals' first
+    # differences double, which would read as growth of another class.
+    points = tuple((n, RunStats(total=3 * n + 3)) for n in (1, 2, 4, 8, 16))
+    with pytest.raises(ValueError, match="^classification needs evenly spaced sizes$"):
+        classify(CostCurve("fake", CBV, points))
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 

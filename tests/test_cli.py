@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -384,6 +385,23 @@ def test_a_numeral_literal_past_the_bound_exits_three_at_its_place(tmp_path, cap
 def test_bench_sizes_past_the_literal_bound_exit_three(sizes, capsys):
     assert main(["bench", "count-now", "--sizes", sizes]) == 3
     assert capsys.readouterr() == ("", "error: numeral literal larger than 100000\n")
+
+
+def test_bench_classifies_only_evenly_spaced_sizes(capsys):
+    argv = ["bench", "pred-native", "--sizes", "1,2,4,8,16"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: classification needs evenly spaced sizes\n")
+    assert main([*argv, "--csv"]) == 0  # CSV reports the points without a class
+    assert capsys.readouterr().out.splitlines()[0] == "n,total,rule:BetaArrow,rule:BetaSucc,rule:BetaZero,rule:Mu,rule:MuTilde"
+
+
+def test_bench_sizes_help_example_runs(capsys):
+    assert main(["bench", "--help"]) == 0
+    examples = re.search(r"e\.g\. (\S+) or (\S+)", " ".join(capsys.readouterr().out.split())).groups()
+    assert examples == ("1..50", "2,4,6,8,10")
+    for example in examples:
+        assert main(["bench", "pred-native", "--sizes", example]) == 0
+        assert capsys.readouterr().out.startswith("experiment pred-native [cbv] -> Linear")
 
 
 @pytest.mark.parametrize("argv", [["run", "--trace", str(PROGRAMS / "plus23.ct")], ["observe", "--depth", "3", "nats"]])

@@ -643,6 +643,9 @@ def test_a_front_end_node_is_a_violation_under_both_strategies(s):
     _refused(cmd, s, [Violation("command.producer", "unknown node App")])
     under = Command(Succ(App(Var("f"), Zero())), CoVar("a0"))
     _refused(under, s, [Violation("command.producer.arg", "unknown node App")])
+    # Under a binder, where firing the rule would read the App back.
+    body = parse_command("<fun x => x x | Z . a0>")
+    _refused(body, s, [Violation("command.producer.body", "unknown node App")])
 
 
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)

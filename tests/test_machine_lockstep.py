@@ -441,18 +441,31 @@ def test_step_reads_back_long_successor_chains_at_the_default_recursion_limit(s)
     assert texts == ["<5001 | a0>", "<10000 | a0>"]
 
 
+# <0 | comu y. <y 0 | a0>>: a front-end application over the comu's name.
+_APP_UNDER_COMU = Command(numeral(0), MuTilde("y", Command(App(Var("y"), numeral(0)), CoVar("a0"))))
+
+
 @pytest.mark.parametrize("s", [CBV, CBN], ids=str)
 def test_a_front_end_node_over_a_bound_name_is_an_error_as_in_substitution(s):
-    # App is a front-end node, outside the kernel's grammar: reading back a
-    # closure whose code is one with a bound name free fails as substitution
-    # over it does in the substitution machine, in a step and in a traced run.
-    cmd = Command(numeral(0), MuTilde("y", Command(App(Var("y"), numeral(0)), CoVar("a0"))))
-    for go in (lambda impl: impl.step(cmd, s), lambda impl: impl.run(cmd, s, FUEL, trace=True)):
-        with pytest.raises(ValueError, match="^substitution over unknown node") as want:
-            go(ref)
-        with pytest.raises(ValueError) as got:
-            go(machine)
-        assert str(got.value) == str(want.value)
+    # App is a front-end node, outside the kernel's grammar.  A run takes
+    # well-formed input unchecked: reading back a closure whose code is one
+    # with a bound name free fails as substitution over it does in the
+    # substitution machine.
+    with pytest.raises(ValueError, match="^substitution over unknown node") as want:
+        ref.run(_APP_UNDER_COMU, s, FUEL, trace=True)
+    with pytest.raises(ValueError) as got:
+        machine.run(_APP_UNDER_COMU, s, FUEL, trace=True)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_step_is_stuck_on_a_front_end_node_where_substitution_raises(s):
+    # step judges the grammar before it fires a rule, so the same command is
+    # Stuck on its violation; the substitution machine substitutes first.
+    with pytest.raises(ValueError, match="^substitution over unknown node"):
+        ref.step(_APP_UNDER_COMU, s)
+    want = machine.Stuck("command.consumer.body.producer: unknown node App", _APP_UNDER_COMU)
+    assert machine.step(_APP_UNDER_COMU, s) == want
 
 
 def test_deep_terms_at_the_default_recursion_limit(compilers):

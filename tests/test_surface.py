@@ -39,21 +39,24 @@ from duality_vm.machine import RuleTag, force_numeral, observe_stream, run, run_
 from duality_vm.parser import App, NumLit, ParseError, Ref, RecTerm, parse, parse_command, parse_coterm, parse_term
 from duality_vm.surface import (
     Compiler,
+    encode_corec_via_coiter,
+    encode_rec_via_iter,
+    infer,
+    prelude,
+    translate,
+)
+from duality_vm.typechecker import EMPTY_ENV, TypeCheckError, TypeEnv, check_command
+
+from oracle import (
     OracleError,
     desugar_case,
     desugar_cocase,
     desugar_coiter,
     desugar_iter,
-    encode_corec_via_coiter,
-    encode_rec_via_iter,
-    infer,
-    prelude,
     reference_eval,
     reference_trace,
     surface_force_numeral,
-    translate,
 )
-from duality_vm.typechecker import EMPTY_ENV, TypeCheckError, TypeEnv, check_command
 
 NAT = Nat()
 

@@ -17,12 +17,11 @@ import enum
 from dataclasses import dataclass
 
 from .kernel import Command, CoVar, Head, Lam, Mu, Strategy, Term, numeral, Call
-from .machine import RunStats, run, run_to_numeral, tails
+from .machine import DEFAULT_FUEL, RunStats, run, run_to_numeral, tails
 from .parser import App, NumLit, Ref
 from .surface import Compiler, encode_corec_via_coiter, encode_rec_via_iter, prelude
 from .typechecker import EMPTY_ENV
 
-BENCH_FUEL = 10**7
 WARMUP = 2
 
 
@@ -85,7 +84,7 @@ def _stats_diff(a: RunStats, b: RunStats) -> RunStats:
 class _Experiments:
     """Builds the benchmark commands lazily, per strategy."""
 
-    def __init__(self, strategy: Strategy, fuel: int = BENCH_FUEL):
+    def __init__(self, strategy: Strategy, fuel: int = DEFAULT_FUEL):
         self.s = strategy
         self.fuel = fuel
         self.comp = Compiler(prelude(), strategy)
@@ -158,7 +157,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, strategy: Strategy, sizes: list[int], fuel: int = BENCH_FUEL) -> CostCurve:
+def run_experiment(name: str, strategy: Strategy, sizes: list[int], fuel: int = DEFAULT_FUEL) -> CostCurve:
     """Record run stats for one experiment across ascending sizes."""
 
     if name not in EXPERIMENTS:

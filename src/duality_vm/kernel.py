@@ -3,32 +3,36 @@
 A machine state is a command ``< producer | consumer >`` cutting a term
 against a coterm (continuation).  The same syntax serves both evaluation
 strategies; what changes between call-by-value and call-by-name is which
-terms count as substitutable values and which coterms count as covalues:
-a strategy is the two bits it reads, named once on ``Strategy``, and
-everything else (substitution, alpha-equivalence, printing) is strategy-free.
+terms count as substitutable values and which coterms count as covalues.
+A strategy is the one node class it will not bind to a name, named once
+on ``Strategy``: call-by-value a mu, call-by-name a comu, the two sides of
+the mu/comu critical pair.  Everything else (substitution,
+alpha-equivalence, printing) is strategy-free.
+
+On a well-formed tree the refused class is the only non-value (or
+non-covalue): the grammar demands a value of every constructor argument
+and corecursor seed, and a covalue of every destructor tail and recursor
+return, so under call-by-value a term that is no mu has values all the
+way down, and dually under call-by-name.  ``is_value`` and ``is_covalue``
+are therefore one class test each: O(1), never raising, and answering by
+the root's class, while ``well_formed`` alone judges the tree below it.
 
 Every node caches its free variable and free covariable sets at
 construction time, which lets substitution skip untouched subtrees in
-O(1).  Terms cache the same way whether they are call-by-value values
-(``cbv_value``) and coterms whether they are call-by-name covalues
-(``cbn_covalue``), and every term is a call-by-name value, every coterm
-a call-by-value covalue, so ``is_value`` and ``is_covalue`` are one bit
-read each: O(1), and False outside the grammar, which ``well_formed``
-alone judges.  The cached values are slots, not dataclass fields:
-equality, hashing, printing and ``dataclasses.replace`` ignore them.
+O(1).  The cached sets are slots, not dataclass fields: equality,
+hashing, printing and ``dataclasses.replace`` ignore them.
 Nodes and types are immutable ``Record``s, compared, hashed and printed
 field by field on an explicit stack; rewriting shares unchanged children.
 
 Each node class is declared once, by its fields and its ``@shape``, which
 makes it a bare slotted dataclass (for ``fields``, ``replace`` and
 ``__match_args__``) and generates its ``__init__``, which caches the free
-sets and the bit.  Its children are its fields of sort
-``Term``, ``CoTerm`` or ``Command``.  The shape adds only what the fields
-do not say: per child, its step in a ``well_formed`` path, the binder
-fields in scope in it and what the grammar demands of it (a value or a
-covalue); per class, which side its binders are on, which fields
+sets.  Its children are its fields of sort ``Term``, ``CoTerm`` or
+``Command``.  The shape adds only what the fields do not say: per child,
+its step in a ``well_formed`` path, the binder fields in scope in it and
+what the grammar demands of it (a value or a covalue); per class, which side its binders are on, which fields
 alpha-equivalence ignores, and its concrete syntax as a template, with
-whether it prints as an atom.  The cached sets and bit, substitution,
+whether it prints as an atom.  The cached sets, substitution,
 alpha-equivalence, the grammar check and the printer are all derived
 from the shapes, in the manner of Curien and Herbelin's "The duality of
 computation", where substitution and alpha-equivalence are defined once
@@ -66,7 +70,7 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Copies are rebuilt through __init__, so nodes cache their sets and bit again.
+        # Copies are rebuilt through __init__, so nodes cache their sets again.
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __eq__(self, other):
@@ -209,9 +213,12 @@ class Strategy(enum.Enum):
     CBV = "cbv"
     CBN = "cbn"
 
-    # The names of the two bits a strategy reads, a term's and a coterm's.
-    value_bit: str
-    covalue_bit: str
+    # The one node class the strategy will not bind to a name, set below
+    # with the node classes: Mu under call-by-value, MuTilde under
+    # call-by-name.  On a well-formed tree it is the only non-value (CBV)
+    # or non-covalue (CBN); every term is a call-by-name value, every
+    # coterm a call-by-value covalue.
+    refuses: type
 
     def __str__(self) -> str:
         return self.value
@@ -219,8 +226,6 @@ class Strategy(enum.Enum):
 
 CBV = Strategy.CBV
 CBN = Strategy.CBN
-CBV.value_bit, CBV.covalue_bit = "cbv_value", "cbv_covalue"
-CBN.value_bit, CBN.covalue_bit = "cbn_value", "cbn_covalue"
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +236,14 @@ EMPTY: frozenset[str] = frozenset()
 
 class Node(Record):
     """Common base; each node caches its free (co)variable sets when it is
-    built, and terms and coterms their strategy bit, as its class's shape
-    derives them.  Node classes keep all of it in slots: a successor takes
-    64 bytes on 64-bit CPython 3.11, against 96 for a dict-backed node
-    without the bit."""
+    built, as its class's shape derives them.  Node classes keep them in
+    slots: a successor takes 56 bytes on 64-bit CPython 3.11, against 96
+    for a dict-backed node."""
 
     __slots__ = ("free_vars", "free_covars")
 
     free_vars: frozenset[str]
     free_covars: frozenset[str]
-    # True or False on a machine term (coterm); None on any other node, and
-    # on a term (coterm) whose bit is copied from such a node, which the
-    # classifiers read as False.  Leaves fix the bit as a class attribute,
-    # which shadows the slot that Term and CoTerm add; a shape declared
-    # outside the machine grammar sets it to None the same way.
-    cbv_value: bool | None = None
-    cbn_covalue: bool | None = None
-    # The strategies' trivial sides: every term is a call-by-name value,
-    # every coterm a call-by-value covalue.  Term and CoTerm set them True,
-    # so the machine reads a side condition as one bit under either strategy.
-    cbn_value: bool | None = None
-    cbv_covalue: bool | None = None
     _shape: Shape
 
     def __init__(self, *args, **kwargs):
@@ -260,13 +252,11 @@ class Node(Record):
 
 
 class Term(Node):
-    __slots__ = ("cbv_value",)
-    cbn_value = True
+    __slots__ = ()
 
 
 class CoTerm(Node):
-    __slots__ = ("cbn_covalue",)
-    cbv_covalue = True
+    __slots__ = ()
 
 
 class Child:
@@ -298,17 +288,16 @@ class Shape:
     ``ignore`` fields (filled in by elaboration, with no concrete syntax)
     are not compared by alpha-equivalence, ``data`` fields (the others but
     children and binders) are.  A shape outside the ``grammar`` is a
-    front-end node: it caches free sets, its bit is None, and the traversals
-    reject it.  ``bit_from`` names the children whose bits a node's own bit
-    is the ``and`` of (their grammar demands it be of the node's sort); it
-    is None when the class fixes its bit, or has none (``Command``).
-    ``text`` is the template as declared, which the parser reads; ``syntax``
-    is that template compiled for ``pretty``; ``atomic`` classes never need
-    parentheses.
+    front-end node: it caches free sets, the classifiers answer False on
+    it, and the traversals reject it.  A child's value (covalue) demand
+    fails only on the class its strategy refuses, so no node records
+    whether it is a value.  ``text`` is the template as declared, which
+    the parser reads; ``syntax`` is that template compiled for ``pretty``;
+    ``atomic`` classes never need parentheses.
     """
 
-    __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "sorts", "kids", "bit",
-                 "bit_from", "text", "syntax", "atomic")
+    __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "sorts", "kids", "text",
+                 "syntax", "atomic")
 
     def __init__(self, cls: type, entries, side, ignore, grammar, syntax, atomic):
         # A declared sort is read by name, whether or not its module
@@ -334,12 +323,6 @@ class Shape:
         pos = names.index
         # (child index, its binder indices) in field order, for rebuilding.
         self.kids = tuple((pos(c.field), tuple(map(pos, c.binds))) for c in children)
-        self.bit = CBV.value_bit if issubclass(cls, Term) else CBN.covalue_bit if issubclass(cls, CoTerm) else None
-        if self.bit is None or not grammar or self.bit in cls.__dict__:
-            self.bit_from = None
-        else:
-            own = "value" if issubclass(cls, Term) else "covalue"
-            self.bit_from = tuple(c.field for c in children if getattr(c, own))
 
 
 def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = (), grammar: bool = True,
@@ -347,8 +330,7 @@ def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = ()
     """Make a node class a bare slotted dataclass and declare its shape:
     the side its binders are on ("vars" or "covars"), the fields
     alpha-equivalence ignores and its print template; generate the
-    ``__init__`` that writes the fields and caches free sets and the
-    strategy bit.  Equality, hashing, printing and immutability are
+    ``__init__`` that writes the fields and caches free sets.  Equality, hashing, printing and immutability are
     ``Record``'s.
 
     The children are the fields of sort ``Term``, ``CoTerm`` or
@@ -374,8 +356,6 @@ def shape(*entries: Child, side: str | None = None, ignore: tuple[str, ...] = ()
 
     def declare(cls):
         sh = Shape(cls, entries, side, ignore, grammar, syntax, atomic)
-        if not grammar:
-            setattr(cls, sh.bit, None)
         cls = _record(cls, _caching(sh, side), _CACHE_ENV)
         cls._shape = sh
         return cls
@@ -404,15 +384,13 @@ def _template(text: str, names: tuple[str, ...], kids: set[str], ignore: tuple[s
 
 # The slots' own setters: they write past Record.__setattr__.
 _CACHE_ENV = {"_EMPTY": EMPTY, "_set_free_vars": Node.free_vars.__set__,
-              "_set_free_covars": Node.free_covars.__set__,
-              "_set_cbv_value": Term.cbv_value.__set__, "_set_cbn_covalue": CoTerm.cbn_covalue.__set__}
+              "_set_free_covars": Node.free_covars.__set__}
 
 
 def _caching(sh: Shape, side: str | None) -> tuple[str, ...]:
     """The lines of a node's ``__init__`` that cache what sh derives: a
     node's free names are its children's, less each child's binders on the
-    shape's side (or its name, if it is one); its bit is the ``and`` of
-    the bits of the children in ``bit_from``."""
+    shape's side (or its name, if it is one)."""
 
     lines = []
     for attr, mine in (("free_vars", "vars"), ("free_covars", "covars")):
@@ -422,8 +400,6 @@ def _caching(sh: Shape, side: str | None) -> tuple[str, ...]:
         for part in parts[1:]:
             lines += [f"_x = {part}", f"if _x: _{attr} = _{attr} | _x if _{attr} else _x"]
         lines.append(f"_set_{attr}(self, _{attr})")
-    if sh.bit_from is not None:
-        lines.append(f"_set_{sh.bit}(self, {' and '.join(f'{f}.{sh.bit}' for f in sh.bit_from) or 'True'})")
     return tuple(lines)
 
 
@@ -436,7 +412,6 @@ class Command(Node):
 @shape(side="vars", syntax="{name}", atomic=True)
 class Var(Term):
     name: str
-    cbv_value = True
 
 
 @shape(Child("body", binds=("covar",)), side="covars", syntax="mu {covar}{annot!t}. {body}")
@@ -446,7 +421,6 @@ class Mu(Term):
     covar: str
     body: Command
     annot: TypeExpr | None = None
-    cbv_value = False
 
 
 @shape(Child("body", binds=("var",)), side="vars", syntax="fun {var}{annot!t} => {body}")
@@ -454,12 +428,11 @@ class Lam(Term):
     var: str
     body: Term
     annot: TypeExpr | None = None
-    cbv_value = True
 
 
 @shape(syntax="Z", atomic=True)
 class Zero(Term):
-    cbv_value = True
+    pass
 
 
 # pretty prints a chain of successors in one walk, with this template on
@@ -530,7 +503,6 @@ class CoRec(Term):
 @shape(side="covars", syntax="{name}", atomic=True)
 class CoVar(CoTerm):
     name: str
-    cbn_covalue = True
 
 
 @shape(Child("body", binds=("var",)), side="vars", syntax="comu {var}{annot!t}. {body}")
@@ -540,7 +512,6 @@ class MuTilde(CoTerm):
     var: str
     body: Command
     annot: TypeExpr | None = None
-    cbn_covalue = False
 
 
 @shape(Child("arg", value="call-stack argument"), Child("rest", covalue="call-stack tail"),
@@ -625,7 +596,9 @@ class SumCase(CoTerm):
 
     left: CoTerm
     right: CoTerm
-    cbn_covalue = True
+
+
+CBV.refuses, CBN.refuses = Mu, MuTilde
 
 
 # ---------------------------------------------------------------------------
@@ -662,25 +635,27 @@ def is_value(t: Term, s: Strategy) -> bool:
 
     Call-by-name makes every term a value (mu-abstractions included);
     call-by-value excludes mu and requires constructor arguments and
-    corecursor seeds to be values themselves.  The answer is t's bit for s,
-    cached when t was built: O(1), never raising, and False outside the
-    grammar, where ``well_formed`` says where and why.
+    corecursor seeds to be values themselves.  The grammar makes the
+    second demand (``well_formed`` judges it), so on a well-formed t the
+    answer is a class test: t is a grammar term of a class other than
+    ``s.refuses``.  O(1) and never raising; False outside the grammar, and
+    on a tree ill-formed below its root the root's class answers.
     """
 
-    return getattr(t, s.value_bit, None) is True
+    return type(t) is not s.refuses and type(t) in _GRAMMAR["Term"]
 
 
 def is_covalue(e: CoTerm, s: Strategy) -> bool:
     """Whether e may be substituted for a covariable under strategy s.
 
     Call-by-value makes every coterm a covalue (mu-tilde included);
-    call-by-name excludes mu-tilde and requires destructor tails to be
-    covalues themselves.  A case split is a covalue in both strategies
-    regardless of its branches: it forces its input either way.  The
-    answer is e's bit for s, cached when e was built, as in ``is_value``.
+    call-by-name excludes mu-tilde and requires destructor tails and
+    recursor returns to be covalues themselves.  A case split is a covalue
+    in both strategies regardless of its branches: it forces its input
+    either way.  The answer is a class test, as in ``is_value``.
     """
 
-    return getattr(e, s.covalue_bit, None) is True
+    return type(e) is not s.refuses and type(e) in _GRAMMAR["CoTerm"]
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +872,14 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
     """All points where c leaves the strategy's term/coterm grammar; never
     raises.  The root must be a command, each child a grammar node of its
     field's sort, else it is reported and not entered.  A value (covalue)
-    demand reads the child's bit for s, True throughout one strategy, and
-    None, failing no demand, only on or over a node reported in its place.
+    demand fails exactly on a child of the class s refuses, a term
+    (coterm): with every demand below it met, that is the only term (coterm)
+    that is no value (covalue).  So each violation is reported once, at the
+    mu or comu that causes it.
     """
 
-    val, cov = s.value_bit, s.covalue_bit
+    refused = s.refuses
+    kind = "value" if issubclass(refused, Term) else "covalue"
     out: list[Violation] = []
     todo: list[tuple[object, str, Position]] = [(c, "Command", "command")]
     while todo:
@@ -914,10 +892,8 @@ def well_formed(c: Command, s: Strategy) -> list[Violation]:
             continue
         for c in cls._shape.children:
             child, at = getattr(node, c.field), (path, c.label)
-            if c.value and getattr(child, val, None) is False:
-                out.append(Violation(spell(at), f"{c.value} must be a {s.value} value"))
-            if c.covalue and getattr(child, cov, None) is False:
-                out.append(Violation(spell(at), f"{c.covalue} must be a {s.value} covalue"))
+            if type(child) is refused and (demand := getattr(c, kind)):
+                out.append(Violation(spell(at), f"{demand} must be a {s.value} {kind}"))
             todo.append((child, c.sort, at))
     out.reverse()
     return out

@@ -21,15 +21,15 @@ machine that Ariola, Bohannon and Sabry derive for this calculus
   size of the command it stands for.  A name is looked up when a closure is made for it; an
   unbound covariable is the top-level continuation, and an unbound
   variable is stuck.
-* The mu/comu test reads the bit the code caches for the strategy, one
-  attribute load and no call: the one ``Strategy`` names ``value_bit`` on
-  a term, ``covalue_bit`` on a coterm, as ``is_value``/``is_covalue`` do
-  (call-by-name makes every term a value, call-by-value every coterm a
-  covalue).  It is the one side condition left, the one the strategy
-  decides, and the bit alone is sound on well-formed states: there every
-  bit is True or False, call-by-value binds variables only to values and
-  call-by-name binds covariables only to covalues, and ``Var`` and
-  ``CoVar`` carry the bit True.
+* The mu/comu test is a class test and no call: a mu fires unless its
+  consumer's code is of the class the strategy refuses (``refuses`` on
+  ``Strategy``), a comu unless its producer's is.  So of a mu cut against
+  a comu, the mu fires first under call-by-value, which refuses a mu, and
+  the comu under call-by-name.  It is the one side condition left, the
+  one the strategy decides, and the class alone is sound on well-formed
+  states: there the refused class is the only non-value (non-covalue),
+  since the grammar demands values (covalues) below every other node, and
+  no name is ever bound to a closure whose code is of the refused class.
 * Frames.  BetaSucc and BetaNumSucc leave a mu cut against a comu over
   (predecessor, recursor), and BetaTail one over (corecursor, rest): a
   frame ``(x, y, succ)``.  Its two halves, ``(_PENDING_MU, frame, None)``
@@ -168,9 +168,9 @@ _HOLE_VAR, _HOLE_COVAR = Var(_HOLE), CoVar(_HOLE)
 _TOP = CoVar("\x00a0")
 _NO: dict = {}  # the empty environment; environments are copied, never changed
 
-# The codes of the halves, told apart by identity; each classifies as what
-# it stands for: a mu, never a call-by-value value, and a comu, never a
-# call-by-name covalue.
+# The codes of the halves, told apart by identity; each is of the class of
+# what it stands for, so the mu/comu test reads it as that: a mu, refused by
+# call-by-value, and a comu, refused by call-by-name.
 _PENDING_MU = Mu(_HOLE, Command(Zero(), _TOP))
 _PENDING_COMU = MuTilde(_HOLE, Command(Zero(), _TOP))
 
@@ -337,18 +337,19 @@ def _command(state: State, backs: dict, texts: dict | None = None) -> Command:
 def _step(p: tuple, e: tuple, s: Strategy):
     """(rule, producer, consumer) after the rule enabled on a well-formed
     state, or None.  Only mu and comu test a side condition, the one the
-    strategy decides: the code's bit for s, read alone (see ``step``)."""
+    strategy decides: whether the other side's code is of the class s
+    refuses (see ``step``)."""
 
     v, pvs, pcs = p
     k, evs, ecs = e
     tv, tk = type(v), type(k)
-    val, cov = s.value_bit, s.covalue_bit
-    if tv is Mu and getattr(k, cov):
+    refused = s.refuses
+    if tv is Mu and tk is not refused:
         if v is _PENDING_MU:
             return _fire_mu(pvs, e)
         cs = {**pcs, v.covar: e}
         return MU, _close(v.body.producer, pvs, cs), _close(v.body.consumer, pvs, cs)
-    if tk is MuTilde and getattr(v, val):
+    if tk is MuTilde and tv is not refused:
         if k is _PENDING_COMU:
             return _fire_comu(evs, p)
         vs = {**evs, k.var: p}
@@ -414,12 +415,12 @@ def step(c: Command, s: Strategy) -> StepOutcome:
     grammar.
 
     Only a well-formed command reaches the mu/comu test, which reads the
-    code's bit alone.  That is sound on every state a run reaches from one:
-    each code there is a term or coterm of the grammar, so its bit is True
-    or False, and a bound name's True is honest, since call-by-value binds
-    variables only to values and call-by-name covariables only to
-    covalues (a mu or comu fires only on a True bit, and the grammar makes
-    a value or covalue of what a beta rule binds)."""
+    code's class alone.  That is sound on every state a run reaches from
+    one: each code there is a term or coterm of the grammar, whose demands
+    make the class ``s.refuses`` the only non-value (non-covalue), and a
+    bound name's code is never of that class, since a mu or comu binds
+    only what is not, and the grammar makes a value or covalue of what a
+    beta rule binds."""
 
     bad = well_formed(c, s)
     if bad:

@@ -46,8 +46,8 @@ from .kernel import (
 
 # ---------------------------------------------------------------------------
 # Front-end-only AST nodes.  Their shapes are outside the machine grammar,
-# so their ``cbv_value`` is None: ``kernel.is_value`` answers False on them
-# under CBV, and ``kernel.well_formed`` reports each one at its path.
+# so no strategy's class test counts them: ``kernel.is_value`` answers
+# False on them, and ``kernel.well_formed`` reports each one at its path.
 
 
 @shape(grammar=False, syntax="{fn!s} {arg!a}")

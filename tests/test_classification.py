@@ -1,11 +1,15 @@
-"""Cached value/covalue bits against a walking reference classifier.
+"""Value/covalue class tests against a walking reference classifier.
 
-``kernel.is_value`` and ``kernel.is_covalue`` read a bit that each node
-fixes when it is built.  The reference below classifies by walking the
-subtree, as the definitions in the paper's grammar read, and answers
-False on anything outside the grammar; the tests check that both give the
-same answer on every node the generators, the parser and the machine
-produce, and on nodes outside the grammar.
+``kernel.is_value`` and ``kernel.is_covalue`` test a node's class: a
+grammar node of its sort, of any class but the one its strategy refuses.
+The reference below classifies by walking the subtree, as the definitions
+in the paper's grammar read, and answers False on anything outside the
+grammar.  On a well-formed tree the two agree; the tests check that on
+every well-formed node the generators, the parser and the machine
+produce, and that ``kernel.well_formed`` accepts exactly the trees a
+reference grammar built on the walking classifier accepts.  Outside the
+grammar the class test answers by the root's class alone, and
+``well_formed`` names the node at fault.
 """
 
 import copy
@@ -14,6 +18,7 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duality_vm import machine
 from duality_vm.kernel import (
@@ -43,6 +48,7 @@ from duality_vm.kernel import (
     Tail,
     Term,
     Var,
+    Violation,
     Zero,
     fresh_name,
     is_covalue,
@@ -52,6 +58,7 @@ from duality_vm.kernel import (
 from duality_vm.parser import App, NumLit, Ref, parse
 from duality_vm.surface import prelude
 from duality_vm.typechecker import EMPTY_ENV
+from test_kernel import _any_trees
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "programs"
 MU0 = Mu("a", Command(Zero(), CoVar("a")))
@@ -98,6 +105,52 @@ def ref_is_covalue(e, s):
                 return False
 
 
+# The grammar as the paper writes it: the classes of each sort, and the
+# children each class demands be a value, or a covalue.
+_SORT_CLASSES = {
+    "Term": {Var, Mu, Lam, Zero, Succ, NumZero, NumSucc, Pair, InL, InR, CoRec},
+    "CoTerm": {CoVar, MuTilde, Call, RecNat, RecNum, Head, Tail, Fst, Snd, SumCase},
+    "Command": {Command},
+}
+_VALUE_DEMANDS = {Succ: ("arg",), NumZero: ("arg",), NumSucc: ("arg",), InL: ("arg",), InR: ("arg",),
+                  Pair: ("left", "right"), CoRec: ("seed",), Call: ("arg",)}
+_COVALUE_DEMANDS = {Call: ("rest",), RecNat: ("ret",), RecNum: ("ret",), Head: ("rest",), Tail: ("rest",),
+                    Fst: ("rest",), Snd: ("rest",)}
+
+
+def ref_accepts(root, s, memo: dict | None = None) -> bool:
+    """Whether root is in s's grammar: each node of a grammar class, each
+    child of a class of its field's sort, and each child its parent's
+    class demands be a value (covalue) one by ``ref_is_value``
+    (``ref_is_covalue``).  memo maps the id of each node judged to its
+    answer; the caller keeps the nodes alive."""
+
+    memo = {} if memo is None else memo
+    todo = [root]
+    while todo:
+        n = todo[-1]
+        if id(n) in memo:
+            todo.pop()
+            continue
+        cls = type(n)
+        if not any(cls in classes for classes in _SORT_CLASSES.values()):
+            memo[id(n)] = False
+            todo.pop()
+            continue
+        kids = [(c.sort, getattr(n, c.field)) for c in cls._shape.children]
+        missing = [k for _, k in kids if id(k) not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        memo[id(n)] = (
+            all(type(k) in _SORT_CLASSES[sort] and memo[id(k)] for sort, k in kids)
+            and all(ref_is_value(getattr(n, f), s) for f in _VALUE_DEMANDS.get(cls, ()))
+            and all(ref_is_covalue(getattr(n, f), s) for f in _COVALUE_DEMANDS.get(cls, ()))
+        )
+    return memo[id(root)]
+
+
 def _nodes(root, seen: set[int]):
     """Every node reachable from root and not yet in seen, iteratively."""
 
@@ -116,19 +169,21 @@ def _nodes(root, seen: set[int]):
 
 
 def assert_bits_agree(root, seen: set[int] | None = None) -> int:
-    """Compare cached and walked classification on every node under root,
-    in both strategies and on both sides; return how many nodes.  Nodes
-    whose id is in seen are skipped (the caller keeps them alive)."""
+    """Compare the class test with walked classification on every node
+    under root that is well formed in a strategy, in that strategy and on
+    both sides; return how many nodes were compared.  Nodes whose id is in
+    seen are skipped (the caller keeps them alive)."""
 
     nodes = _nodes(root, set() if seen is None else seen)
-    for n in nodes:
-        for s in (CBV, CBN):
-            assert is_value(n, s) is ref_is_value(n, s), (n, s)
-            assert is_covalue(n, s) is ref_is_covalue(n, s), (n, s)
-            # The machine's mu/comu test reads these bits alone.
-            assert getattr(n, f"{s.value}_value") is not True or ref_is_value(n, s) is True, (n, s)
-            assert getattr(n, f"{s.value}_covalue") is not True or ref_is_covalue(n, s) is True, (n, s)
-    return len(nodes)
+    compared = set()
+    for s in (CBV, CBN):
+        memo: dict = {}
+        for n in nodes:
+            if ref_accepts(n, s, memo):
+                compared.add(id(n))
+                assert is_value(n, s) is ref_is_value(n, s), (n, s)
+                assert is_covalue(n, s) is ref_is_covalue(n, s), (n, s)
+    return len(compared)
 
 
 def _node_classes():
@@ -166,7 +221,10 @@ def test_copies_keep_cached_sets_and_bits(clone):
         c = clone(n)
         assert c == n and hash(c) == hash(n) and repr(c) == repr(n)
         assert (c.free_vars, c.free_covars) == (n.free_vars, n.free_covars)
-        assert (c.cbv_value, c.cbn_covalue) == (n.cbv_value, n.cbn_covalue)
+        for s in (CBV, CBN):
+            assert (is_value(c, s), is_covalue(c, s)) == (is_value(n, s), is_covalue(n, s))
+            if ref_accepts(n, s):
+                assert (is_value(c, s), is_covalue(c, s)) == (ref_is_value(n, s), ref_is_covalue(n, s))
 
 
 def test_bits_agree_on_generated_commands():
@@ -177,32 +235,35 @@ def test_bits_agree_on_generated_commands():
     assert sum(assert_bits_agree(c) for c in cmds) > 1000
 
 
+# Outside the grammar the root's class answers: each root below is a grammar
+# term (coterm) but no mu or comu, so a value (covalue) under both
+# strategies, however ill-formed below; a command or None is neither.
 @pytest.mark.parametrize(
-    "node",
+    "node,sort",
     [
-        Succ(APP),
-        Pair(Zero(), NumLit(3)),
-        Pair(MU0, APP),
-        Pair(APP, MU0),
-        Pair(Pair(Zero(), APP), Zero()),
-        InL(NumSucc(NumZero(APP))),
-        CoRec("h", CoVar("h"), "t", "g", CoVar("g"), Succ(NumLit(2))),
-        Tail(Var("x")),
-        Call(APP, Head(Succ(Zero()))),
-        RecNat(Zero(), "x", "y", Var("y"), Fst(MT0)),
-        Command(Zero(), CoVar("a")),
-        Succ(Command(Zero(), CoVar("a"))),
-        None,
+        (Succ(APP), Term),
+        (Pair(Zero(), NumLit(3)), Term),
+        (Pair(MU0, APP), Term),
+        (Pair(APP, MU0), Term),
+        (Pair(Pair(Zero(), APP), Zero()), Term),
+        (InL(NumSucc(NumZero(APP))), Term),
+        (CoRec("h", CoVar("h"), "t", "g", CoVar("g"), Succ(NumLit(2))), Term),
+        (Tail(Var("x")), CoTerm),
+        (Call(APP, Head(Succ(Zero()))), CoTerm),
+        (RecNat(Zero(), "x", "y", Var("y"), Fst(MT0)), CoTerm),
+        (Command(Zero(), CoVar("a")), None),
+        (Succ(Command(Zero(), CoVar("a"))), Term),
+        (None, None),
     ],
 )
-def test_answers_agree_outside_the_grammar(node):
+def test_answers_agree_outside_the_grammar(node, sort):
     for s in (CBV, CBN):
-        assert is_value(node, s) is ref_is_value(node, s)
-        assert is_covalue(node, s) is ref_is_covalue(node, s)
+        assert is_value(node, s) is (sort is Term)
+        assert is_covalue(node, s) is (sort is CoTerm)
 
 
-# The classifiers answer False outside the grammar and name nothing; the node
-# at fault is named by well_formed, under both strategies, once the node is
+# The classifiers answer by the root's class and name nothing; the node at
+# fault is named by well_formed, under both strategies, once the node is
 # cut in its sort's place.
 @pytest.mark.parametrize(
     "node,path,message",
@@ -222,12 +283,14 @@ def test_answers_agree_outside_the_grammar(node):
 )
 def test_well_formed_names_the_node_outside_the_grammar(node, path, message):
     cut = Command(Var("x"), node) if isinstance(node, CoTerm) else Command(node, CoVar("a"))
-    assert is_value(node, CBV) is False and is_covalue(node, CBN) is False
+    assert is_value(node, CBV) is isinstance(node, Term) and is_covalue(node, CBN) is isinstance(node, CoTerm)
     for s in (CBV, CBN):
         assert (path, message) in [(v.path, v.message) for v in well_formed(cut, s)], s
 
 
-def test_bits_agree_on_parsed_programs():
+def test_bits_agree_on_parsed_programs(compilers):
+    # Parsed programs are mostly front-end nodes, outside the grammar; the
+    # prelude's definitions are compared as compiled too.
     progs = [prelude()] + [parse(p.read_text()) for p in sorted(PROGRAMS.glob("*.ct"))]
     total = 0
     for prog in progs:
@@ -235,6 +298,9 @@ def test_bits_agree_on_parsed_programs():
             total += assert_bits_agree(d.body)
         if prog.main is not None:
             total += assert_bits_agree(prog.main)
+    for comp in compilers.values():
+        for _, body in comp.check_program()[0].values():
+            total += assert_bits_agree(body)
     assert total > 500
 
 
@@ -309,6 +375,30 @@ def test_bits_agree_on_every_machine_state(s, compilers, monkeypatch):
     assert sum(assert_bits_agree(c, seen) for c in [*codes, *states]) > 2000
 
 
+def _at(root, path: str):
+    """The node a well_formed path names under root."""
+
+    node = root
+    for label in path.split(".")[1:]:
+        node = getattr(node, next(c.field for c in type(node)._shape.children if c.label == label))
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.deferred(_any_trees))
+def test_well_formed_is_the_reference_grammar(tree):
+    # well_formed's demands test one class, the one the strategy refuses;
+    # the reference walks the classifier below each demanded child.  They
+    # accept the same trees, and each value (covalue) violation sits on a
+    # node of the refused class.
+    for s in (CBV, CBN):
+        bad = well_formed(tree, s)
+        assert (bad == []) is (type(tree) is Command and ref_accepts(tree, s))
+        for v in bad:
+            if v.message.endswith((f"must be a {s.value} value", f"must be a {s.value} covalue")):
+                assert type(_at(tree, v.path)) is s.refuses, v
+
+
 # ---------------------------------------------------------------------------
 # Depth: deeper than the suite's recursion limit, built iteratively.
 
@@ -331,10 +421,13 @@ def test_deep_left_nested_pair_tower_classifies_and_checks():
     for _ in range(DEEP):
         t, bad = Pair(t, Zero()), Pair(bad, Zero())
     assert _unless_overflow(is_value, t, CBV) is True
-    assert _unless_overflow(is_value, bad, CBV) is False
     assert is_value(t, CBN) and is_value(bad, CBN)
     assert _unless_overflow(well_formed, Command(t, CoVar("a")), CBV) == []
     assert _unless_overflow(well_formed, Command(bad, CoVar("a")), CBN) == []
+    # Under CBV only the mu at the bottom is named, not every pair over it.
+    assert _unless_overflow(well_formed, Command(bad, CoVar("a")), CBV) == [
+        Violation("command.producer" + ".left" * DEEP, "pair component must be a cbv value")
+    ]
 
 
 def test_deep_call_tail_tower_classifies_and_checks():
@@ -342,7 +435,10 @@ def test_deep_call_tail_tower_classifies_and_checks():
     for i in range(DEEP):
         e, bad = (Call(Zero(), e), Call(Zero(), bad)) if i % 2 else (Tail(e), Tail(bad))
     assert _unless_overflow(is_covalue, e, CBN) is True
-    assert _unless_overflow(is_covalue, bad, CBN) is False
     assert is_covalue(e, CBV) and is_covalue(bad, CBV)
     assert _unless_overflow(well_formed, Command(Var("x"), e), CBN) == []
     assert _unless_overflow(well_formed, Command(Var("x"), bad), CBV) == []
+    # Under CBN only the comu at the bottom is named, not every tail over it.
+    assert _unless_overflow(well_formed, Command(Var("x"), bad), CBN) == [
+        Violation("command.consumer" + ".rest" * DEEP, "destructor tail must be a cbn covalue")
+    ]

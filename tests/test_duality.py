@@ -78,6 +78,13 @@ def test_dual_strategy():
     assert dual_strategy(dual_strategy(CBV)) is CBV
 
 
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_strategy_duality_is_the_mu_comu_duality(s):
+    # Each strategy refuses to bind one side of the critical pair, and the
+    # dual strategy refuses the dual side.
+    assert _NODE_DUAL[s.refuses] is dual_strategy(s).refuses
+
+
 def test_dual_rule_pairs():
     assert dual_rule(RuleTag.MU) == RuleTag.MU_TILDE
     assert dual_rule(RuleTag.BETA_NUM_ZERO) == RuleTag.BETA_HEAD

@@ -104,19 +104,26 @@ def test_cbv_covalues_cover_every_coterm():
 
 def test_cbn_covalue_needs_covalue_tails():
     assert is_covalue(Call(Zero(), CoVar("a")), CBN)
-    assert not is_covalue(Call(Zero(), MT0), CBN)
-    assert not is_covalue(Head(MT0), CBN)
+    assert well_formed(Command(Zero(), Call(Zero(), MT0)), CBN) == [
+        Violation("command.consumer.rest", "call-stack tail must be a cbn covalue")
+    ]
+    assert well_formed(Command(Zero(), Head(MT0)), CBN) == [
+        Violation("command.consumer.rest", "destructor tail must be a cbn covalue")
+    ]
     assert is_covalue(Tail(Head(CoVar("a"))), CBN)
     # A case split forces its input regardless of branch shape.
     assert is_covalue(SumCase(MT0, MT0), CBN)
 
 
 def test_cbv_value_needs_value_arguments():
+    def cut(t):
+        return well_formed(Command(t, CoVar("a")), CBV)
+
     assert is_value(Pair(Zero(), Succ(Zero())), CBV)
-    assert not is_value(Pair(MU0, Zero()), CBV)
-    assert not is_value(Succ(MU0), CBV)
+    assert cut(Pair(MU0, Zero())) == [Violation("command.producer.left", "pair component must be a cbv value")]
+    assert cut(Succ(MU0)) == [Violation("command.producer.arg", "successor argument must be a cbv value")]
     assert is_value(InL(Zero()), CBV)
-    assert not is_value(InL(MU0), CBV)
+    assert cut(InL(MU0)) == [Violation("command.producer.arg", "injection argument must be a cbv value")]
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +545,6 @@ def test_well_formed_order_and_paths_across_corec_recnum_and_call():
         ("command.producer.seed", "corecursor seed must be a cbv value"),
         ("command.consumer.rest.zero.arg", "successor argument must be a cbv value"),
         ("command.consumer.rest.succ.right.right", "pair component must be a cbv value"),
-        ("command.consumer.rest.succ.right", "pair component must be a cbv value"),
         ("command.consumer.rest.succ.left", "pair component must be a cbv value"),
         ("command.consumer.rest.ret.arg", "call-stack argument must be a cbv value"),
         ("command.consumer.arg", "call-stack argument must be a cbv value"),
@@ -546,11 +552,7 @@ def test_well_formed_order_and_paths_across_corec_recnum_and_call():
     assert [(v.path, v.message) for v in well_formed(c, CBN)] == [
         ("command.producer.head.rest", "destructor tail must be a cbn covalue"),
         ("command.producer.tail.rest.rest", "call-stack tail must be a cbn covalue"),
-        ("command.producer.tail.rest", "destructor tail must be a cbn covalue"),
         ("command.consumer.rest.ret.rest.rest", "destructor tail must be a cbn covalue"),
-        ("command.consumer.rest.ret.rest", "call-stack tail must be a cbn covalue"),
-        ("command.consumer.rest.ret", "recursor return must be a cbn covalue"),
-        ("command.consumer.rest", "call-stack tail must be a cbn covalue"),
     ]
 
 
@@ -598,19 +600,23 @@ def _any_trees(draw, sort=Command, depth=3):
 def test_well_formed_is_total(tree):
     # A list of violations for any tree, never an exception.  A tree with
     # none is a command, which step takes without raising; a mu or comu cut
-    # in it always fires, since its strategy's bit decides the pair.  The
-    # classifiers are total too: a bool on every node, True only on its
-    # sort, and every term (coterm) a call-by-name value (call-by-value
-    # covalue).
+    # in it always fires, since its strategy's refused class decides the
+    # pair.  The classifiers are total too: a bool on every node, True
+    # exactly on a grammar node of its sort whose class the strategy does
+    # not refuse, so every grammar term (coterm) is a call-by-name value
+    # (call-by-value covalue).
     nodes = [tree]
     for n in nodes:
         nodes += [getattr(n, c.field) for c in type(n)._shape.children]
     for n in nodes:
+        grammar = type(n)._shape.grammar
         for s in (CBV, CBN):
             v, k = is_value(n, s), is_covalue(n, s)
             assert type(v) is bool and type(k) is bool
-            assert (not v or isinstance(n, Term)) and (not k or isinstance(n, CoTerm))
-        assert is_value(n, CBN) is isinstance(n, Term) and is_covalue(n, CBV) is isinstance(n, CoTerm)
+            assert v is (isinstance(n, Term) and grammar and type(n) is not s.refuses)
+            assert k is (isinstance(n, CoTerm) and grammar and type(n) is not s.refuses)
+        assert is_value(n, CBN) is (isinstance(n, Term) and grammar)
+        assert is_covalue(n, CBV) is (isinstance(n, CoTerm) and grammar)
     for s in (CBV, CBN):
         bad = well_formed(tree, s)
         assert type(bad) is list and all(type(v) is Violation for v in bad)
@@ -864,7 +870,7 @@ def test_equal_nodes_hash_alike():
 
 @pytest.mark.parametrize("node", one_of_each(), ids=lambda n: type(n).__name__)
 def test_nodes_are_immutable(node):
-    for name in (*node._shape.names, "free_vars", "free_covars", "cbv_value", "cbn_covalue"):
+    for name in (*node._shape.names, "free_vars", "free_covars"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -872,22 +878,21 @@ def test_nodes_are_immutable(node):
     again = dataclasses.replace(node)
     assert again == node and again is not node
     assert (again.free_vars, again.free_covars) == (node.free_vars, node.free_covars)
-    assert (again.cbv_value, again.cbn_covalue) == (node.cbv_value, node.cbn_covalue)
 
 
 def test_replace_caches_sets_and_bit_again():
     def cached(n):
-        return n.free_vars, n.free_covars, getattr(n, "cbv_value", None), getattr(n, "cbn_covalue", None)
+        return n.free_vars, n.free_covars
 
     replace = dataclasses.replace
-    assert cached(replace(MU0, body=Command(Var("y"), CoVar("b")))) == ({"y"}, {"b"}, False, None)
-    assert cached(replace(Succ(Zero()), arg=MU0)) == (set(), set(), False, None)
-    assert cached(replace(Pair(Zero(), Zero()), right=Var("z"))) == ({"z"}, set(), True, None)
-    assert cached(replace(Tail(CoVar("a")), rest=MT0)) == (set(), {"a"}, None, False)
+    assert cached(replace(MU0, body=Command(Var("y"), CoVar("b")))) == ({"y"}, {"b"})
+    assert cached(replace(Succ(Zero()), arg=MU0)) == (set(), set())
+    assert cached(replace(Pair(Zero(), Zero()), right=Var("z"))) == ({"z"}, set())
+    assert cached(replace(Tail(CoVar("a")), rest=MT0)) == (set(), {"a"})
     rec = RecNat(Zero(), "p", "r", Var("r"), CoVar("k"))
-    assert cached(replace(rec, succ_body=Var("q"), ret=MT0)) == ({"q"}, {"a"}, None, False)
-    assert cached(replace(Var("x"), name="y")) == ({"y"}, set(), True, None)
-    assert cached(replace(CoVar("a"), name="b")) == (set(), {"b"}, None, True)
+    assert cached(replace(rec, succ_body=Var("q"), ret=MT0)) == ({"q"}, {"a"})
+    assert cached(replace(Var("x"), name="y")) == ({"y"}, set())
+    assert cached(replace(CoVar("a"), name="b")) == (set(), {"b"})
 
 
 def test_a_node_class_without_a_shape_cannot_be_built():

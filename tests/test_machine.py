@@ -579,7 +579,7 @@ def test_forcing_is_one_run_whose_stats_perfbench_counts(monkeypatch):
 def test_every_command_handed_to_run_is_well_formed(monkeypatch):
     # The benchmark experiments, forcing and stream observation on the
     # prelude, under both strategies, hand run only well-formed commands,
-    # which is all its mu/comu test, one bit, is sound on.
+    # which is all its mu/comu test, one class test, is sound on.
     handed = []
     real = machine.run
 

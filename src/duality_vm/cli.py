@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 type error, 2 stuck or out of fuel, 3 usage or
 parse error, an unreadable program file, or input nested deeper than the
-recursion limit allows.  When standard output is closed early
-(``duality-vm run --trace f | head -1``), the command stops with one line
-on standard error and exit code 0: the reader asked for no more.
+recursion limit allows.  A usage error, as every other failure, ends in
+one line on standard error; ``--help`` prints help and exits 0.  When
+standard output is closed early (``duality-vm run --trace f | head -1``),
+the command stops with one line on standard error and exit code 0: the
+reader asked for no more.
 ``--json`` wraps failures as {"error": ...} objects; a failed run (in
 ``run``, ``observe`` or ``bench``) prints the stats it spent first.
-``--fuel`` sets the step budget, ``DEFAULT_FUEL`` unless given.
+``--fuel`` sets the step budget of ``run``, ``observe`` and ``bench``,
+``DEFAULT_FUEL`` unless given.
 
 ``main`` builds its argument parser once per process and reuses it, which
 saves an in-process caller about 2 ms a call; a one-shot CLI process
@@ -185,42 +188,54 @@ def _cmd_bench(args, rep: _Reporter) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in one line and exit 3."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing changes nothing in it."""
 
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="duality-vm",
         description="Abstract machine for numeric recursion and stream corecursion",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_file=True):
-        sp.add_argument("--strategy", choices=["cbv", "cbn"], default="cbv")
-        sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    def common(sp, *flags, with_file=True):
+        """Add to sp each shared flag named in flags ("strategy", "fuel"),
+        --json, and the program file unless with_file is False."""
+
+        if "strategy" in flags:
+            sp.add_argument("--strategy", choices=["cbv", "cbn"], default="cbv")
+        if "fuel" in flags:
+            sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
         sp.add_argument("--json", action="store_true")
         if with_file:
             sp.add_argument("file", help="program file, or - for stdin")
 
     sp = sub.add_parser("check", help="type-check a program")
-    common(sp)
+    common(sp, "strategy")
     sp = sub.add_parser("run", help="execute main and print the result")
     sp.add_argument("--trace", action="store_true", help="emit step trace as JSON lines")
-    common(sp)
+    common(sp, "strategy", "fuel")
     sp = sub.add_parser("observe", help="read one element of a stream definition")
     sp.add_argument("--depth", type=int, default=0)
     sp.add_argument("name", help="definition name (prelude names if no file)")
-    common(sp, with_file=False)
+    common(sp, "strategy", "fuel", with_file=False)
     sp.add_argument("file", nargs="?", default=None, help="program file (optional)")
     sp = sub.add_parser("expand", help="print the compiled machine-level program")
-    common(sp)
+    common(sp, "strategy")
     sp = sub.add_parser("dualize", help="print the dual of the main command")
     common(sp)
     sp = sub.add_parser("bench", help="run a step-count experiment")
     sp.add_argument("experiment", choices=sorted(EXPERIMENTS))
     sp.add_argument("--sizes", default="1..30", help="e.g. 1..50 or 2,4,6,8,10")
     sp.add_argument("--csv", action="store_true")
-    common(sp, with_file=False)
+    common(sp, "strategy", "fuel", with_file=False)
     return p
 
 

@@ -33,14 +33,14 @@ its step in a ``well_formed`` path, the binder fields in scope in it and
 what the grammar demands of it (a value or a covalue); per class, which side its binders are on, which fields
 alpha-equivalence ignores, and its concrete syntax as a template, with
 whether it prints as an atom.  The cached sets, substitution,
-alpha-equivalence, the grammar check and the printer are all derived
-from the shapes, in the manner of Curien and Herbelin's "The duality of
-computation", where substitution and alpha-equivalence are defined once
-over binders.  The duality reads the same shapes (``duality.py``); it and
-substitution are one rule each over ``rebuild``.  No walk of a term
-recurses on depth.  The parser reads each template that starts with a
-keyword forward, and reserves each word a template spells
-(``parser.py``), so concrete syntax is declared once.
+alpha-equivalence, the grammar check, the compiler's staging and the
+printer are all derived from the shapes, in the manner of Curien and
+Herbelin's "The duality of computation", where substitution and
+alpha-equivalence are defined once over binders.  The duality reads the
+same shapes (``duality.py``); it and substitution are one rule each over
+``rebuild``.  No walk of a term recurses on depth.  The parser reads each
+template that starts with a keyword forward, and reserves each word a
+template spells (``parser.py``), so concrete syntax is declared once.
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ class Shape:
     Construction, substitution, alpha-equivalence and the grammar check
     all read it instead of matching on classes.
     ``children`` are the fields of sort ``Term``, ``CoTerm`` or ``Command``,
-    in field order; ``sorts`` maps each field to its declared sort's name.
+    in field order, and ``demands`` those the grammar demands a value or a
+    covalue of; ``sorts`` maps each field to its declared sort's name.
     ``var_side`` tells whether the binders bind variables or covariables;
     ``ignore`` fields (filled in by elaboration, with no concrete syntax)
     are not compared by alpha-equivalence, ``data`` fields (the others but
@@ -296,8 +297,8 @@ class Shape:
     ``atomic`` classes never need parentheses.
     """
 
-    __slots__ = ("children", "var_side", "data", "ignore", "grammar", "names", "sorts", "kids", "text",
-                 "syntax", "atomic")
+    __slots__ = ("children", "demands", "var_side", "data", "ignore", "grammar", "names", "sorts", "kids",
+                 "text", "syntax", "atomic")
 
     def __init__(self, cls: type, entries, side, ignore, grammar, syntax, atomic):
         # A declared sort is read by name, whether or not its module
@@ -311,6 +312,7 @@ class Shape:
             raise TypeError(f"{cls.__name__} has no child field {', '.join(given)}")
         for c in children:
             c.sort = self.sorts[c.field]
+        self.demands = tuple(c for c in children if c.value or c.covalue)
         kids = {c.field for c in children}
         binders = {b for c in children for b in c.binds}
         self.var_side = side == "vars"

@@ -5,14 +5,14 @@ typechecker's sequent rules (one per sort, each with an optional expected
 type) unchanged and adds two things.  It types and compiles the four
 front-end forms (surface applications, recursor expressions, numerals and
 definition references) down to machine syntax, with the lambda-calculus
-typing rules.  And it overrides the staging hooks: wherever the chosen
-strategy's grammar demands a value or covalue in some position and the
-translated subterm is not one, the translator names the offender with a
-mu/comu binding, the same trick the source-to-machine translation uses for
-successor arguments and call-stack arguments.  The output therefore always
-satisfies ``well_formed`` for the strategy it was compiled for.  Those
-hooks are the only staging code: the two encodings below stage through
-them as well.
+typing rules.  And it overrides the staging hook, ``_staged``: wherever
+the chosen strategy's grammar demands a value or covalue of a child (as
+the node's shape declares it) and the translated child is not one, the
+translator names the offender with a mu/comu binding, the same trick the
+source-to-machine translation uses for successor arguments and call-stack
+arguments.  The output therefore always satisfies ``well_formed`` for the
+strategy it was compiled for.  That hook is the only staging code: the two
+encodings below stage through it as well.
 
 Also here: the recursor-as-iterator and corecursor-as-coiterator
 encodings, and the standard prelude.  The reference interpreter that
@@ -22,6 +22,7 @@ checks the translation lives with the tests, in ``tests/oracle.py``.
 from __future__ import annotations
 
 import importlib.resources
+from dataclasses import replace
 from functools import lru_cache
 
 from .kernel import (
@@ -39,6 +40,8 @@ from .kernel import (
     Mu,
     MuTilde,
     Nat,
+    Node,
+    Pair,
     Position,
     Prod,
     RecNat,
@@ -187,53 +190,42 @@ class Compiler(Elaborator):
         )
         return Mu(k, body, fty.ret)
 
-    # -- staging: force a translated subtree into the strategy's grammar
+    # -- staging: force a translated node into the strategy's grammar
 
-    def _as_value(self, t: Term, ty: TypeExpr, build, out_ty: TypeExpr) -> Term:
-        """build(value) with t named first when t is not a value.
+    def _staged(self, node: Node, ty: TypeExpr, **kid_types: TypeExpr) -> Node:
+        """node with its first child that breaks a grammar demand named
+        first, and its remaining demands staged inside.
 
-        Produces ``mu a. < t | comu x. < build(x) | a > >`` in the staged
-        case; the unstaged case is just build(t).  The fresh names avoid
-        everything free in the built context, discovered with a probe.
+        The demanded children are the shape's, in field order.  With N[_]
+        the node around the child, a term t in a term is staged as
+        ``mu a. < t | comu x. < N[x] | a > >``, a term t in a coterm as
+        ``comu f. < t | comu x. < f | N[x] > >``, and a coterm e in a
+        coterm as ``comu x. < mu b. < x | N[b] > | e >``.  A strategy
+        refuses one class only, a mu or a comu, so no node has a value and
+        a covalue demand staged at once, and field order is as good as any.
+        The fresh names avoid everything free in N, discovered with a probe.
         """
 
-        if is_value(t, self.s):
-            return build(t)
-        probed = build(Var(_PROBE))
-        x = fresh_name(t.free_vars | probed.free_vars, "x")
-        a = fresh_name(t.free_covars | probed.free_covars, "a")
-        inner = MuTilde(x, Command(build(Var(x)), CoVar(a)), ty)
-        return Mu(a, Command(t, inner), out_ty)
-
-    def _as_covalue(self, e: CoTerm, consumed: TypeExpr, build, built_consumes: TypeExpr) -> CoTerm:
-        """build(covalue) with e named first when e is not a covalue.
-
-        Produces ``comu x. < mu b. < x | build(b) > | e >`` in the staged
-        case, where build(b) consumes ``built_consumes``.
-        """
-
-        if is_covalue(e, self.s):
-            return build(e)
-        probed = build(CoVar(_PROBE))
-        b = fresh_name(e.free_covars | probed.free_covars, "b")
-        x = fresh_name(e.free_vars | probed.free_vars, "x")
-        inner = Mu(b, Command(Var(x), build(CoVar(b))), consumed)
-        return MuTilde(x, Command(inner, e), built_consumes)
-
-    def _call(self, aout: Term, aty: TypeExpr, rout: CoTerm, rty: TypeExpr) -> CoTerm:
-        fty = Fn(aty, rty)
-
-        def with_tail(E: CoTerm) -> CoTerm:
-            if is_value(aout, self.s):
-                return Call(aout, E)
-            # Name the function value, compute the argument, then call.
-            fv = aout.free_vars | E.free_vars
-            f = fresh_name(fv, "f")
-            x = fresh_name(fv | {f}, "x")
-            inner = MuTilde(x, Command(Var(f), Call(Var(x), E)), aty)
-            return MuTilde(f, Command(aout, inner), fty)
-
-        return self._as_covalue(rout, rty, with_tail, fty)
+        for c in node._shape.demands:
+            kid = getattr(node, c.field)
+            if is_value(kid, self.s) if c.value else is_covalue(kid, self.s):
+                continue
+            kty = kid_types[c.field]
+            probed = replace(node, **{c.field: (CoVar if c.covalue else Var)(_PROBE)})
+            fv, fcv = kid.free_vars | probed.free_vars, kid.free_covars | probed.free_covars
+            if c.covalue:
+                b, x = fresh_name(fcv, "b"), fresh_name(fv, "x")
+                inner = self._staged(replace(node, **{c.field: CoVar(b)}), ty, **kid_types)
+                return MuTilde(x, Command(Mu(b, Command(Var(x), inner), kty), kid), ty)
+            if isinstance(node, CoTerm):
+                f = fresh_name(fv, "f")
+                x = fresh_name(fv | {f}, "x")
+                inner = self._staged(replace(node, **{c.field: Var(x)}), ty, **kid_types)
+                return MuTilde(f, Command(kid, MuTilde(x, Command(Var(f), inner), kty)), ty)
+            x, a = fresh_name(fv, "x"), fresh_name(fcv, "a")
+            inner = self._staged(replace(node, **{c.field: Var(x)}), ty, **kid_types)
+            return Mu(a, Command(kid, MuTilde(x, Command(inner, CoVar(a)), kty)), ty)
+        return node
 
 
 def translate(t: Term, s: Strategy, program: Program | None = None,
@@ -260,7 +252,7 @@ def encode_rec_via_iter(rec: RecNat, s: Strategy) -> CoTerm:
     computing the requested result in the second, and the final
     continuation projects the second component.  Costs the recursor its
     ability to stop early, which is observable in call-by-name.  The
-    pairs and projections are staged by the Compiler's hooks.
+    pairs and projections are staged by the Compiler's hook.
     """
 
     result = rec.annot
@@ -270,18 +262,18 @@ def encode_rec_via_iter(rec: RecNat, s: Strategy) -> CoTerm:
     pt = Prod(Nat(), result)
 
     def fst(E: CoTerm) -> CoTerm:
-        return comp._as_covalue(E, Nat(), lambda F: Fst(F, result), pt)
+        return comp._staged(Fst(E, result), pt, rest=Nat())
 
     def snd(E: CoTerm) -> CoTerm:
-        return comp._as_covalue(E, result, lambda F: Snd(F, Nat()), pt)
+        return comp._staged(Snd(E, Nat()), pt, rest=result)
 
     x, y = rec.pred_var, rec.result_var
     if x == "_":
         # The pair rebuilds the predecessor, so it needs a name: "S _"
         # would not print as a term.
         x = fresh_name(rec.succ_body.free_vars | {y}, "n")
-    zpair = comp._pair(Zero(), rec.zero_body, pt)
-    spair = comp._pair(Succ(Var(x)), rec.succ_body, pt)
+    zpair = comp._staged(Pair(Zero(), rec.zero_body), pt, left=Nat(), right=result)
+    spair = comp._staged(Pair(Succ(Var(x)), rec.succ_body), pt, left=Nat(), right=result)
     z = fresh_name(rec.succ_body.free_vars | {x, y}, "p")
     k = fresh_name(rec.succ_body.free_covars, "a")
     extract = fst(MuTilde(x, Command(Var(z), snd(MuTilde(y, Command(spair, CoVar(k)), result))), Nat()))
@@ -297,7 +289,7 @@ def encode_corec_via_coiter(cr: CoRec, s: Strategy) -> Term:
     a whole stream to mimic from now on (left injection); the tail branch
     rebuilds both continuations as a case split.  Costs the corecursor its
     ability to hand off to another stream, which is observable in
-    call-by-value.  The injections are staged by the Compiler's hooks.
+    call-by-value.  The injections are staged by the Compiler's hook.
     """
 
     elem = cr.elem_annot
@@ -312,9 +304,9 @@ def encode_corec_via_coiter(cr: CoRec, s: Strategy) -> Term:
     x = fresh_name(cr.tail_body.free_vars, "x")
     d = fresh_name(cr.tail_body.free_covars | {beta, gamma}, "d")
     right = Mu(gamma, Command(Var(x), core), seed_ty)
-    right_part = comp._as_value(right, seed_ty, lambda v: InR(v, Stream(elem)), st)
+    right_part = comp._staged(InR(right, Stream(elem)), st, arg=seed_ty)
     left = Mu(beta, Command(right_part, CoVar(d)), Stream(elem))
-    left_part = comp._as_value(left, Stream(elem), lambda v: InL(v, seed_ty), st)
+    left_part = comp._staged(InL(left, seed_ty), st, arg=Stream(elem))
     tail_body = MuTilde(x, Command(left_part, CoVar(d)), st)
     unused = fresh_name(tail_body.free_covars | {d}, "_")
     seed = InR(cr.seed, Stream(elem))

@@ -13,13 +13,14 @@ The rules are the methods of ``Elaborator``: one per sort, ``term``,
 ``coterm`` and ``command``.  Each rule rebuilds the node it checks with
 every inferable annotation filled in (recursor result types, corecursor
 seed types, binder types), so that the small-step rules can propagate
-annotations; ``elaborate_command`` returns that rebuilt command.  Wherever
-a strategy's grammar asks for a value or a covalue, the rule hands the
-rebuilt child to a staging hook (``_as_value``, ``_as_covalue``, ``_call``)
-whose version here builds the node unchanged.  ``surface.Compiler``
-overrides those hooks to insert the mu/comu bindings that staging needs,
-and ``_other_term`` to add the front-end forms, so typing and compiling run
-the same rules in one pass.
+annotations; ``elaborate_command`` returns that rebuilt command.  Each rule
+that builds a node whose shape demands a value or a covalue of some child
+(``kernel.Shape.demands``) hands the node whole to one staging hook,
+``_staged``, with its type and its demanded children's types; the version
+here returns the node unchanged.  ``surface.Compiler`` overrides that hook
+to insert the mu/comu bindings that staging needs, and ``_other_term`` to
+add the front-end forms, so typing and compiling run the same rules in one
+pass.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .kernel import (
     Mu,
     MuTilde,
     Nat,
+    Node,
     Numbered,
     NumSucc,
     NumZero,
@@ -162,31 +164,21 @@ class Elaborator:
     type they check the node against it, pushing the type into the children
     whose types it fixes; with None they infer.  A rule that cannot use the
     expected type infers and compares.  ``command`` checks a cut.  A subclass
-    changes only the staging hooks and ``_other_term``: every rule hands each
-    child that the grammar constrains to a hook instead of building its
-    parent directly.  Each rule's ``path`` is its node's ``Position``,
+    changes only the staging hook and ``_other_term``: every rule that builds
+    a node with a grammar demand hands it to ``_staged``.  Each rule's
+    ``path`` is its node's ``Position``,
     which ``kernel.spell`` spells only when an error is read.
     """
 
     # -- hooks
 
-    def _as_value(self, t: Term, ty: TypeExpr, build, out_ty: TypeExpr) -> Term:
-        """build(t), where the grammar wants t (of type ty) to be a value;
-        the built term has type out_ty."""
+    def _staged(self, node: Node, ty: TypeExpr, **kid_types: TypeExpr) -> Node:
+        """node as the grammar's demands on its children leave it: ty is the
+        type node produces (a term) or consumes (a coterm), and kid_types
+        gives, by field, the type of each child its shape demands a value
+        or covalue of."""
 
-        return build(t)
-
-    def _as_covalue(self, e: CoTerm, consumed: TypeExpr, build, built_consumes: TypeExpr) -> CoTerm:
-        """build(e), where the grammar wants e (consuming ``consumed``) to be
-        a covalue; the built coterm consumes built_consumes."""
-
-        return build(e)
-
-    def _call(self, arg: Term, arg_ty: TypeExpr, rest: CoTerm, rest_ty: TypeExpr) -> CoTerm:
-        """The call stack ``arg . rest``: its argument must be a value and its
-        tail a covalue."""
-
-        return Call(arg, rest)
+        return node
 
     def _other_term(self, env: TypeEnv, t: Term, expected: TypeExpr | None,
                     path: Position) -> tuple[TypeExpr, Term]:
@@ -230,15 +222,16 @@ class Elaborator:
                 k, at = 0, path
                 while type(t) is Succ:
                     k, t, at = k + 1, t.arg, (at, "arg")
-                _, out = self.term(env, t, Nat(), at)
+                nat = Nat()
+                _, out = self.term(env, t, nat, at)
                 for _ in range(k):
-                    out = self._as_value(out, Nat(), Succ, Nat())
-                return self._expect(expected, Nat(), out, path)
+                    out = self._staged(Succ(out), nat, arg=nat)
+                return self._expect(expected, nat, out, path)
             case NumZero(arg):
                 payload = expected.payload if isinstance(expected, Numbered) else None
                 a, out = self.term(env, arg, payload, (path, "arg"))
                 ty = Numbered(a)
-                return self._expect(expected, ty, self._as_value(out, a, NumZero, ty), path)
+                return self._expect(expected, ty, self._staged(NumZero(out), ty, arg=a), path)
             case NumSucc(arg):
                 pushed = expected if isinstance(expected, Numbered) else None
                 a, out = self.term(env, arg, pushed, (path, "arg"))
@@ -247,27 +240,27 @@ class Elaborator:
                         "Mismatch", (path, "arg"), "numbered successor of a non-Numbered value",
                         expected=Numbered(a), found=a,
                     )
-                return self._expect(expected, a, self._as_value(out, a, NumSucc, a), path)
+                return self._expect(expected, a, self._staged(NumSucc(out), a, arg=a), path)
             case Pair(l, r):
                 left, right = _parts(expected, Prod)
                 lt, lo = self.term(env, l, left, (path, "left"))
                 rt, ro = self.term(env, r, right, (path, "right"))
                 ty = Prod(lt, rt)
-                return self._expect(expected, ty, self._pair(lo, ro, ty), path)
+                return self._expect(expected, ty, self._staged(Pair(lo, ro), ty, left=lt, right=rt), path)
             case InL(arg, other):
                 left, right = _parts(expected, Sum)
                 other = self._annot("injection", other, right, path,
                                     "left injection needs the right component type")
                 a, out = self.term(env, arg, left, (path, "arg"))
                 ty = Sum(a, other)
-                return self._expect(expected, ty, self._as_value(out, a, lambda v: InL(v, other), ty), path)
+                return self._expect(expected, ty, self._staged(InL(out, other), ty, arg=a), path)
             case InR(arg, other):
                 left, right = _parts(expected, Sum)
                 other = self._annot("injection", other, left, path,
                                     "right injection needs the left component type")
                 a, out = self.term(env, arg, right, (path, "arg"))
                 ty = Sum(other, a)
-                return self._expect(expected, ty, self._as_value(out, a, lambda v: InR(v, other), ty), path)
+                return self._expect(expected, ty, self._staged(InR(out, other), ty, arg=a), path)
             case Lam(x, body, annot):
                 if expected is not None and not isinstance(expected, Fn):
                     raise TypeCheckError(
@@ -287,24 +280,13 @@ class Elaborator:
                 return self._expect(expected, *self._corec(env, t, elem, path), path)
         return self._other_term(env, t, expected, path)
 
-    def _pair(self, left: Term, right: Term, ty: Prod) -> Term:
-        """Pair(left, right): both components must be values."""
-
-        def with_left(lv: Term) -> Term:
-            return self._as_value(right, ty.right, lambda rv: Pair(lv, rv), ty)
-
-        return self._as_value(left, ty.left, with_left, ty)
-
     def _corec(self, env: TypeEnv, t: CoRec, elem: TypeExpr, path: Position) -> tuple[TypeExpr, Term]:
         seed_ty, seed = self.term(env, t.seed, None, (path, "seed"))
         _, head = self.coterm(env.bind_covar(t.head_covar, elem), t.head_body, seed_ty, (path, "head"))
         tenv = env.bind_covar(t.tail_covar, Stream(elem)).bind_covar(t.tail_seed_covar, seed_ty)
         _, tail = self.coterm(tenv, t.tail_body, seed_ty, (path, "tail"))
-
-        def build(v: Term) -> Term:
-            return replace(t, head_body=head, tail_body=tail, seed=v, elem_annot=elem, seed_annot=seed_ty)
-
-        return Stream(elem), self._as_value(seed, seed_ty, build, Stream(elem))
+        out = replace(t, head_body=head, tail_body=tail, seed=seed, elem_annot=elem, seed_annot=seed_ty)
+        return Stream(elem), self._staged(out, Stream(elem), seed=seed_ty)
 
     # -- coterms
 
@@ -320,7 +302,8 @@ class Elaborator:
                 arg_ty, ret_ty = _parts(expected, Fn)
                 a, aout = self.term(env, arg, arg_ty, (path, "arg"))
                 b, rout = self.coterm(env, rest, ret_ty, (path, "rest"))
-                return self._expect(expected, Fn(a, b), self._call(aout, a, rout, b), path)
+                ty = Fn(a, b)
+                return self._expect(expected, ty, self._staged(Call(aout, rout), ty, arg=a, rest=b), path)
             case RecNat():
                 return self._expect(expected, *self._rec(env, e, None, path), path)
             case RecNum(payload_annot=pa):
@@ -331,28 +314,28 @@ class Elaborator:
             case Head(rest):
                 elem = expected.elem if isinstance(expected, Stream) else None
                 a, out = self.coterm(env, rest, elem, (path, "rest"))
-                return self._expect(expected, Stream(a), self._as_covalue(out, a, Head, Stream(a)), path)
+                return self._expect(expected, Stream(a), self._staged(Head(out), Stream(a), rest=a), path)
             case Tail(rest):
                 pushed = expected if isinstance(expected, Stream) else None
                 st, out = self.coterm(env, rest, pushed, (path, "rest"))
                 if not isinstance(st, Stream):
                     raise TypeCheckError("Mismatch", (path, "rest"), "tail of a non-stream",
                                          expected=Stream(st), found=st)
-                return self._expect(expected, st, self._as_covalue(out, st, Tail, st), path)
+                return self._expect(expected, st, self._staged(Tail(out), st, rest=st), path)
             case Fst(rest, other):
                 left, right = _parts(expected, Prod)
                 other = self._annot("projection", other, right, path,
                                     "first projection needs the right component type")
                 a, out = self.coterm(env, rest, left, (path, "rest"))
                 ty = Prod(a, other)
-                return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Fst(E, other), ty), path)
+                return self._expect(expected, ty, self._staged(Fst(out, other), ty, rest=a), path)
             case Snd(rest, other):
                 left, right = _parts(expected, Prod)
                 other = self._annot("projection", other, left, path,
                                     "second projection needs the left component type")
                 a, out = self.coterm(env, rest, right, (path, "rest"))
                 ty = Prod(other, a)
-                return self._expect(expected, ty, self._as_covalue(out, a, lambda E: Snd(E, other), ty), path)
+                return self._expect(expected, ty, self._staged(Snd(out, other), ty, rest=a), path)
             case SumCase(l, r):
                 left, right = _parts(expected, Sum)
                 lt, lo = self.coterm(env, l, left, (path, "left"))
@@ -385,11 +368,8 @@ class Elaborator:
         if rout is None:
             _, rout = self.coterm(env, e.ret, result, (path, "ret"))
         annots = {"payload_annot": payload} if numbered else {}
-
-        def build(E: CoTerm) -> CoTerm:
-            return replace(e, zero_body=zout, succ_body=sout, ret=E, annot=result, **annots)
-
-        return scrut, self._as_covalue(rout, result, build, scrut)
+        out = replace(e, zero_body=zout, succ_body=sout, ret=rout, annot=result, **annots)
+        return scrut, self._staged(out, scrut, ret=result)
 
     # -- commands
 

@@ -3,7 +3,9 @@
 ``TypedGen`` builds commands over Nat / Stream Nat / Nat -> Nat that are
 closed except for the top covariable and well-formed under both
 strategies at once (constructor arguments and seeds are call-by-value
-values, destructor tails are call-by-name covalues).
+values, destructor tails are call-by-name covalues).  Made ``loose``, either
+generator may put a mu or comu where the grammar demands a value or a
+covalue, so its commands need staging.
 
 ``DualGen`` builds commands in the dualizable fragment (numbered values,
 streams, pairs, sums, binders, with Nat payload leaves) over free
@@ -58,9 +60,10 @@ FN = Fn(NAT, NAT)
 
 
 class TypedGen:
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, loose: bool = False):
         self.rng = random.Random(seed)
         self.counter = 0
+        self.loose = loose
 
     def fresh(self, hint: str) -> str:
         self.counter += 1
@@ -101,7 +104,7 @@ class TypedGen:
             opts.append("corec")
         if ty == FN and depth > 0:
             opts.append("lam")
-        if not value and depth > 0:
+        if (self.loose or not value) and depth > 0:
             opts.append("mu")
         if not opts:
             return numeral(rng.randrange(3)) if ty == NAT else self.term(ty, depth + 1, env, value)
@@ -151,7 +154,7 @@ class TypedGen:
                 opts += ["head", "tail"]
             if ty == FN:
                 opts.append("call")
-            if not covalue:
+            if self.loose or not covalue:
                 opts.append("mutilde")
         if not opts:
             if covalue:
@@ -206,9 +209,10 @@ DUAL_TYPES = [
 class DualGen:
     """Commands in the dualizable fragment, over free leaves."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, loose: bool = False):
         self.rng = random.Random(seed)
         self.counter = 0
+        self.loose = loose
         self.free_vars: dict[str, TypeExpr] = {}
         self.free_covars: dict[str, TypeExpr] = {}
 
@@ -251,7 +255,7 @@ class DualGen:
         if depth <= 0:
             return self._leaf_var(ty, bv)
         opts = ["var"]
-        if not value:
+        if self.loose or not value:
             opts.append("mu")
         match ty:
             case Numbered(p):
@@ -305,7 +309,7 @@ class DualGen:
         if depth <= 0:
             return self._leaf_covar(ty, bc)
         opts = ["covar"]
-        if not covalue:
+        if self.loose or not covalue:
             opts.append("mutilde")
         match ty:
             case Numbered(_):

@@ -880,7 +880,7 @@ def test_nodes_are_immutable(node):
     assert (again.free_vars, again.free_covars) == (node.free_vars, node.free_covars)
 
 
-def test_replace_caches_sets_and_bit_again():
+def test_replace_caches_sets_again():
     def cached(n):
         return n.free_vars, n.free_covars
 

@@ -45,8 +45,9 @@ from duality_vm.surface import (
     prelude,
     translate,
 )
-from duality_vm.typechecker import EMPTY_ENV, TypeCheckError, TypeEnv, check_command
+from duality_vm.typechecker import EMPTY_ENV, TypeCheckError, TypeEnv, check_command, elaborate_command
 
+from generators import DualGen, TypedGen, one_of_each
 from oracle import (
     OracleError,
     desugar_case,
@@ -197,6 +198,47 @@ def test_translate_call_stack_with_computation_argument():
     for s in (CBV, CBN):
         out = Compiler(None, s).command(env, c, "c")
         assert well_formed(out, s) == []
+
+
+def _generated(loose: bool) -> list:
+    """(env, command) pairs from both generators: ``TypedGen`` builds the
+    successors, call stacks and recursors, ``DualGen`` the numbered, pair,
+    sum and projection nodes; both build corecursors and stream tails."""
+
+    tg, dg = TypedGen(2801, loose=loose), DualGen(2802, loose=loose)
+    out = [(TypeEnv.make(covars={"a0": NAT}), tg.command(depth=4)) for _ in range(120)]
+    for _ in range(120):
+        c, free_vars, free_covars = dg.command(depth=4)
+        out.append((TypeEnv.make(free_vars, free_covars), c))
+    return out
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_staging_adds_nothing_to_a_command_the_grammar_accepts(s):
+    for env, c in _generated(loose=False):
+        assert well_formed(c, s) == []
+        assert Compiler(None, s).command(env, c, "command") == elaborate_command(env, c)
+
+
+@pytest.mark.parametrize("s", [CBV, CBN], ids=str)
+def test_staging_meets_every_demand_of_the_grammar(s):
+    staged = set()
+
+    class Recording(Compiler):
+        def _staged(self, node, ty, **kid_types):
+            out = super()._staged(node, ty, **kid_types)
+            if out is not node:
+                staged.add(type(node))
+            return out
+
+    for env, c in _generated(loose=True):
+        out = Recording(None, s).command(env, c, "command")
+        assert well_formed(out, s) == [], pretty(c)
+        check_command(env, out)
+    # Each class with a demand on the sort s refuses is staged at least once.
+    kind = "value" if s is CBV else "covalue"
+    demanding = {type(n) for n in one_of_each() if any(getattr(c, kind) for c in n._shape.demands)}
+    assert staged == demanding
 
 
 def test_mixed_machine_and_surface_checking():

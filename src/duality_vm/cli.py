@@ -7,10 +7,10 @@ one line on standard error; ``--help`` prints help and exits 0.  When
 standard output is closed early (``duality-vm run --trace f | head -1``),
 the command stops with one line on standard error and exit code 0: the
 reader asked for no more.
-``--json`` wraps failures as {"error": ...} objects; a failed run (in
-``run``, ``observe`` or ``bench``) prints the stats it spent first.
-``--fuel`` sets the step budget of ``run``, ``observe`` and ``bench``,
-``DEFAULT_FUEL`` unless given.
+``--json`` wraps every failure but a usage error as {"error": ...};
+a failed run (in ``run``, ``observe`` or ``bench``) prints the stats it
+spent first.  ``--fuel`` sets the step budget of ``run``, ``observe``
+and ``bench``, ``DEFAULT_FUEL`` unless given.
 
 ``main`` builds its argument parser once per process and reuses it, which
 saves an in-process caller about 2 ms a call; a one-shot CLI process
@@ -28,6 +28,7 @@ import sys
 from .bench import EXPERIMENTS, report, run_experiment
 from .duality import NotDualizable, dual_command
 from .kernel import (
+    CBV,
     Command,
     CoVar,
     Nat,
@@ -83,7 +84,8 @@ class _Reporter:
 
 
 def _cmd_check(args, rep: _Reporter) -> int:
-    defs, main = Compiler(_read_program(args.file), Strategy(args.strategy)).check_program()
+    # Staging changes no type and no typing error, so one strategy serves.
+    defs, main = Compiler(_read_program(args.file), CBV).check_program()
     types = {name: type_str(ty) for name, (ty, _) in defs.items()}
     main_desc = None
     if main is not None:
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("file", help="program file, or - for stdin")
 
     sp = sub.add_parser("check", help="type-check a program")
-    common(sp, "strategy")
+    common(sp)
     sp = sub.add_parser("run", help="execute main and print the result")
     sp.add_argument("--trace", action="store_true", help="emit step trace as JSON lines")
     common(sp, "strategy", "fuel")

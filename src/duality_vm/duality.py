@@ -8,7 +8,7 @@ numbered constructors with stream destructors, pairs with case splits,
 injections with projections, mu with comu, the corecursor with the
 generalized recursor.  The fields of each pair correspond in declaration
 order, so one walk over the kernel's shapes rebuilds every pair.
-Variables swap with covariables through a pairing context.  A binder pairs
+Variables swap with covariables through a pairing dict.  A binder pairs
 its name with itself in its own namespace only, and keeps it unless the
 pairing maps a free name of its scope onto it; then it takes a fresh name,
 so the dual captures nothing.  Plain-Nat constructors, functions and call
@@ -19,8 +19,6 @@ has no base case of its own, so payload and seed types bottom out at Nat.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .kernel import (
     CBN,
@@ -65,9 +63,7 @@ from .typechecker import TypeEnv
 
 
 class NotDualizable(Exception):
-    def __init__(self, what: str):
-        super().__init__(what)
-        self.what = what
+    """A rule, type or node outside the dualizable fragment."""
 
 
 def dual_strategy(s: Strategy) -> Strategy:
@@ -121,69 +117,46 @@ def dual_rule(tag: RuleTag) -> RuleTag:
         raise NotDualizable(f"rule {tag.value} has no dual") from None
 
 
-def dual_type(t: TypeExpr | None) -> TypeExpr | None:
-    if t is None:
-        return None
+def dual_type(t: TypeExpr) -> TypeExpr:
     cls = type(t)
     if cls not in _TYPE_DUAL:
         raise NotDualizable("function types have no dual" if cls is Fn else f"type {t!r} has no dual")
     return _TYPE_DUAL[cls](*(dual_type(getattr(t, f)) for f in cls.__match_args__))
 
 
-@dataclass(frozen=True)
-class DualityContext:
-    """Bijective pairing of variables with covariables for free names.
+def _pairings(pairing: dict[str, str] | None) -> tuple[dict[str, str], dict[str, str]]:
+    """The (var -> covar, covar -> var) pairings of free names, from a
+    var -> covar dict; a name neither maps pairs with itself."""
 
-    Bound names pair with themselves (or with a fresh name, where the pairing
-    would capture); the pairing for free names defaults to the identity and
-    may be overridden entry by entry.
-    """
-
-    var_to_covar: dict[str, str] = field(default_factory=dict)
-    covar_to_var: dict[str, str] = field(default_factory=dict)
-
-    def pair(self, var: str, covar: str) -> "DualityContext":
-        v2c = dict(self.var_to_covar)
-        c2v = dict(self.covar_to_var)
-        v2c[var] = covar
-        c2v[covar] = var
-        return DualityContext(v2c, c2v)
-
-    def covar_of(self, var: str) -> str:
-        return self.var_to_covar.get(var, var)
-
-    def var_of(self, covar: str) -> str:
-        return self.covar_to_var.get(covar, covar)
+    v2c = pairing or {}
+    return v2c, {c: v for v, c in v2c.items()}
 
 
-EMPTY_CTX = DualityContext()
-
-
-def dual_term(v: Term, ctx: DualityContext = EMPTY_CTX) -> CoTerm:
+def dual_term(v: Term, pairing: dict[str, str] | None = None) -> CoTerm:
     """The coterm mirroring a term, swapping constructors for destructors."""
 
-    return _dual(v, Term, ctx)
+    return _dual(v, Term, pairing)
 
 
-def dual_coterm(e: CoTerm, ctx: DualityContext = EMPTY_CTX) -> Term:
+def dual_coterm(e: CoTerm, pairing: dict[str, str] | None = None) -> Term:
     """The term mirroring a coterm, swapping destructors for constructors."""
 
-    return _dual(e, CoTerm, ctx)
+    return _dual(e, CoTerm, pairing)
 
 
-def dual_command(c: Command, ctx: DualityContext = EMPTY_CTX) -> Command:
+def dual_command(c: Command, pairing: dict[str, str] | None = None) -> Command:
     """Mirror a command: the dual consumer becomes the producer and vice versa."""
 
-    return _dual(c, Command, ctx)
+    return _dual(c, Command, pairing)
 
 
-def _dual(root, sort: type, ctx: DualityContext):
+def _dual(root, sort: type, pairing: dict[str, str] | None):
     """Rebuild root with each node replaced by its dual, in one
     ``kernel.rebuild`` walk."""
 
     if not isinstance(root, sort):
         raise NotDualizable(f"{sort.__name__.lower()} {type(root).__name__} has no dual")
-    return rebuild(root, (ctx.var_to_covar, ctx.covar_to_var), _dual_rule)
+    return rebuild(root, _pairings(pairing), _dual_rule)
 
 
 def _dual_rule(node, pairings: tuple[dict[str, str], dict[str, str]]):
@@ -245,11 +218,12 @@ def _scope(pairing: dict[str, str], binders: list[str],
     return inner, [inner[b] for b in binders]
 
 
-def dual_env(env: TypeEnv, ctx: DualityContext = EMPTY_CTX) -> TypeEnv:
+def dual_env(env: TypeEnv, pairing: dict[str, str] | None = None) -> TypeEnv:
     """Environment for the dual command: x : A turns into x' at dual(A) on
     the covariable side, and dually."""
 
+    v2c, c2v = _pairings(pairing)
     return TypeEnv.make(
-        vars={ctx.var_of(a): dual_type(t) for a, t in env.covars.items()},
-        covars={ctx.covar_of(x): dual_type(t) for x, t in env.vars.items()},
+        vars={c2v.get(a, a): dual_type(t) for a, t in env.covars.items()},
+        covars={v2c.get(x, x): dual_type(t) for x, t in env.vars.items()},
     )

@@ -77,9 +77,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # The typed translator
 
-_PROBE = "\x00probe"  # impossible name, used to discover a build context's free names
-
-
 class Compiler(Elaborator):
     """Checks and compiles one program's definitions for one strategy."""
 
@@ -101,12 +98,8 @@ class Compiler(Elaborator):
         self._busy.add(name)
         try:
             d = self.program.defs[name]
+            # Typed in the empty environment, so a free name is unbound.
             _, body = self.term(EMPTY_ENV, d.body, d.declared, f"def {name}")
-            if body.free_vars or body.free_covars:
-                loose = sorted(body.free_vars | body.free_covars)
-                raise TypeCheckError(
-                    "UnboundName", f"def {name}", f"definition not closed; free: {loose}"
-                )
             self._done[name] = (d.declared, body)
             return self._done[name]
         finally:
@@ -203,7 +196,8 @@ class Compiler(Elaborator):
         coterm as ``comu x. < mu b. < x | N[b] > | e >``.  A strategy
         refuses one class only, a mu or a comu, so no node has a value and
         a covalue demand staged at once, and field order is as good as any.
-        The fresh names avoid everything free in N, discovered with a probe.
+        The fresh names avoid the node's own free names, which are all of
+        t's and N's: no demanded child sits under a binder.
         """
 
         for c in node._shape.demands:
@@ -211,8 +205,7 @@ class Compiler(Elaborator):
             if is_value(kid, self.s) if c.value else is_covalue(kid, self.s):
                 continue
             kty = kid_types[c.field]
-            probed = replace(node, **{c.field: (CoVar if c.covalue else Var)(_PROBE)})
-            fv, fcv = kid.free_vars | probed.free_vars, kid.free_covars | probed.free_covars
+            fv, fcv = node.free_vars, node.free_covars
             if c.covalue:
                 b, x = fresh_name(fcv, "b"), fresh_name(fv, "x")
                 inner = self._staged(replace(node, **{c.field: CoVar(b)}), ty, **kid_types)

@@ -280,7 +280,7 @@ def _edge_commands() -> list[list[str]]:
 _USAGE_ERRORS = [["run", "--bogus", "x"], ["frob"], [], ["run", "--fuel", "abc", "x"]]
 
 # The edge test's shared flags that each command takes.
-_FLAGS = {"check": ["--strategy"], "run": ["--strategy", "--fuel"], "observe": ["--strategy", "--fuel"],
+_FLAGS = {"check": [], "run": ["--strategy", "--fuel"], "observe": ["--strategy", "--fuel"],
           "expand": ["--strategy"], "dualize": [], "bench": ["--strategy", "--fuel"]}
 
 
@@ -295,6 +295,33 @@ def test_cli_failure_edges_end_in_an_exit_code_and_one_line(argv, fuel, strategy
     out, err = capsys.readouterr()
     assert code in ((3,) if argv in _USAGE_ERRORS else (0, 1, 2, 3))
     assert len(err.splitlines()) <= 1
+
+
+def test_check_takes_no_strategy(capsys):
+    assert main(["check", "--strategy", "cbv", str(PROGRAMS / "plus23.ct")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: duality-vm: unrecognized arguments: --strategy ")
+
+
+@pytest.mark.parametrize(
+    "argv,text,code,message",
+    [
+        (["run"], "def one : Nat = 1;", 3, "program has no main"),
+        (["run"], "main = fun x : Nat => x;", 1, "main must have type Nat to run, found Nat -> Nat"),
+        (["dualize"], "main = 1;", 3, "dualize needs a main command"),
+        (["run", "--fuel", "-1"], PLUS23, 3, "fuel must be nonnegative"),
+        (["observe", "--depth", "-1", "nats"], None, 3, "depth must be nonnegative"),
+    ],
+    ids=["run-no-main", "run-non-nat-main", "dualize-term-main", "run-negative-fuel", "observe-negative-depth"],
+)
+def test_refused_mains_and_negative_budgets_exit_with_one_line(argv, text, code, message, tmp_path, capsys):
+    files = []
+    if text is not None:  # observe reads the prelude when given no file
+        files.append(tmp_path / "prog.ct")
+        files[0].write_text(text)
+    assert main([*argv, *map(str, files)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _entry(tmp_path, name: str, text: str, command: str):

@@ -7,7 +7,6 @@ from duality_vm.duality import (
     _NO_DUAL,
     _NODE_DUAL,
     _NODE_PAIRS,
-    DualityContext,
     NotDualizable,
     dual_command,
     dual_coterm,
@@ -145,7 +144,7 @@ def test_plain_numbers_and_functions_not_dualizable():
 
 
 def test_explicit_pairing_context():
-    ctx = DualityContext().pair("x", "alpha")
+    ctx = {"x": "alpha"}
     assert dual_term(Var("x"), ctx) == CoVar("alpha")
     assert dual_coterm(CoVar("alpha"), ctx) == Var("x")
 
@@ -160,7 +159,7 @@ def test_explicit_pairing_context():
     ],
 )
 def test_binder_shadows_only_its_own_namespace(text, pairing, dual):
-    ctx = DualityContext().pair(*pairing)
+    ctx = dict([pairing])
     cmd = parse_command(text)
     env = TypeEnv.make(vars={n: NAT for n in cmd.free_vars}, covars={n: NAT for n in cmd.free_covars})
     check_command(env, cmd)
@@ -172,7 +171,7 @@ def test_binder_shadows_only_its_own_namespace(text, pairing, dual):
 def test_pairing_onto_a_binder_name_does_not_capture():
     # The free covariable c pairs with the variable a, the name of the mu's
     # binder; the dual comu must not capture it.
-    ctx = DualityContext().pair("a", "c")
+    ctx = {"a": "c"}
     cmd = parse_command("<mu a : Nat. <z | c> | k>")
     out = dual_command(cmd, ctx)
     assert out == parse_command("<k | comu a1 : Nat. <a | z>>")
@@ -276,11 +275,11 @@ def test_pairings_onto_binder_names_on_corpus():
     for cmd, env in CORPUS:
         cmd = elaborate_command(env, cmd)
         var_binders, covar_binders = _binder_names(cmd)
-        ctx = DualityContext()
+        ctx = {}
         for a, b in zip(sorted(cmd.free_covars), covar_binders):
-            ctx = ctx.pair(b, a)
+            ctx[b] = a
         for x, y in zip(sorted(cmd.free_vars), var_binders):
-            ctx = ctx.pair(x, y)
+            ctx[x] = y
         out = dual_command(cmd, ctx)
         dual_vars, dual_covars = _binder_names(out)  # binders swap namespaces
         renamed += sorted(dual_vars) != sorted(covar_binders) or sorted(dual_covars) != sorted(var_binders)

@@ -27,6 +27,7 @@ from duality_vm.kernel import (
     pretty,
     well_formed,
 )
+import duality_vm
 from duality_vm import bench, machine
 from duality_vm.machine import (
     ElementNotNatError,
@@ -57,6 +58,12 @@ def gt(comp, name):
 
 # ---------------------------------------------------------------------------
 # Single steps
+
+
+def test_the_package_serves_the_machine_names_lazily():
+    assert duality_vm.run is run and duality_vm.step is step
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        duality_vm.no_such_name
 
 
 def test_mu_step():

@@ -2,8 +2,9 @@
 
 The reference reads a closure back as ``subst`` of its code with the
 read-back of each closure its free names are bound to, a half as its side
-of ``_beta_succ``/``_beta_tail`` and a forcing continuation as its restart
-covariable.  The machine's read-back builds successor chains without
+of the substitution machine's ``beta_succ``/``beta_tail`` (so it shares
+no rule with the machine it checks) and a forcing continuation as its
+restart covariable.  The machine's read-back builds successor chains without
 ``subst``; it must print the same bytes, fresh names included, on every
 state of the prelude's number programs (forcing runs included) and stream
 observations, of generated commands and of the commands whose binders
@@ -20,6 +21,7 @@ from duality_vm.kernel import CBN, CBV, Command, CoVar, Head, fresh_name, pretty
 from duality_vm.machine import MachineError, tails
 from duality_vm.parser import parse_command
 from generators import DualGen, TypedGen
+from substitution_machine import beta_succ, beta_tail
 from test_machine_lockstep import NUMS, RENAMED, STREAMS, _apply
 
 FUEL = 4000
@@ -52,7 +54,7 @@ def reference(c: tuple, backs: dict):
             node = CoVar(fresh_name(backs[id(vs)][1].free_covars, "a0"))
         elif code is machine._PENDING_MU or code is machine._PENDING_COMU:
             x, y, succ = vs
-            rule = machine._beta_succ if succ else machine._beta_tail
+            rule = beta_succ if succ else beta_tail
             cmd = rule(backs[id(x)][1], backs[id(y)][1])
             node = cmd.producer if code is machine._PENDING_MU else cmd.consumer
         else:

@@ -36,7 +36,19 @@ from duality_vm.kernel import (
     well_formed,
 )
 from duality_vm.machine import RuleTag, force_numeral, observe_stream, run, run_to_numeral
-from duality_vm.parser import App, NumLit, ParseError, Ref, RecTerm, parse, parse_command, parse_coterm, parse_term
+from duality_vm.parser import (
+    App,
+    Definition,
+    NumLit,
+    ParseError,
+    Program,
+    Ref,
+    RecTerm,
+    parse,
+    parse_command,
+    parse_coterm,
+    parse_term,
+)
 from duality_vm.surface import (
     Compiler,
     encode_corec_via_coiter,
@@ -261,6 +273,43 @@ def test_check_program_returns_the_compiled_program(s):
         assert main == one.main()
     assert main[0] == Nat()
     assert Compiler(prelude(), s).check_program()[1] is None
+
+
+def test_demanded_children_sit_under_no_binder():
+    # ``_staged`` avoids the node's own free names, which are the demanded
+    # child's and its context's only while no binder scopes that child.
+    demands = [c for node in one_of_each() for c in node._shape.demands]
+    assert demands and not any(c.binds for c in demands)
+
+
+@pytest.mark.parametrize("ty,body", [("Nat", "x"), ("Nat", "mu a : Nat. <Z | b>"), ("Nat", "f"),
+                                     ("Nat -> Nat", "fun x : Nat => y")])
+def test_a_definition_with_a_free_name_is_unbound(ty, body):
+    with pytest.raises(TypeCheckError) as exc:
+        Compiler(parse(f"def f : {ty} = {body};"), CBV).check_program()
+    assert exc.value.kind == "UnboundName" and exc.value.message.startswith("unbound ")
+
+
+def test_main_must_exist_and_use_one_covariable():
+    with pytest.raises(TypeCheckError) as exc:
+        Compiler(parse("def one : Nat = 1;"), CBV).main()
+    assert (exc.value.kind, exc.value.message) == ("Mismatch", "program has no main")
+    with pytest.raises(TypeCheckError) as exc:
+        Compiler(parse("main = <mu b : Nat. <Z | a> | b>;"), CBV).main()
+    assert exc.value.message == "main command must use one covariable, found ['a', 'b']"
+
+
+def test_lookup_of_an_unknown_definition_and_of_a_cycle():
+    # The parser reads a name as a reference only to an earlier definition,
+    # so it can spell neither; the program is built by hand.
+    defs = {"f": Definition("f", NAT, Ref("g"), 1), "g": Definition("g", NAT, Ref("f"), 2)}
+    comp = Compiler(Program(defs, None), CBV)
+    with pytest.raises(TypeCheckError) as exc:
+        comp.lookup_def("h", "h")
+    assert (exc.value.kind, exc.value.message) == ("UnboundName", "unknown definition 'h'")
+    with pytest.raises(TypeCheckError) as exc:
+        comp.lookup_def("f", "def f")
+    assert (exc.value.kind, exc.value.message) == ("Mismatch", "definition cycle through 'f'")
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,15 @@ def test_typing_error_pinned(sort, source, pushed, kind, path, message, expected
     )
 
 
+def test_a_term_as_the_consumer_is_not_a_machine_coterm():
+    # The parser cannot put a term in a consumer's place; the command is built by hand.
+    with pytest.raises(TypeCheckError) as exc:
+        check_command(EMPTY_ENV, Command(Zero(), Zero()))
+    assert (exc.value.kind, exc.value.path, exc.value.message) == (
+        "Mismatch", "command.consumer", "not a machine coterm: Zero (translate first)",
+    )
+
+
 def test_typing_error_table_covers_every_message():
     """Every message the rules can raise appears in the table."""
 
